@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .errors import (
     SpecValidationError,
     ValidationError,
 )
-from .interp import Curve3, ScalarFunc
+from .interp import Curve3, ScalarFunc, _rk4
+from .stationary import _defect_from_jet
 from .surface_kernel import Jet2, ParametricPatch, translated
 
 FAMILY_KINDS = (
@@ -187,28 +188,18 @@ def euler_planar_curve(alpha, r0, theta0, kappa0_sign, length,
         raise ValidationError("kappa0_sign must be +1 or -1")
     phi = (theta0 + kappa0_sign * math.pi / 2.0
            if tangent_angle is None else float(tangent_angle))
-    nsteps = max(1, int(math.ceil(float(length) / max_step)))
-    h = float(length) / nsteps
 
-    def rhs(y):
+    def rhs(_, y):
         x, yy, ph = y
         rr = x * x + yy * yy
         if rr < 1e-12:
             raise OriginCollisionError("curve reached the origin")
         nx, ny = -math.sin(ph), math.cos(ph)
-        kap = alpha * (nx * x + ny * yy) / rr
-        return np.array([math.cos(ph), math.sin(ph), kap]), kap
+        return np.array([math.cos(ph), math.sin(ph), alpha * (nx * x + ny * yy) / rr])
 
-    y = np.array([r0 * math.cos(theta0), r0 * math.sin(theta0), phi])
-    rows = [y.copy()]
-    for _ in range(nsteps):
-        k1, _ = rhs(y)
-        k2, _ = rhs(y + h / 2 * k1)
-        k3, _ = rhs(y + h / 2 * k2)
-        k4, _ = rhs(y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        rows.append(y.copy())
-    rows = np.array(rows)
+    y0 = np.array([r0 * math.cos(theta0), r0 * math.sin(theta0), phi])
+    _, rows = _rk4(rhs, 0.0, y0, float(length), max_step)
+    h = float(length) / (len(rows) - 1)
     s = h * np.arange(len(rows))
     x, yy, ph = rows[:, 0], rows[:, 1], rows[:, 2]
     gamma = np.stack([x, yy, np.zeros_like(x)], axis=-1)
@@ -223,35 +214,26 @@ def euler_planar_curve(alpha, r0, theta0, kappa0_sign, length,
 # Riemann's minimal family, generated from its own defect
 
 
-def _parallel_defect_samples(u, a, ap, app, r, rp, rpp, v):
-    """Weighted defect of the horizontal-circle foliation (centre (a,0,u))
-    at fixed height, for prescribed second derivatives of the profile."""
-    cv, sv = np.cos(v), np.sin(v)
-    zeros = np.zeros_like(v)
-    ones = np.ones_like(v)
-    P = np.stack([a + r * cv, r * sv, np.full_like(v, u)], axis=-1)
-    Pu = np.stack([ap + rp * cv, rp * sv, ones], axis=-1)
-    Puu = np.stack([app + rpp * cv, rpp * sv, zeros], axis=-1)
-    Pv = np.stack([-r * sv, r * cv, zeros], axis=-1)
-    Puv = np.stack([-rp * sv, rp * cv, zeros], axis=-1)
-    Pvv = np.stack([-r * cv, -r * sv, zeros], axis=-1)
-    cross = np.cross(Pu, Pv)
-    dot = lambda x, y: np.einsum("...i,...i->...", x, y)
-    E, F, G = dot(Pu, Pu), dot(Pu, Pv), dot(Pv, Pv)
-    return (G * dot(Puu, cross) - 2.0 * F * dot(Puv, cross)
-            + E * dot(Pvv, cross)) * dot(P, P)
-
-
 def _riemann_accels(u, a, ap, r, rp):
     """Solve for (a'', r'') from the n=0 and n=1 cosine coefficients of the
-    zero-exponent defect; the defect is affine in the second derivatives."""
+    zero-exponent defect on the horizontal circle at height u (centre
+    (a, 0, u)); the defect is affine in the second derivatives, which only
+    enter Puu, so the other jet fields are shared by the three probes."""
     nv = 16
     v = 2.0 * math.pi * (np.arange(nv) + 0.5) / nv
-    c1 = np.cos(v)
+    cv, sv = np.cos(v), np.sin(v)
+    zeros = np.zeros_like(v)
+    base = Jet2(P=np.stack([a + r * cv, r * sv, np.full_like(v, u)], axis=-1),
+                Pu=np.stack([ap + rp * cv, rp * sv, np.ones_like(v)], axis=-1),
+                Pv=np.stack([-r * sv, r * cv, zeros], axis=-1),
+                Puu=None,
+                Puv=np.stack([-rp * sv, rp * cv, zeros], axis=-1),
+                Pvv=np.stack([-r * cv, -r * sv, zeros], axis=-1))
 
     def coeffs(app, rpp):
-        d = _parallel_defect_samples(u, a, ap, app, r, rp, rpp, v)
-        return np.array([np.mean(d), 2.0 * np.mean(d * c1)])
+        Puu = np.stack([app + rpp * cv, rpp * sv, zeros], axis=-1)
+        d = _defect_from_jet(replace(base, Puu=Puu), 0.0)
+        return np.array([np.mean(d), 2.0 * np.mean(d * cv)])
 
     f0 = coeffs(0.0, 0.0)
     M = np.column_stack([coeffs(1.0, 0.0) - f0, coeffs(0.0, 1.0) - f0])
@@ -265,7 +247,7 @@ def _riemann_accels(u, a, ap, r, rp):
 
 def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec:
     """Profile functions (a, r) of a minimal surface foliated by horizontal
-    circles, integrated over u in [-span, span] from the waist."""
+    circles, integrated by ``interp._rk4`` from the waist to u = +-span."""
     r0 = float(r0)
     if r0 <= 0:
         raise ValidationError("r0 must be positive")
@@ -280,24 +262,12 @@ def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec
         app, rpp = _riemann_accels(u, a, ap, r, rp)
         return np.array([ap, app, rp, rpp])
 
-    nsteps = max(1, int(math.ceil(span / max_step)))
-    h = span / nsteps
-    rows = {}
-    for direction in (1.0, -1.0):
-        y = np.array([0.0, float(c_drift), r0, 0.0])
-        u = 0.0
-        rows[0.0] = y.copy()
-        for _ in range(nsteps):
-            hh = direction * h
-            k1 = rhs(u, y)
-            k2 = rhs(u + hh / 2, y + hh / 2 * k1)
-            k3 = rhs(u + hh / 2, y + hh / 2 * k2)
-            k4 = rhs(u + hh, y + hh * k3)
-            y = y + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            u += hh
-            rows[round(u, 12)] = y.copy()
-    us = np.array(sorted(rows))
-    data = np.array([rows[u] for u in us])
+    # two-sided start from the waist; node abscissae rounded as Python floats
+    y0 = np.array([0.0, float(c_drift), r0, 0.0])
+    us_p, ys_p = _rk4(rhs, 0.0, y0, span, max_step)
+    us_m, ys_m = _rk4(rhs, 0.0, y0, -span, max_step)
+    us = np.array([round(u, 12) for u in us_m[::-1] + us_p[1:]])
+    data = np.concatenate([ys_m[::-1], ys_p[1:]])
     acc = np.array([_riemann_accels(u, *row) for u, row in zip(us, data)])
     a_func = ScalarFunc.from_table(us, data[:, 0], data[:, 1], acc[:, 0])
     r_func = ScalarFunc.from_table(us, data[:, 2], data[:, 3], acc[:, 1])

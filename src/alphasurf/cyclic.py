@@ -24,7 +24,7 @@ from .errors import (
     SpecValidationError,
     ValidationError,
 )
-from .interp import QuinticHermite, ScalarFunc
+from .interp import QuinticHermite, ScalarFunc, _rk4
 from .surface_kernel import Jet2, ParametricPatch
 
 
@@ -68,51 +68,49 @@ class CurveFrame:
     b: np.ndarray
     kappa: ScalarFunc
     tau: ScalarFunc
-    _interp: dict = field(default_factory=dict, repr=False, compare=False)
+    _t_interp: QuinticHermite = field(init=False, repr=False, compare=False)
+    _n_interp: QuinticHermite = field(init=False, repr=False, compare=False)
+    _b_interp: QuinticHermite = field(init=False, repr=False, compare=False)
+    _gamma_interp: QuinticHermite = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k, kp, _ = self.kappa.eval2(self.u_nodes)
-        t_, tp, _ = self.tau.eval2(self.u_nodes)
+        u = self.u_nodes
+        k, kp, _ = self.kappa.eval2(u)
+        t_, tp, _ = self.tau.eval2(u)
         T, N, B = self.t, self.n, self.b
-        dT = k[:, None] * N
-        dN = -k[:, None] * T + t_[:, None] * B
-        dB = -t_[:, None] * N
-        ddT = kp[:, None] * N + k[:, None] * dN
-        ddN = -kp[:, None] * T - k[:, None] * dT + tp[:, None] * B + t_[:, None] * dB
-        ddB = -tp[:, None] * N - t_[:, None] * dN
-        self._interp["t"] = QuinticHermite(self.u_nodes, T, dT, ddT)
-        self._interp["n"] = QuinticHermite(self.u_nodes, N, dN, ddN)
-        self._interp["b"] = QuinticHermite(self.u_nodes, B, dB, ddB)
-        self._interp["gamma"] = QuinticHermite(self.u_nodes, self.gamma, T, dT)
+        (dT, dN, dB), (ddT, ddN, ddB) = _frenet_derivs(T, N, B, k, kp, t_, tp)
+        object.__setattr__(self, "_t_interp", QuinticHermite(u, T, dT, ddT))
+        object.__setattr__(self, "_n_interp", QuinticHermite(u, N, dN, ddN))
+        object.__setattr__(self, "_b_interp", QuinticHermite(u, B, dB, ddB))
+        object.__setattr__(self, "_gamma_interp", QuinticHermite(u, self.gamma, T, dT))
 
     @property
     def u_range(self):
         return float(self.u_nodes[0]), float(self.u_nodes[-1])
 
-    def frame_at(self, u):
-        """(t, n, b) unit vectors at u."""
-        return (self._interp["t"].eval2(u)[0],
-                self._interp["n"].eval2(u)[0],
-                self._interp["b"].eval2(u)[0])
-
     def gamma_at(self, u):
-        return self._interp["gamma"].eval2(u)[0]
+        return self._gamma_interp.eval2(u)[0]
 
     def frame_jets(self, u):
         """Frame vectors with first and second u-derivatives via Frenet."""
-        T = self._interp["t"].eval2(u)[0]
-        N = self._interp["n"].eval2(u)[0]
-        B = self._interp["b"].eval2(u)[0]
+        T = self._t_interp.eval2(u)[0]
+        N = self._n_interp.eval2(u)[0]
+        B = self._b_interp.eval2(u)[0]
         k, kp, _ = self.kappa.eval2(u)
         t_, tp, _ = self.tau.eval2(u)
-        k, kp, t_, tp = (x[..., None] for x in (k, kp, t_, tp))
-        dT = k * N
-        dN = -k * T + t_ * B
-        dB = -t_ * N
-        ddT = kp * N + k * dN
-        ddN = -kp * T - k * dT + tp * B + t_ * dB
-        ddB = -tp * N - t_ * dN
-        return (T, N, B), (dT, dN, dB), (ddT, ddN, ddB)
+        return (T, N, B), *_frenet_derivs(T, N, B, k, kp, t_, tp)
+
+
+def _frenet_derivs(T, N, B, k, kp, t_, tp):
+    """First and second derivatives of the frame from the Frenet equations."""
+    k, kp, t_, tp = (x[..., None] for x in (k, kp, t_, tp))
+    dT = k * N
+    dN = -k * T + t_ * B
+    dB = -t_ * N
+    ddT = kp * N + k * dN
+    ddN = -kp * T - k * dT + tp * B + t_ * dB
+    ddB = -tp * N - t_ * dN
+    return (dT, dN, dB), (ddT, ddN, ddB)
 
 
 def _gram_schmidt(t, n, b):
@@ -126,16 +124,13 @@ def _gram_schmidt(t, n, b):
 def frame_from_curvature(kappa, tau, u_range, init, max_step=1e-3) -> CurveFrame:
     """Integrate the Frenet system t'=k n, n'=-k t + tau b, b'=-tau n.
 
-    ``init`` is (gamma0, t0, n0, b0); RK4 with per-step Gram-Schmidt
-    re-orthonormalization.  kappa must stay positive on the range.
+    ``init`` is (gamma0, t0, n0, b0); fixed-step RK4 (``interp._rk4``) with
+    a Gram-Schmidt re-orthonormalization after every step.  kappa must stay
+    positive on the range.
     """
     kappa = as_scalar_func(kappa)
     tau = as_scalar_func(tau)
     u0, u1 = float(u_range[0]), float(u_range[1])
-    nsteps = max(1, int(math.ceil((u1 - u0) / max_step)))
-    h = (u1 - u0) / nsteps
-    g0, t0, n0, b0 = (np.asarray(x, dtype=float) for x in init)
-    t0, n0, b0 = _gram_schmidt(t0, n0, b0)
 
     def rhs(u, y):
         g, t, n, b = y[0:3], y[3:6], y[6:9], y[9:12]
@@ -145,22 +140,11 @@ def frame_from_curvature(kappa, tau, u_range, init, max_step=1e-3) -> CurveFrame
         tv = float(tau(u))
         return np.concatenate([t, k * n, -k * t + tv * b, -tv * n])
 
-    y = np.concatenate([g0, t0, n0, b0])
-    us = [u0]
-    ys = [y.copy()]
-    u = u0
-    for _ in range(nsteps):
-        k1 = rhs(u, y)
-        k2 = rhs(u + h / 2, y + h / 2 * k1)
-        k3 = rhs(u + h / 2, y + h / 2 * k2)
-        k4 = rhs(u + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t, n, b = _gram_schmidt(y[3:6], y[6:9], y[9:12])
-        y[3:6], y[6:9], y[9:12] = t, n, b
-        u += h
-        us.append(u)
-        ys.append(y.copy())
-    ys = np.array(ys)
+    def orthonormalize(y):
+        return np.concatenate([y[0:3], *_gram_schmidt(y[3:6], y[6:9], y[9:12])])
+
+    y0 = orthonormalize(np.concatenate([np.asarray(x, dtype=float) for x in init]))
+    us, ys = _rk4(rhs, u0, y0, u1 - u0, max_step, project=orthonormalize)
     return CurveFrame(u_nodes=np.array(us), gamma=ys[:, 0:3],
                       t=ys[:, 3:6], n=ys[:, 6:9], b=ys[:, 9:12],
                       kappa=kappa, tau=tau)
@@ -376,8 +360,6 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
     u0, u1 = float(u_range[0]), float(u_range[1])
     if r0 <= 0.0:
         raise SpecValidationError("r0 must be positive")
-    nsteps = max(1, int(math.ceil((u1 - u0) / max_step)))
-    h = (u1 - u0) / nsteps
 
     def second_derivs(u, a, ap, r, rp):
         if r <= 0.0:
@@ -405,23 +387,12 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
         app, rpp = second_derivs(u, a, ap, r, rp)
         return np.array([ap, app, rp, rpp])
 
-    y = np.array([float(a0), float(a0p), float(r0), float(r0p)])
-    us = [u0]
-    rows = [np.concatenate([y, second_derivs(u0, *y)])]
-    u = u0
-    for _ in range(nsteps):
-        k1 = rhs(u, y)
-        k2 = rhs(u + h / 2, y + h / 2 * k1)
-        k3 = rhs(u + h / 2, y + h / 2 * k2)
-        k4 = rhs(u + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        u += h
-        us.append(u)
-        rows.append(np.concatenate([y, second_derivs(u, *y)]))
+    y0 = np.array([float(a0), float(a0p), float(r0), float(r0p)])
+    us, ys = _rk4(rhs, u0, y0, u1 - u0, max_step)
+    acc = np.array([second_derivs(u, *y) for u, y in zip(us, ys)])
     us = np.array(us)
-    rows = np.array(rows)  # columns a, a', r, r', a'', r''
-    a_func = ScalarFunc.from_table(us, rows[:, 0], rows[:, 1], rows[:, 4])
-    r_func = ScalarFunc.from_table(us, rows[:, 2], rows[:, 3], rows[:, 5])
+    a_func = ScalarFunc.from_table(us, ys[:, 0], ys[:, 1], acc[:, 0])
+    r_func = ScalarFunc.from_table(us, ys[:, 2], ys[:, 3], acc[:, 1])
     frame = frame_from_curvature(kappa, 0.0, (u0, u1), PLANAR_INIT,
                                  max_step=max_step)
     return frenet_spec(frame, a_func, 0.0, 0.0, r_func, (u0, u1),

@@ -55,16 +55,11 @@ class TriMesh:
     def is_closed(self):
         """Every directed edge appears exactly once, and so does its reverse."""
         d = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        seen = {}
-        for a, b in map(tuple, d):
-            key = (a, b)
-            if key in seen:
-                return False
-            seen[key] = True
-        for a, b in list(seen):
-            if (b, a) not in seen:
-                return False
-        return True
+        n = len(self.vertices)
+        fwd = np.sort(d[:, 0] * n + d[:, 1])
+        if np.any(fwd[1:] == fwd[:-1]):
+            return False
+        return np.array_equal(fwd, np.sort(d[:, 1] * n + d[:, 0]))
 
     def triangle_geometry(self):
         """(centroids, area vectors, areas) for all triangles."""
@@ -223,6 +218,8 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
     """
     if step_rule not in ("backtracking", "fixed"):
         raise ValidationError(f"unknown step rule {step_rule!r}")
+    if steps < 0:
+        raise ValidationError(f"step count must be non-negative, got {steps}")
     _require_flowable(mesh)
     cur = mesh.copy()
     energy = discrete_energy(cur, alpha)
@@ -252,7 +249,6 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
                 except OriginInFaceError:
                     ok = False
             if ok and e_new <= energy - 1e-4 * dt * g2:
-                assert e_new <= energy
                 cur.vertices = cand
                 energy = e_new
                 dt = min(dt * 1.5, 1.0)

@@ -8,12 +8,37 @@ interpolation error is O(h^6).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
+from .surface_kernel import _dot
+
+
+def _rk4(rhs, u0, y0, length, max_step, project=None):
+    """Classical RK4 for y' = rhs(u, y): n = max(1, ceil(|length|/max_step))
+    equal steps from u0 (backwards for negative length), ``project`` applied
+    to the state after each step.  Returns (node list, (n+1, dim) states)."""
+    n = max(1, int(math.ceil(abs(length) / max_step)))
+    h = length / n
+    y = np.asarray(y0, dtype=float)
+    u = u0
+    us, ys = [u], [y]
+    for _ in range(n):
+        k1 = rhs(u, y)
+        k2 = rhs(u + h / 2, y + h / 2 * k1)
+        k3 = rhs(u + h / 2, y + h / 2 * k2)
+        k4 = rhs(u + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if project is not None:
+            y = project(y)
+        u += h
+        us.append(u)
+        ys.append(y)
+    return us, np.array(ys)
 
 
 class QuinticHermite:
@@ -25,10 +50,7 @@ class QuinticHermite:
     """
 
     def __init__(self, x, f, d1, d2):
-        x = np.asarray(x, dtype=float)
-        f = np.asarray(f, dtype=float)
-        d1 = np.asarray(d1, dtype=float)
-        d2 = np.asarray(d2, dtype=float)
+        x, f, d1, d2 = (np.asarray(a, dtype=float) for a in (x, f, d1, d2))
         if x.ndim != 1 or len(x) < 2:
             raise ValidationError("need at least two interpolation nodes")
         if np.any(np.diff(x) <= 0):
@@ -96,8 +118,7 @@ class ScalarFunc:
         return out
 
     def __call__(self, u):
-        v, _, _ = self.eval2(u)
-        return v
+        return self.eval2(u)[0]
 
     @staticmethod
     def constant(c):
@@ -111,10 +132,6 @@ class ScalarFunc:
         """Polynomial with coefficients in increasing degree order."""
         p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
         return ScalarFunc(p, p.deriv(1), p.deriv(2))
-
-    @staticmethod
-    def from_callables(f, d1, d2):
-        return ScalarFunc(f, d1, d2)
 
     @staticmethod
     def from_table(x, f, d1, d2):
@@ -140,10 +157,6 @@ class Curve3:
 
     def __call__(self, s):
         return np.asarray(self.pos(s), dtype=float)
-
-    @staticmethod
-    def from_callables(pos, d1, d2):
-        return Curve3(pos, d1, d2)
 
     @staticmethod
     def from_table(x, p, d1, d2):
@@ -188,10 +201,9 @@ class _ArclenMap:
         spd_q = np.linalg.norm(curve.d1(sq.ravel()), axis=-1).reshape(sq.shape)
         seg = half * (spd_q @ gw)
         ell = np.concatenate([[0.0], np.cumsum(seg)])
-        dl = speed
         ddl = np.einsum("ij,ij->i", dp, ddp) / speed
         self._curve = curve
-        self._ell_of_s = QuinticHermite(nodes, ell, dl, ddl)
+        self._ell_of_s = QuinticHermite(nodes, ell, speed, ddl)
         self._s0, self._s1 = s0, s1
         self.total_length = float(ell[-1])
         self._ell_nodes = ell
@@ -213,7 +225,7 @@ class _ArclenMap:
         # only used to locate s; derivatives stay at analytic accuracy)
         _, dp, ddp = self._curve.eval2(s)
         lp = np.linalg.norm(dp, axis=-1)
-        lpp = np.einsum("...i,...i->...", dp, ddp) / lp
+        lpp = _dot(dp, ddp) / lp
         return lp, lpp
 
     def smap(self) -> ScalarFunc:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SingularPointError
 from .stationary import ResidualReport, residual_grid
-from .surface_kernel import Jet2, ParametricPatch, eval_jet2
+from .surface_kernel import Jet2, ParametricPatch, _dot, eval_jet2
 
 #: minimum distance from the origin for points being inverted
 DELTA_INV = 1e-6
@@ -28,7 +28,7 @@ def shifted_alpha(alpha: float) -> float:
 def invert_point(p):
     """Phi(p) = p / |p|^2; involutive, defined away from the origin."""
     p = np.asarray(p, dtype=float)
-    q = np.einsum("...i,...i->...", p, p)
+    q = _dot(p, p)
     if np.any(np.sqrt(q) < DELTA_INV):
         raise SingularPointError("inversion evaluated too close to the origin")
     return p / q[..., None]
@@ -36,15 +36,15 @@ def invert_point(p):
 
 def _dphi(p, q, h):
     """Differential of Phi at p applied to h (q = |p|^2)."""
-    ph = np.einsum("...i,...i->...", p, h)
+    ph = _dot(p, h)
     return h / q[..., None] - (2.0 * ph / q**2)[..., None] * p
 
 
 def _d2phi(p, q, h, k):
     """Second differential of Phi at p applied to (h, k)."""
-    ph = np.einsum("...i,...i->...", p, h)
-    pk = np.einsum("...i,...i->...", p, k)
-    hk = np.einsum("...i,...i->...", h, k)
+    ph = _dot(p, h)
+    pk = _dot(p, k)
+    hk = _dot(h, k)
     q2 = q * q
     return (-(2.0 * pk / q2)[..., None] * h
             - (2.0 * ph / q2)[..., None] * k
@@ -54,7 +54,7 @@ def _d2phi(p, q, h, k):
 
 def invert_jet(jet: Jet2, delta=DELTA_INV) -> Jet2:
     p = jet.P
-    q = np.einsum("...i,...i->...", p, p)
+    q = _dot(p, p)
     if np.any(np.sqrt(q) < delta):
         raise SingularPointError(
             f"surface point within {delta} of the origin during inversion")

@@ -23,12 +23,8 @@ from .errors import (
     SpecValidationError,
     ValidationError,
 )
-from .interp import Curve3, QuinticHermite, ScalarFunc, compose_reparam, reparametrize_arclength
-from .surface_kernel import Jet2, ParametricPatch
-
-
-def _dot(a, b):
-    return np.einsum("...i,...i->...", a, b)
+from .interp import Curve3, ScalarFunc, compose_reparam, reparametrize_arclength
+from .surface_kernel import Jet2, ParametricPatch, _dot
 
 
 def _triple(a, b, c):
@@ -115,10 +111,7 @@ def _mu_funcs(spec: RuledSpec, n_dense=2001):
     hi = (3.0 * mu1[-1] - 4.0 * mu_and_d1(s[-1] - d)[1]
           + mu_and_d1(s[-1] - 2.0 * d)[1]) / (2.0 * d)
     mu2 = np.concatenate([[lo], mu2, [hi]])
-    table = QuinticHermite(s, mu, mu1, mu2)
-    return ScalarFunc(lambda x: table.eval2(x)[0],
-                      lambda x: table.eval2(x)[1],
-                      lambda x: table.eval2(x)[2])
+    return ScalarFunc.from_table(s, mu, mu1, mu2)
 
 
 def striction_line(spec: RuledSpec) -> RuledSpec:
@@ -373,10 +366,7 @@ def normalize_beta(spec: RuledSpec) -> RuledSpec:
         phi, dense = phi[order], dense[order]
         phi1, phi2 = phi1[order], phi2[order]
     # s as a function of phi by the inverse function theorem
-    s_of_phi = QuinticHermite(phi, dense, 1.0 / phi1, -phi2 / phi1**3)
-    smap = ScalarFunc(lambda p: s_of_phi.eval2(p)[0],
-                      lambda p: s_of_phi.eval2(p)[1],
-                      lambda p: s_of_phi.eval2(p)[2])
+    smap = ScalarFunc.from_table(phi, dense, 1.0 / phi1, -phi2 / phi1**3)
     new_range = (float(phi[0]), float(phi[-1]))
     return RuledSpec(gamma=compose_reparam(gam, smap),
                      beta=compose_reparam(bet, smap),

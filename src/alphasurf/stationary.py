@@ -25,6 +25,7 @@ from .errors import (
 from .surface_kernel import (
     DEFAULT_DOMAIN_MARGIN,
     ParametricPatch,
+    _dot,
     eval_jet2,
     fundamental_data,
 )
@@ -50,7 +51,7 @@ class ResidualReport:
             "sample_count": self.sample_count,
             "sup_abs": self.sup_abs,
             "rms": self.rms,
-            "rows": [[_jnum(x) for x in row] for row in self.rows],
+            "rows": self.rows.tolist(),
         }
 
     def write_json(self, path):
@@ -66,18 +67,13 @@ class ResidualReport:
                 w.writerow([f"{x:.17g}" for x in row])
 
 
-def _jnum(x):
-    x = float(x)
-    return x
-
-
 def _residual_fields(patch, alpha, u, v):
     jet = eval_jet2(patch, u, v)
     fd = fundamental_data(jet)
-    p2 = np.einsum("...i,...i->...", jet.P, jet.P)
+    p2 = _dot(jet.P, jet.P)
     if np.any(p2 <= 0.0):
         raise OriginOnSurfaceError("surface touches the origin at a sampled point")
-    rhs = alpha * np.einsum("...i,...i->...", fd.normal, jet.P) / p2
+    rhs = alpha * _dot(fd.normal, jet.P) / p2
     return jet, fd, rhs
 
 
@@ -119,12 +115,14 @@ def energy(patch: ParametricPatch, alpha: float, nu: int, nv: int) -> float:
     construction, so chart-degenerate endpoints are never sampled), uniform
     midpoint rule in periodic ones.
     """
+    if nu < 1 or nv < 1:
+        raise ValidationError("energy quadrature needs nu, nv >= 1")
     un, uw = _axis_rule(patch.u_range, nu, patch.u_periodic)
     vn, vw = _axis_rule(patch.v_range, nv, patch.v_periodic)
     uu, vv = np.meshgrid(un, vn, indexing="ij")
     jet = eval_jet2(patch, uu, vv)
     fd = fundamental_data(jet)
-    p2 = np.einsum("...i,...i->...", jet.P, jet.P)
+    p2 = _dot(jet.P, jet.P)
     integrand = p2 ** (alpha / 2.0) * np.sqrt(fd.W)
     if not np.all(np.isfinite(integrand)):
         raise SingularIntegrandError("non-finite integrand sample in energy quadrature")
@@ -141,27 +139,30 @@ def _axis_rule(rng, n, periodic):
     return mid + half * x, half * w
 
 
-def weighted_defect(patch: ParametricPatch, alpha: float, u, v,
-                    with_scale=False):
-    """Denominator-cleared residual: residual * W^(3/2) * |p|^2.
+def _defect_from_jet(jet, alpha, with_scale=False):
+    """Denominator-cleared residual residual * W^(3/2) * |p|^2 of a jet.
 
     Assembled polynomially from the raw jet (no normalization, no division),
     so it stays finite even where the chart degenerates.  With
     ``with_scale`` also returns the magnitude of the terms before
     cancellation, which bounds the roundoff floor of the defect.
     """
-    jet = eval_jet2(patch, u, v)
     cross = np.cross(jet.Pu, jet.Pv)
-    dot = lambda a, b: np.einsum("...i,...i->...", a, b)
-    E, F, G = dot(jet.Pu, jet.Pu), dot(jet.Pu, jet.Pv), dot(jet.Pv, jet.Pv)
+    E, F, G = _dot(jet.Pu, jet.Pu), _dot(jet.Pu, jet.Pv), _dot(jet.Pv, jet.Pv)
     W = E * G - F * F
-    hw = G * dot(jet.Puu, cross) - 2.0 * F * dot(jet.Puv, cross) + E * dot(jet.Pvv, cross)
-    p2 = dot(jet.P, jet.P)
-    d = hw * p2 - alpha * dot(cross, jet.P) * W
+    hw = G * _dot(jet.Puu, cross) - 2.0 * F * _dot(jet.Puv, cross) + E * _dot(jet.Pvv, cross)
+    p2 = _dot(jet.P, jet.P)
+    nw = alpha * _dot(cross, jet.P) * W
+    d = hw * p2 - nw
     if not with_scale:
         return d
-    mag = np.abs(hw) * p2 + np.abs(alpha * dot(cross, jet.P) * W)
-    return d, float(np.max(mag))
+    return d, float(np.max(np.abs(hw) * p2 + np.abs(nw)))
+
+
+def weighted_defect(patch: ParametricPatch, alpha: float, u, v,
+                    with_scale=False):
+    """Denominator-cleared residual at (u, v); see ``_defect_from_jet``."""
+    return _defect_from_jet(eval_jet2(patch, u, v), alpha, with_scale)
 
 
 @dataclass(frozen=True)

@@ -129,3 +129,15 @@ def test_fourier_command(tmp_path, capsys):
     data = json.loads(out.read_text())
     # the explicit surface is stationary: every harmonic vanishes
     assert max(abs(x) for x in data["A"] + data["B"]) < 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--family", "sphere", "--alpha", "-2", "--steps", "-3"],
+    ["energy", "--family", "sphere", "--grid", "0x4"],
+])
+def test_bad_counts_exit_2_with_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -46,6 +46,26 @@ def test_open_strip_flagged():
         descend(strip, 0.0, 1)
 
 
+def test_flipped_triangle_is_not_closed():
+    m = sphere_mesh()
+    m.triangles[7] = m.triangles[7][[0, 2, 1]]
+    # the flipped face repeats the directed edges of its three neighbours
+    assert not m.is_closed()
+    with pytest.raises(OpenMeshError):
+        descend(m, 0.0, 1)
+
+
+def test_duplicated_face_is_not_closed():
+    m = sphere_mesh()
+    m.triangles = np.concatenate([m.triangles, m.triangles[:1]])
+    assert not m.is_closed()
+
+
+def test_descend_rejects_negative_step_count():
+    with pytest.raises(ValidationError):
+        descend(sphere_mesh(), -2.0, -3)
+
+
 def test_meshing_requires_periodic_v():
     with pytest.raises(SpecValidationError):
         sample_mesh(helicoid_patch(1.0), 8, 8)

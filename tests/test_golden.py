@@ -1,0 +1,196 @@
+"""Byte-identity of CLI and library outputs across refactors.
+
+Each case runs one small ``alphasurf`` command in-process (or one library
+call that writes a table) and hashes its stdout and every file it writes
+with SHA-256.  The recorded digests pin the exact bytes, so a change that
+claims "same behaviour" must leave every one of them unchanged.
+
+The digests were recorded under Python 3.11.7 and numpy 2.4.6.  Another
+numpy or libm may move the last bit of a float and so change a digest
+without any change to this code.  When an output change is intended,
+re-record with ``PYTHONPATH=src python tests/test_golden.py`` and paste
+the printed dictionary over ``GOLDEN``.
+"""
+
+import hashlib
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+
+from alphasurf import catalog, ruled
+from alphasurf.cli import main
+from test_ruled import tilted_great_circle, vertical_line_curve
+
+CYLINDER_SPEC = {
+    "kind": "cylinder_over_curve",
+    "params": {"directrix": {"type": "euler", "alpha": -1.0, "r0": 1.0,
+                             "theta0": 0.3, "length": 1.0},
+               "t_range": [-0.5, 0.5]},
+}
+
+# (case name, argv, files written); paths are relative to a scratch dir and
+# later cases read the specs written by earlier ones.
+CLI_CASES = [
+    ("generate-neg2",
+     ["generate", "--family", "neg2-ode", "--kappa", "1/u", "--u", "1:1.6",
+      "--r0", "1", "--dr0", "1", "--grid", "12x16", "--out", "gen.json",
+      "--solution", "sol.csv", "--export", "gen.obj"],
+     ["gen.json", "sol.csv", "gen.obj"]),
+    ("generate-riemann",
+     ["generate", "--family", "riemann", "--c-drift", "0.3", "--r0", "1",
+      "--span", "0.3", "--alpha", "0", "--grid", "8x16", "--out", "riem.json"],
+     ["riem.json"]),
+    ("verify-neg2-spec",
+     ["verify", "--spec", "gen.json", "--alpha", "-2", "--grid", "12x12",
+      "--out", "rep.json", "--csv", "rep.csv"],
+     ["rep.json", "rep.csv"]),
+    ("verify-riemann-spec",
+     ["verify", "--spec", "riem.json", "--alpha", "0", "--grid", "8x8",
+      "--csv", "riem.csv"],
+     ["riem.csv"]),
+    ("fourier-neg2-spec",
+     ["fourier", "--spec", "gen.json", "--alpha", "-2", "--u", "1.3",
+      "--nmax", "4", "--nv", "64", "--out", "four.json"],
+     ["four.json"]),
+    ("verify-cylinder-euler",
+     ["verify", "--spec", "cyl.json", "--alpha", "-1", "--grid", "8x8",
+      "--csv", "cyl.csv"],
+     ["cyl.csv"]),
+    ("verify-shift",
+     ["verify-shift", "--family", "catenoid", "--alpha", "0", "--grid",
+      "12x12", "--out", "shift.json"],
+     ["shift.json"]),
+    ("energy",
+     ["energy", "--family", "sphere", "--alpha", "0", "--grid", "8x8",
+      "--out", "energy.json"],
+     ["energy.json"]),
+    ("flow",
+     ["flow", "--family", "sphere", "--radius", "1", "--alpha", "-2",
+      "--grid", "8x16", "--steps", "5", "--perturb", "0.05", "--seed", "1",
+      "--trace", "trace.csv", "--export", "flow.obj"],
+     ["trace.csv", "flow.obj"]),
+    ("export",
+     ["export", "--family", "sphere", "--radius", "2", "--grid", "8x16",
+      "--export", "sphere.obj"],
+     ["sphere.obj"]),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def compute_digests(workdir) -> dict:
+    """Run every case in ``workdir``; return {artifact name: sha256}."""
+    out = {}
+    with open(os.path.join(workdir, "cyl.json"), "w") as fh:
+        json.dump(CYLINDER_SPEC, fh)
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, argv, files in CLI_CASES:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = main(argv)
+            assert code == 0, (name, code)
+            out[f"{name}/stdout"] = _sha(buf.getvalue().encode())
+            for f in files:
+                with open(f, "rb") as fh:
+                    out[f"{name}/{f}"] = _sha(fh.read())
+    finally:
+        os.chdir(cwd)
+    # library paths: the striction-line table wrapper and the phase map of
+    # normalize_beta, serialized the way spec files store ruled tables
+    table = catalog.ruled_spec_to_dict(
+        ruled.random_ruled_spec(np.random.default_rng(0)))
+    out["random-ruled-spec/table"] = _sha(json.dumps(table).encode())
+    tilted = ruled.RuledSpec(gamma=vertical_line_curve(),
+                             beta=tilted_great_circle(np.pi / 6),
+                             s_range=(0.0, 2 * np.pi))
+    table = catalog.ruled_spec_to_dict(ruled.normalize_beta(tilted))
+    out["normalize-beta/table"] = _sha(json.dumps(table).encode())
+    return out
+
+
+GOLDEN = {
+    'energy/energy.json':
+        '4becee25bd591d13332b5fe2848d722e5a173449c87f076bd36a37d286c9326c',
+    'energy/stdout':
+        'fec051ca610f227a93cfd05e006846bfed08493cb612d86491d3041bd6f4299f',
+    'export/sphere.obj':
+        'e68e578378ca1486d5bc2a1ee4e62de9f80187242f1a16caedc2b750ba625d99',
+    'export/stdout':
+        '54297a18260172165cbec2514699debe53f616073e067d8757a332242f856ceb',
+    'flow/flow.obj':
+        '5b53a055a4add2f3230272d55594ff495e0ea36cd61bff1cb90d0af76cd9a202',
+    'flow/stdout':
+        '72934a8dba3ab65beacc3b7bfc515b42b77e4187fb330a30494ba5ecbe4a5064',
+    'flow/trace.csv':
+        '74f2177ca76ce9cb4ed1e534cbfbdd60ef946bf67f25686e516639deaf692891',
+    'fourier-neg2-spec/four.json':
+        '3bf56f2bec201e40b53d5fca81309e22802981b943748045d8fd09e99b2cb812',
+    'fourier-neg2-spec/stdout':
+        'cc6a17be52ea77f0455e587425a0101a105af369cbeed351d62c18acc351424c',
+    'generate-neg2/gen.json':
+        'dad4014d570317fccf9aca1f7791c6d73a2a24718acf4cbf0b8c64b7eb7a8d22',
+    'generate-neg2/gen.obj':
+        '0a11f7811b8b792cd405cfbfa9e1cfd541160619ddea67e9d3044a2dd59f08de',
+    'generate-neg2/sol.csv':
+        'effa44a734f55a12bfc6b201993a16ce0680f80c0160aaa5fe8f0dc792d13d32',
+    'generate-neg2/stdout':
+        'ba534f98049b339d7627c53e6675cf000c6a51c708af8b2b51651e3fffe7dc69',
+    'generate-riemann/riem.json':
+        'ea47156f7f460c5299856a36cf50c5019e70dab3754fbb5412a22c38f9650b50',
+    'generate-riemann/stdout':
+        '12d71fe241716aee15281b44792ccab8607540aa9fe08ef54033fad2f2a91c35',
+    'normalize-beta/table':
+        'fdfae0ad345418258785c9a7192d39350d09f6bf92c77227ff3764af6c42bd40',
+    'random-ruled-spec/table':
+        '93bccc113c453ec5d2b649aa187a383fed11730e56f5d37a102cc0065d17ef01',
+    'verify-cylinder-euler/cyl.csv':
+        '5cc8a081183af8a316751e91115b586fc64d48dff04ff08cd38745f054e38117',
+    'verify-cylinder-euler/stdout':
+        '79f1b59c4d99df13c9ece35003a7438d16c1a6da93cb431a702049babc807a85',
+    'verify-neg2-spec/rep.csv':
+        '265d6b5f5e2be78138213be35a2ff2cd3df6fc6aed41eeda04e5e08e7a0e07be',
+    'verify-neg2-spec/rep.json':
+        '1112c3a61cf18ba73c95aa178924873315f68f2c08fc54ded500e7da2766ccaa',
+    'verify-neg2-spec/stdout':
+        '794c5b2a07f0dccd7c01131bda12bd974f558912bf8d10c8a4c67c721590b0a4',
+    'verify-riemann-spec/riem.csv':
+        'a6ee073ef07567527723da2820c847d12fcd1b36c566f2d03e193bca2dffb24e',
+    'verify-riemann-spec/stdout':
+        '173c323e97a19a8e3ed69f8481f7a946769d4ec19202819218963d7cd923e592',
+    'verify-shift/shift.json':
+        'd7bdfd2abf39b4d634737d66d76e3bd5a4c20dd533946edce5b2f8063e0afe82',
+    'verify-shift/stdout':
+        '1810c57dcdf247a939e3b37279a19479238d4016a474b3754f70d32f8458aec3',
+}
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return compute_digests(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("artifact", sorted(GOLDEN))
+def test_output_digest(digests, artifact):
+    assert digests[artifact] == GOLDEN[artifact]
+
+
+def test_golden_covers_every_artifact(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests_now = compute_digests(tmp)
+    print("GOLDEN = {")
+    for key in sorted(digests_now):
+        print(f"    {key!r}:\n        {digests_now[key]!r},")
+    print("}")

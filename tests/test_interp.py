@@ -6,6 +6,7 @@ from alphasurf.interp import (
     Curve3,
     QuinticHermite,
     ScalarFunc,
+    _rk4,
     compose_reparam,
     reparametrize_arclength,
 )
@@ -86,3 +87,30 @@ def test_arclength_reparametrization():
     assert np.max(np.abs(speed - 1.0)) < 1e-10
     # total length of this ellipse (a=2, b=1), reference value
     assert hi == pytest.approx(9.688448220547677, abs=1e-8)
+
+
+def test_rk4_fourth_order_on_exponential():
+    errs = []
+    for max_step in (0.1, 0.05):
+        us, ys = _rk4(lambda u, y: y, 0.0, [1.0], 1.0, max_step)
+        assert len(us) == len(ys) == round(1.0 / max_step) + 1
+        assert us[-1] == pytest.approx(1.0, abs=1e-12)
+        errs.append(abs(ys[-1, 0] - np.e))
+    # halving the step cuts the error by about 2^4
+    assert 14.0 < errs[0] / errs[1] < 18.0
+
+
+def test_rk4_backwards_and_projection_once_per_step():
+    calls = []
+
+    def project(y):
+        calls.append(y.copy())
+        return y / np.linalg.norm(y)
+
+    # rotation on the unit circle, integrated backwards in four steps
+    rot = lambda u, y: np.array([-y[1], y[0]])
+    us, ys = _rk4(rot, 1.0, [1.0, 0.0], -0.4, 0.1, project=project)
+    assert len(calls) == 4
+    assert us[-1] == pytest.approx(0.6, abs=1e-12)
+    assert np.allclose(np.linalg.norm(ys, axis=1), 1.0, atol=1e-15)
+    assert np.allclose(ys[-1], [np.cos(0.4), -np.sin(0.4)], atol=1e-6)
