@@ -396,7 +396,7 @@ def family_to_dict(spec: FamilySpec) -> dict:
 
 
 def family_from_dict(d) -> FamilySpec:
-    kind = d["kind"]
+    kind = d.get("kind")
     params = dict(d.get("params", {}))
     if kind == "inverted" and isinstance(params.get("inner"), dict):
         params["inner"] = family_from_dict(params["inner"])
@@ -408,9 +408,20 @@ def family_from_dict(d) -> FamilySpec:
     return FamilySpec(kind=kind, params=params)
 
 
+def read_spec(path) -> dict:
+    """JSON object of a spec file; unreadable or malformed files are bad input."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read spec file: {exc}") from None
+    if not isinstance(d, dict):
+        raise ValidationError(f"spec file {path!r} is not a JSON object")
+    return d
+
+
 def load_family(path) -> FamilySpec:
-    with open(path) as fh:
-        return family_from_dict(json.load(fh))
+    return family_from_dict(read_spec(path))
 
 
 def save_family(spec: FamilySpec, path):

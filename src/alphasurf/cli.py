@@ -40,7 +40,10 @@ def _tokenize(text):
             while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
                                      or (text[j] in "+-" and text[j - 1] in "eE")):
                 j += 1
-            tokens.append(("num", float(text[i:j])))
+            try:
+                tokens.append(("num", float(text[i:j])))
+            except ValueError:
+                raise ValidationError(f"malformed number {text[i:j]!r}") from None
             i = j
         elif ch.isalpha():
             j = i
@@ -170,9 +173,7 @@ def parse_scalar_expr(text) -> ScalarFunc:
         raise ValidationError(f"trailing input in expression {text!r}")
     d1 = _ast_diff(ast)
     d2 = _ast_diff(d1)
-    return ScalarFunc(lambda u: _ast_eval(ast, u),
-                      lambda u: _ast_eval(d1, u),
-                      lambda u: _ast_eval(d2, u))
+    return ScalarFunc(lambda u: tuple(_ast_eval(n, u) for n in (ast, d1, d2)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +269,18 @@ def _cmd_energy(args):
 
 def _helicoid_ruled_spec() -> ruled.RuledSpec:
     e3 = np.array([0.0, 0.0, 1.0])
-    gamma = Curve3(lambda s: np.multiply.outer(np.asarray(s, float), e3),
-                   lambda s: np.broadcast_to(e3, np.shape(s) + (3,)).copy(),
-                   lambda s: np.zeros(np.shape(s) + (3,)))
+    gamma = Curve3(lambda s: (np.multiply.outer(s, e3),
+                              np.broadcast_to(e3, s.shape + (3,)).copy(),
+                              np.zeros(s.shape + (3,))))
     return ruled.RuledSpec(gamma=gamma, beta=ruled.equator_beta(),
                            s_range=(0.0, 2.0 * math.pi))
 
 
 def _cmd_coeffs(args):
+    if args.samples < 1:
+        raise ValidationError("--samples must be at least 1")
     if args.spec:
-        with open(args.spec) as fh:
-            rs = catalog.ruled_spec_from_dict(json.load(fh))
+        rs = catalog.ruled_spec_from_dict(catalog.read_spec(args.spec))
     elif args.family in ("helicoid", None):
         rs = _helicoid_ruled_spec()
     else:
@@ -328,13 +330,14 @@ def _cmd_generate(args):
     patch = catalog.make_patch(fam)
     nu, nv = args.grid
     report = stationary.residual_grid(patch, args.alpha, nu, nv)
+    mesh = flow.sample_mesh(patch, nu, nv) if args.export else None
     print(f"generated; sup|residual| = {report.sup_abs:.3g} at alpha={args.alpha}")
     if args.out:
         catalog.save_family(fam, args.out)
     if args.solution:
         cyclic.write_solution_csv(spec, args.solution)
     if args.export:
-        flow.write_obj(flow.sample_mesh(patch, nu, nv), args.export)
+        flow.write_obj(mesh, args.export)
     return 0
 
 
@@ -342,11 +345,12 @@ def _cmd_invert(args):
     fam, patch = _patch_from_args(args)
     inv = inversion.invert_patch(patch)
     nu, nv = args.grid
+    mesh = flow.sample_mesh(inv, nu, nv) if args.export else None
     if args.out:
         catalog.save_family(
             catalog.FamilySpec(kind="inverted", params={"inner": fam}), args.out)
     if args.export:
-        flow.write_obj(flow.sample_mesh(inv, nu, nv), args.export)
+        flow.write_obj(mesh, args.export)
     print(f"inverted patch {patch.label!r}")
     return 0
 

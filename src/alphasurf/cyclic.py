@@ -37,14 +37,11 @@ def as_scalar_func(x) -> ScalarFunc:
     if callable(x):
         h = 1e-6
 
-        def d1(u):
-            return (np.asarray(x(np.asarray(u) + h)) - np.asarray(x(np.asarray(u) - h))) / (2 * h)
+        def jet(u):
+            f, fp, fm = (np.asarray(x(w)) for w in (u, u + h, u - h))
+            return f, (fp - fm) / (2 * h), (fp - 2 * f + fm) / h**2
 
-        def d2(u):
-            u = np.asarray(u)
-            return (np.asarray(x(u + h)) - 2 * np.asarray(x(u)) + np.asarray(x(u - h))) / h**2
-
-        return ScalarFunc(x, d1, d2)
+        return ScalarFunc(jet)
     raise ValidationError(f"cannot interpret {x!r} as a scalar function")
 
 
@@ -364,8 +361,7 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
     def second_derivs(u, a, ap, r, rp):
         if r <= 0.0:
             raise FoliationCollapseError(f"radius collapsed at u={u:.6g}")
-        k = float(kappa(u))
-        kp = float(kappa.d1(u))
+        k, kp, _ = (float(x) for x in kappa.eval2(u))
         # both equations are affine in (rpp, app): probe to build the system
         def f(rpp, app):
             return np.array([

@@ -4,6 +4,10 @@ ODE-generated families only carry samples, but the surface jets need two
 continuous derivatives.  A quintic Hermite segment matches value, first and
 second derivative at both endpoints, so interpolated data stays C^2 and the
 interpolation error is O(h^6).
+
+A function with two derivatives is one callable, its ``jet``, returning
+(value, first, second) from one evaluation, so a table lookup, an inverse
+arc-length solve or an inner parameter map is done once for all three.
 """
 
 from __future__ import annotations
@@ -103,19 +107,15 @@ class QuinticHermite:
 
 @dataclass(frozen=True)
 class ScalarFunc:
-    """Scalar function of one variable with two derivatives available."""
+    """Scalar function of one variable; ``jet(u)`` returns (f, f', f'')."""
 
-    f: Callable
-    d1: Callable
-    d2: Callable
+    jet: Callable
 
     def eval2(self, u):
         u = np.asarray(u, dtype=float)
         shape = np.shape(u)
-        out = (np.broadcast_to(np.asarray(self.f(u), dtype=float), shape).copy(),
-               np.broadcast_to(np.asarray(self.d1(u), dtype=float), shape).copy(),
-               np.broadcast_to(np.asarray(self.d2(u), dtype=float), shape).copy())
-        return out
+        return tuple(np.broadcast_to(np.asarray(x, dtype=float), shape).copy()
+                     for x in self.jet(u))
 
     def __call__(self, u):
         return self.eval2(u)[0]
@@ -123,64 +123,48 @@ class ScalarFunc:
     @staticmethod
     def constant(c):
         c = float(c)
-        return ScalarFunc(lambda u: np.full(np.shape(u), c),
-                          lambda u: np.zeros(np.shape(u)),
-                          lambda u: np.zeros(np.shape(u)))
+        return ScalarFunc(lambda u: (c, 0.0, 0.0))
 
     @staticmethod
     def from_poly(coeffs):
         """Polynomial with coefficients in increasing degree order."""
         p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-        return ScalarFunc(p, p.deriv(1), p.deriv(2))
+        p1, p2 = p.deriv(1), p.deriv(2)
+        return ScalarFunc(lambda u: (p(u), p1(u), p2(u)))
 
     @staticmethod
     def from_table(x, f, d1, d2):
-        h = QuinticHermite(x, f, d1, d2)
-        return ScalarFunc(lambda u: h.eval2(u)[0],
-                          lambda u: h.eval2(u)[1],
-                          lambda u: h.eval2(u)[2])
+        return ScalarFunc(QuinticHermite(x, f, d1, d2).eval2)
 
 
 @dataclass(frozen=True)
 class Curve3:
-    """Space curve with two derivatives; all evaluators are vectorized."""
+    """Space curve; vectorized ``jet(s)`` returns (position, first, second)."""
 
-    pos: Callable
-    d1: Callable
-    d2: Callable
+    jet: Callable
 
     def eval2(self, s):
         s = np.asarray(s, dtype=float)
-        return (np.asarray(self.pos(s), dtype=float),
-                np.asarray(self.d1(s), dtype=float),
-                np.asarray(self.d2(s), dtype=float))
+        return tuple(np.asarray(x, dtype=float) for x in self.jet(s))
 
     def __call__(self, s):
-        return np.asarray(self.pos(s), dtype=float)
+        return self.eval2(s)[0]
 
     @staticmethod
     def from_table(x, p, d1, d2):
-        h = QuinticHermite(x, p, d1, d2)
-        return Curve3(lambda s: h.eval2(s)[0],
-                      lambda s: h.eval2(s)[1],
-                      lambda s: h.eval2(s)[2])
+        return Curve3(QuinticHermite(x, p, d1, d2).eval2)
 
 
 def compose_reparam(curve: Curve3, smap: ScalarFunc) -> Curve3:
     """Curve composed with a parameter change s = smap(t), chain rule jets."""
 
-    def pos(t):
-        return curve.pos(smap(t))
-
-    def d1(t):
-        s, sp, _ = smap.eval2(t)
-        return curve.d1(s) * sp[..., None]
-
-    def d2(t):
+    def jet(t):
         s, sp, spp = smap.eval2(t)
-        return curve.d2(s) * (sp * sp)[..., None] + curve.d1(s) * spp[..., None]
+        p, d1, d2 = curve.eval2(s)
+        return (p, d1 * sp[..., None],
+                d2 * (sp * sp)[..., None] + d1 * spp[..., None])
 
-    return Curve3(pos, d1, d2)
+    return Curve3(jet)
 
 
 class _ArclenMap:
@@ -198,13 +182,12 @@ class _ArclenMap:
         mid = 0.5 * (nodes[:-1] + nodes[1:])
         half = 0.5 * np.diff(nodes)
         sq = mid[:, None] + half[:, None] * gx[None, :]
-        spd_q = np.linalg.norm(curve.d1(sq.ravel()), axis=-1).reshape(sq.shape)
+        spd_q = np.linalg.norm(curve.eval2(sq.ravel())[1], axis=-1).reshape(sq.shape)
         seg = half * (spd_q @ gw)
         ell = np.concatenate([[0.0], np.cumsum(seg)])
         ddl = np.einsum("ij,ij->i", dp, ddp) / speed
         self._curve = curve
         self._ell_of_s = QuinticHermite(nodes, ell, speed, ddl)
-        self._s0, self._s1 = s0, s1
         self.total_length = float(ell[-1])
         self._ell_nodes = ell
         self._s_nodes = nodes
@@ -215,32 +198,19 @@ class _ArclenMap:
         for _ in range(30):
             val, der, _ = self._ell_of_s.eval2(s)
             step = (val - ell) / der
-            s = np.clip(s - step, self._s0, self._s1)
+            s = np.clip(s - step, self._s_nodes[0], self._s_nodes[-1])
             if np.max(np.abs(step)) < 1e-14:
                 break
         return s
 
-    def _speed2(self, s):
-        # exact l'(s) and l''(s) from the curve jets (the interpolant is
-        # only used to locate s; derivatives stay at analytic accuracy)
+    def jet(self, ell):
+        """s(l) with exact s'(l) and s''(l) from the curve jets (the
+        interpolant only locates s; derivatives stay at analytic accuracy)."""
+        s = self.s_of_ell(ell)
         _, dp, ddp = self._curve.eval2(s)
         lp = np.linalg.norm(dp, axis=-1)
         lpp = _dot(dp, ddp) / lp
-        return lp, lpp
-
-    def smap(self) -> ScalarFunc:
-        def f(ell):
-            return self.s_of_ell(ell)
-
-        def d1(ell):
-            lp, _ = self._speed2(self.s_of_ell(ell))
-            return 1.0 / lp
-
-        def d2(ell):
-            lp, lpp = self._speed2(self.s_of_ell(ell))
-            return -lpp / lp**3
-
-        return ScalarFunc(f, d1, d2)
+        return s, 1.0 / lp, -lpp / lp**3
 
 
 def reparametrize_arclength(curve: Curve3, s_range, n=2001):
@@ -251,5 +221,5 @@ def reparametrize_arclength(curve: Curve3, s_range, n=2001):
     curves consistently.
     """
     amap = _ArclenMap(curve, s_range, n=n)
-    smap = amap.smap()
+    smap = ScalarFunc(amap.jet)
     return compose_reparam(curve, smap), (0.0, amap.total_length), smap

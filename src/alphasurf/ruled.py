@@ -124,21 +124,14 @@ def striction_line(spec: RuledSpec) -> RuledSpec:
         raise CylindricalInputError("striction line undefined for cylindrical surfaces")
     mu = _mu_funcs(spec)
 
-    def pos(s):
-        return spec.gamma.pos(s) - mu(s)[..., None] * spec.beta.pos(s)
-
-    def d1(s):
-        m, m1, _ = mu.eval2(s)
-        b, bp, _ = spec.beta.eval2(s)
-        return spec.gamma.d1(s) - m1[..., None] * b - m[..., None] * bp
-
-    def d2(s):
-        m, m1, m2 = mu.eval2(s)
+    def jet(s):
+        m, m1, m2 = (x[..., None] for x in mu.eval2(s))
+        g, gp, gpp = spec.gamma.eval2(s)
         b, bp, bpp = spec.beta.eval2(s)
-        return (spec.gamma.d2(s) - m2[..., None] * b
-                - 2.0 * m1[..., None] * bp - m[..., None] * bpp)
+        return (g - m * b, gp - m1 * b - m * bp,
+                gpp - m2 * b - 2.0 * m1 * bp - m * bpp)
 
-    sigma = Curve3(pos, d1, d2)
+    sigma = Curve3(jet)
     sigma_al, new_range, smap = reparametrize_arclength(sigma, spec.s_range)
     beta_al = compose_reparam(spec.beta, smap)
     return RuledSpec(gamma=sigma_al, beta=beta_al, s_range=new_range)
@@ -277,42 +270,23 @@ def adapted_coords(spec: RuledSpec) -> AdaptedCoords:
     Requires beta(s) = (cos s, sin s, 0) within 1e-10; apply
     ``normalize_beta`` first if needed.
     """
+    equator = equator_beta()
     s_check = spec.samples(64)
-    bv = spec.beta.pos(s_check)
-    ref = np.stack([np.cos(s_check), np.sin(s_check),
-                    np.zeros_like(s_check)], axis=-1)
-    if np.max(np.abs(bv - ref)) > 1e-10:
+    if np.max(np.abs(spec.beta(s_check) - equator(s_check))) > 1e-10:
         raise FrameError("ruling direction is not the horizontal equator")
-
-    e3 = np.array([0.0, 0.0, 1.0])
 
     def make(coord):
         # coord: callable s -> basis vector (beta, beta' or e3) and its derivs
-        def f(s):
-            g = spec.gamma.pos(s)
-            w, _, _ = coord(s)
-            return _dot(g, w)
-
-        def d1(s):
-            g, gp, _ = spec.gamma.eval2(s)
-            w, wp, _ = coord(s)
-            return _dot(gp, w) + _dot(g, wp)
-
-        def d2(s):
+        def jet(s):
             g, gp, gpp = spec.gamma.eval2(s)
             w, wp, wpp = coord(s)
-            return _dot(gpp, w) + 2.0 * _dot(gp, wp) + _dot(g, wpp)
+            return (_dot(g, w), _dot(gp, w) + _dot(g, wp),
+                    _dot(gpp, w) + 2.0 * _dot(gp, wp) + _dot(g, wpp))
 
-        return ScalarFunc(f, d1, d2)
-
-    def beta_basis(s):
-        c, sn, z = np.cos(s), np.sin(s), np.zeros_like(s)
-        b = np.stack([c, sn, z], axis=-1)
-        bp = np.stack([-sn, c, z], axis=-1)
-        return b, bp, -b
+        return ScalarFunc(jet)
 
     def betap_basis(s):
-        b, bp, _ = beta_basis(s)
+        b, bp, _ = equator.eval2(s)
         return bp, -b, -bp
 
     def e3_basis(s):
@@ -321,7 +295,7 @@ def adapted_coords(spec: RuledSpec) -> AdaptedCoords:
         w[..., 2] = 1.0
         return w, z, z
 
-    return AdaptedCoords(a=make(beta_basis), b=make(betap_basis), c=make(e3_basis))
+    return AdaptedCoords(a=make(equator.eval2), b=make(betap_basis), c=make(e3_basis))
 
 
 def normalize_beta(spec: RuledSpec) -> RuledSpec:
@@ -375,9 +349,7 @@ def normalize_beta(spec: RuledSpec) -> RuledSpec:
 
 def _apply_linear(curve: Curve3, A) -> Curve3:
     A = np.asarray(A, dtype=float)
-    return Curve3(lambda s: curve.pos(s) @ A.T,
-                  lambda s: curve.d1(s) @ A.T,
-                  lambda s: curve.d2(s) @ A.T)
+    return Curve3(lambda s: tuple(x @ A.T for x in curve.eval2(s)))
 
 
 def _rotation_to_e3(axis):
@@ -436,16 +408,12 @@ def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
 
 
 def equator_beta() -> Curve3:
-    def pos(s):
-        return np.stack([np.cos(s), np.sin(s), np.zeros_like(s)], axis=-1)
+    def jet(s):
+        c, sn, z = np.cos(s), np.sin(s), np.zeros_like(s)
+        pos = np.stack([c, sn, z], axis=-1)
+        return pos, np.stack([-sn, c, z], axis=-1), -pos
 
-    def d1(s):
-        return np.stack([-np.sin(s), np.cos(s), np.zeros_like(s)], axis=-1)
-
-    def d2(s):
-        return -pos(s)
-
-    return Curve3(pos, d1, d2)
+    return Curve3(jet)
 
 
 def latitude_beta(height) -> Curve3:
@@ -455,19 +423,13 @@ def latitude_beta(height) -> Curve3:
         raise ValidationError("latitude height must be in (-1, 1)")
     rho = math.sqrt(1.0 - h * h)
 
-    def pos(s):
-        return np.stack([rho * np.cos(s), rho * np.sin(s),
-                         np.full(np.shape(s), h)], axis=-1)
+    def jet(s):
+        c, sn, z = rho * np.cos(s), rho * np.sin(s), np.zeros(np.shape(s))
+        return (np.stack([c, sn, np.full(np.shape(s), h)], axis=-1),
+                np.stack([-sn, c, z], axis=-1),
+                np.stack([-c, -sn, z], axis=-1))
 
-    def d1(s):
-        return np.stack([-rho * np.sin(s), rho * np.cos(s),
-                         np.zeros(np.shape(s))], axis=-1)
-
-    def d2(s):
-        return np.stack([-rho * np.cos(s), -rho * np.sin(s),
-                         np.zeros(np.shape(s))], axis=-1)
-
-    return Curve3(pos, d1, d2)
+    return Curve3(jet)
 
 
 def trig_poly_curve(const, cos_coeffs, sin_coeffs) -> Curve3:
@@ -476,25 +438,18 @@ def trig_poly_curve(const, cos_coeffs, sin_coeffs) -> Curve3:
     cc = np.asarray(cos_coeffs, dtype=float).reshape(-1, 3)
     sc = np.asarray(sin_coeffs, dtype=float).reshape(-1, 3)
 
-    def eval_order(s, order):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape + (3,))
-        if order == 0:
-            out += const
+    def jet(s):
+        out = [np.zeros(s.shape + (3,)) for _ in range(3)]
+        out[0] += const
         for k in range(1, len(cc) + 1):
-            ks = k * s
-            if order == 0:
-                cosf, sinf = np.cos(ks), np.sin(ks)
-            elif order == 1:
-                cosf, sinf = -k * np.sin(ks), k * np.cos(ks)
-            else:
-                cosf, sinf = -k * k * np.cos(ks), -k * k * np.sin(ks)
-            out += cosf[..., None] * cc[k - 1] + sinf[..., None] * sc[k - 1]
-        return out
+            cosk, sink = np.cos(k * s), np.sin(k * s)
+            orders = ((cosk, sink), (-k * sink, k * cosk),
+                      (-k * k * cosk, -k * k * sink))
+            for o, (cosf, sinf) in zip(out, orders):
+                o += cosf[..., None] * cc[k - 1] + sinf[..., None] * sc[k - 1]
+        return tuple(out)
 
-    return Curve3(lambda s: eval_order(s, 0),
-                  lambda s: eval_order(s, 1),
-                  lambda s: eval_order(s, 2))
+    return Curve3(jet)
 
 
 def random_ruled_spec(rng, n_harmonics=2, coeff_scale=2.0,

@@ -145,18 +145,21 @@ def _defect_from_jet(jet, alpha, with_scale=False):
     Assembled polynomially from the raw jet (no normalization, no division),
     so it stays finite even where the chart degenerates.  With
     ``with_scale`` also returns the magnitude of the terms before
-    cancellation, which bounds the roundoff floor of the defect.
+    cancellation, which bounds the roundoff floor of the defect (the sum
+    ``hw`` itself cancels to about zero on a minimal surface).
     """
     cross = np.cross(jet.Pu, jet.Pv)
     E, F, G = _dot(jet.Pu, jet.Pu), _dot(jet.Pu, jet.Pv), _dot(jet.Pv, jet.Pv)
     W = E * G - F * F
-    hw = G * _dot(jet.Puu, cross) - 2.0 * F * _dot(jet.Puv, cross) + E * _dot(jet.Pvv, cross)
+    huu, huv, hvv = (G * _dot(jet.Puu, cross), 2.0 * F * _dot(jet.Puv, cross),
+                     E * _dot(jet.Pvv, cross))
+    hw = huu - huv + hvv
     p2 = _dot(jet.P, jet.P)
     nw = alpha * _dot(cross, jet.P) * W
     d = hw * p2 - nw
     if not with_scale:
         return d
-    return d, float(np.max(np.abs(hw) * p2 + np.abs(nw)))
+    return d, float(np.max((np.abs(huu) + np.abs(huv) + np.abs(hvv)) * p2 + np.abs(nw)))
 
 
 def weighted_defect(patch: ParametricPatch, alpha: float, u, v,
@@ -189,8 +192,8 @@ def fourier_defect(patch: ParametricPatch, alpha: float, u: float,
     """
     if not patch.v_periodic:
         raise ValidationError("fourier_defect requires a v-periodic patch")
-    if nv < 4 * n_max or nv & (nv - 1):
-        raise ValidationError("need nv >= 4*n_max with nv a power of two")
+    if n_max < 0 or nv < max(1, 4 * n_max) or nv & (nv - 1):
+        raise ValidationError("need n_max >= 0 and nv >= 4*n_max with nv a power of two")
     v0, v1 = patch.v_range
     period = v1 - v0
     v = v0 + period * np.arange(nv) / nv

@@ -48,9 +48,9 @@ from alphasurf.surface_kernel import eval_jet2, scaled
 
 E3 = np.array([0.0, 0.0, 1.0])
 
-INV_U = ScalarFunc(lambda u: 1.0 / np.asarray(u, float),
-                   lambda u: -1.0 / np.asarray(u, float) ** 2,
-                   lambda u: 2.0 / np.asarray(u, float) ** 3)
+INV_U = ScalarFunc(lambda u: (1.0 / np.asarray(u, float),
+                              -1.0 / np.asarray(u, float) ** 2,
+                              2.0 / np.asarray(u, float) ** 3))
 
 
 def _run(capsys, label, budget, body):
@@ -70,9 +70,9 @@ def _run(capsys, label, budget, body):
 
 def _axis_line():
     return type(equator_beta())(
-        lambda s: np.multiply.outer(np.asarray(s, float), E3),
-        lambda s: np.broadcast_to(E3, np.shape(s) + (3,)).copy(),
-        lambda s: np.zeros(np.shape(s) + (3,)))
+        lambda s: (np.multiply.outer(np.asarray(s, float), E3),
+                   np.broadcast_to(E3, np.shape(s) + (3,)).copy(),
+                   np.zeros(np.shape(s) + (3,))))
 
 
 def test_catalog_residual_matrix(capsys):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -134,10 +135,29 @@ def test_fourier_command(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["flow", "--family", "sphere", "--alpha", "-2", "--steps", "-3"],
     ["energy", "--family", "sphere", "--grid", "0x4"],
+    ["generate", "--family", "neg2-ode", "--kappa", "1e", "--u", "1:1.6",
+     "--r0", "1", "--out", "g.json", "--solution", "g.csv", "--export", "g.obj"],
+    ["verify", "--spec", "malformed.json", "--out", "r.json"],
+    ["verify", "--spec", "nokind.json", "--out", "r.json"],
+    ["verify", "--spec", "missing.json", "--out", "r.json"],
+    ["coeffs", "--spec", "missing.json", "--out", "c.csv"],
+    ["coeffs", "--family", "helicoid", "--samples", "0", "--out", "c.csv"],
+    ["fourier", "--family", "sphere", "--alpha", "-2", "--u", "1",
+     "--nmax", "-1", "--out", "f.json"],
+    # the inverted vector plane cannot be meshed: no spec file either
+    ["invert", "--family", "vector-plane", "--out", "a.json",
+     "--export", "b.obj"],
 ])
-def test_bad_counts_exit_2_with_one_error_line(argv, capsys):
+def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
+                                               capsys):
+    (tmp_path / "malformed.json").write_text("{not json")
+    (tmp_path / "nokind.json").write_text('{"params": {}}')
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir())
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err
+    assert sorted(os.listdir()) == before

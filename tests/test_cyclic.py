@@ -31,9 +31,9 @@ from alphasurf.interp import ScalarFunc
 from alphasurf.stationary import fourier_defect, residual_grid
 from alphasurf.surface_kernel import eval_jet2
 
-INV_U = ScalarFunc(lambda u: 1.0 / np.asarray(u, float),
-                   lambda u: -1.0 / np.asarray(u, float) ** 2,
-                   lambda u: 2.0 / np.asarray(u, float) ** 3)
+INV_U = ScalarFunc(lambda u: (1.0 / np.asarray(u, float),
+                              -1.0 / np.asarray(u, float) ** 2,
+                              2.0 / np.asarray(u, float) ** 3))
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +81,9 @@ def test_frame_rejects_nonpositive_kappa():
 
 def test_parallel_sphere_profile():
     # a=b=0, r = sqrt(1-u^2) is the unit sphere about 0
-    r = ScalarFunc(lambda u: np.sqrt(1 - np.asarray(u, float) ** 2),
-                   lambda u: -np.asarray(u, float) / np.sqrt(1 - np.asarray(u, float) ** 2),
-                   lambda u: -1.0 / (1 - np.asarray(u, float) ** 2) ** 1.5)
+    r = ScalarFunc(lambda u: (np.sqrt(1 - np.asarray(u, float) ** 2),
+                              -np.asarray(u, float) / np.sqrt(1 - np.asarray(u, float) ** 2),
+                              -1.0 / (1 - np.asarray(u, float) ** 2) ** 1.5))
     spec = parallel_spec(0.0, 0.0, r, (-0.9, 0.9))
     patch = build_cyclic(spec)
     assert residual_grid(patch, -2.0, 24, 24).sup_abs < 1e-10
@@ -259,15 +259,15 @@ def test_sphere_detection_in_frenet_mode():
     rho = 1.3
     fr = frame_from_curvature(1.0, 0.0, (-0.9, 0.9), PLANAR_INIT)
     # a = sin(u), r = sqrt(rho^2 - a^2) satisfies a*a' + r*r' = 0
-    a = ScalarFunc(lambda u: np.sin(np.asarray(u, float)),
-                   lambda u: np.cos(np.asarray(u, float)),
-                   lambda u: -np.sin(np.asarray(u, float)))
-    r = ScalarFunc(
-        lambda u: np.sqrt(rho**2 - np.sin(np.asarray(u, float)) ** 2),
-        lambda u: -np.sin(2 * np.asarray(u, float)) / (2 * np.sqrt(rho**2 - np.sin(np.asarray(u, float)) ** 2)),
-        lambda u: (-np.cos(2 * np.asarray(u, float)) * (rho**2 - np.sin(np.asarray(u, float)) ** 2)
-                   - np.sin(2 * np.asarray(u, float)) ** 2 / 4) / (rho**2 - np.sin(np.asarray(u, float)) ** 2) ** 1.5,
-    )
+    a = ScalarFunc(lambda u: (np.sin(np.asarray(u, float)),
+                              np.cos(np.asarray(u, float)),
+                              -np.sin(np.asarray(u, float))))
+    r = ScalarFunc(lambda u: (
+        np.sqrt(rho**2 - np.sin(np.asarray(u, float)) ** 2),
+        -np.sin(2 * np.asarray(u, float)) / (2 * np.sqrt(rho**2 - np.sin(np.asarray(u, float)) ** 2)),
+        (-np.cos(2 * np.asarray(u, float)) * (rho**2 - np.sin(np.asarray(u, float)) ** 2)
+         - np.sin(2 * np.asarray(u, float)) ** 2 / 4) / (rho**2 - np.sin(np.asarray(u, float)) ** 2) ** 1.5,
+    ))
     u = np.linspace(-0.8, 0.8, 21)
     av, ap, _ = a.eval2(u)
     rv, rp, _ = r.eval2(u)

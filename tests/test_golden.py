@@ -22,7 +22,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from alphasurf import catalog, ruled
+from alphasurf import catalog, cyclic, ruled
 from alphasurf.cli import main
 from test_ruled import tilted_great_circle, vertical_line_curve
 
@@ -78,11 +78,21 @@ CLI_CASES = [
      ["export", "--family", "sphere", "--radius", "2", "--grid", "8x16",
       "--export", "sphere.obj"],
      ["sphere.obj"]),
+    ("coeffs-helicoid",
+     ["coeffs", "--family", "helicoid", "--samples", "33", "--out",
+      "coeffs.csv"],
+     ["coeffs.csv"]),
 ]
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _jet_sha(*funcs, x) -> str:
+    """Digest of the (value, first, second) tables of ``funcs`` at ``x``."""
+    return _sha(json.dumps([part.tolist() for f in funcs
+                            for part in f.eval2(x)]).encode())
 
 
 def compute_digests(workdir) -> dict:
@@ -114,10 +124,28 @@ def compute_digests(workdir) -> dict:
                              s_range=(0.0, 2 * np.pi))
     table = catalog.ruled_spec_to_dict(ruled.normalize_beta(tilted))
     out["normalize-beta/table"] = _sha(json.dumps(table).encode())
+    # hand-written jets: the adapted coordinates of a trig-polynomial
+    # directrix, a latitude ruling and the finite-difference fallback
+    s = np.linspace(0.0, 2.0 * np.pi, 33)
+    trig = ruled.RuledSpec(
+        gamma=ruled.trig_poly_curve([0.1, -0.2, 0.3],
+                                    [[1.0, 0.5, -0.4], [0.2, 0.0, 0.7]],
+                                    [[-0.3, 1.1, 0.2], [0.0, -0.6, 0.1]]),
+        beta=ruled.equator_beta(), s_range=(0.0, 2.0 * np.pi))
+    ac = ruled.adapted_coords(trig)
+    out["adapted-coords/table"] = _jet_sha(ac.a, ac.b, ac.c, x=s)
+    out["latitude-beta/table"] = _jet_sha(ruled.latitude_beta(0.3), x=s)
+    out["fd-scalar-func/table"] = _jet_sha(cyclic.as_scalar_func(np.sin), x=s)
     return out
 
 
 GOLDEN = {
+    'adapted-coords/table':
+        '7e457077d97ac064f453371678a9a01dd8a2e5b0e8978e2b94441c20cf6bff99',
+    'coeffs-helicoid/coeffs.csv':
+        'b8c08dc2200a8dc9b2d1b9e0d960f193216517a72a18c9ac32481fdbff61e7f9',
+    'coeffs-helicoid/stdout':
+        '37111b44bee7d53d174786c54eca84f44fc7a105587018873134143d304a19c4',
     'energy/energy.json':
         '4becee25bd591d13332b5fe2848d722e5a173449c87f076bd36a37d286c9326c',
     'energy/stdout':
@@ -126,6 +154,8 @@ GOLDEN = {
         'e68e578378ca1486d5bc2a1ee4e62de9f80187242f1a16caedc2b750ba625d99',
     'export/stdout':
         '54297a18260172165cbec2514699debe53f616073e067d8757a332242f856ceb',
+    'fd-scalar-func/table':
+        'dab047aaffed06177a777859a65a3581e885388f7520ecc85a86c057113c9eda',
     'flow/flow.obj':
         '5b53a055a4add2f3230272d55594ff495e0ea36cd61bff1cb90d0af76cd9a202',
     'flow/stdout':
@@ -148,6 +178,8 @@ GOLDEN = {
         'ea47156f7f460c5299856a36cf50c5019e70dab3754fbb5412a22c38f9650b50',
     'generate-riemann/stdout':
         '12d71fe241716aee15281b44792ccab8607540aa9fe08ef54033fad2f2a91c35',
+    'latitude-beta/table':
+        'dfda242a9f69bdcb56b2dcbcd3351e323cab20ee12e0700265768f6c2a184dac',
     'normalize-beta/table':
         'fdfae0ad345418258785c9a7192d39350d09f6bf92c77227ff3764af6c42bd40',
     'random-ruled-spec/table':

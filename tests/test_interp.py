@@ -6,10 +6,23 @@ from alphasurf.interp import (
     Curve3,
     QuinticHermite,
     ScalarFunc,
+    _ArclenMap,
     _rk4,
     compose_reparam,
     reparametrize_arclength,
 )
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    inner = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
 def test_quintic_reproduces_quintic_exactly():
@@ -56,34 +69,57 @@ def test_scalar_func_constant_and_poly():
     assert np.allclose(d2, 6.0)
 
 
+def test_table_jet_evaluates_the_quintic_once(monkeypatch):
+    calls = _count_calls(monkeypatch, QuinticHermite, "eval2")
+    x = np.linspace(0.0, 1.0, 5)
+    f = ScalarFunc.from_table(x, x**2, 2 * x, np.full_like(x, 2.0))
+    v, d1, d2 = f.eval2(np.array([0.3, 0.7]))
+    assert len(calls) == 1
+    assert np.allclose(v, [0.09, 0.49]) and np.allclose(d1, [0.6, 1.4])
+    assert np.allclose(d2, 2.0)
+
+
+def test_arclength_jet_inverts_the_map_once(monkeypatch):
+    curve = Curve3(lambda s: (
+        np.stack([2 * np.cos(s), np.sin(s), 0 * s], -1),
+        np.stack([-2 * np.sin(s), np.cos(s), 0 * s], -1),
+        np.stack([-2 * np.cos(s), -np.sin(s), 0 * s], -1),
+    ))
+    _, (_, length), smap = reparametrize_arclength(curve, (0.0, 1.0))
+    calls = _count_calls(monkeypatch, _ArclenMap, "s_of_ell")
+    smap.eval2(np.linspace(0.0, length, 7))
+    assert len(calls) == 1
+
+
 def test_compose_reparam_chain_rule():
-    curve = Curve3(
-        lambda s: np.stack([np.cos(s), np.sin(s), s], -1),
-        lambda s: np.stack([-np.sin(s), np.cos(s), np.ones_like(s)], -1),
-        lambda s: np.stack([-np.cos(s), -np.sin(s), np.zeros_like(s)], -1),
-    )
+    curve = Curve3(lambda s: (
+        np.stack([np.cos(s), np.sin(s), s], -1),
+        np.stack([-np.sin(s), np.cos(s), np.ones_like(s)], -1),
+        np.stack([-np.cos(s), -np.sin(s), np.zeros_like(s)], -1),
+    ))
     smap = ScalarFunc.from_poly([0.0, 0.0, 1.0])  # s = t^2
     comp = compose_reparam(curve, smap)
     t = np.linspace(0.2, 1.3, 9)
     # finite-difference check of the composed derivatives
     h = 1e-5
-    fd1 = (comp.pos(t + h) - comp.pos(t - h)) / (2 * h)
-    fd2 = (comp.pos(t + h) - 2 * comp.pos(t) + comp.pos(t - h)) / h**2
-    assert np.max(np.abs(comp.d1(t) - fd1)) < 1e-8
-    assert np.max(np.abs(comp.d2(t) - fd2)) < 1e-5
+    fd1 = (comp(t + h) - comp(t - h)) / (2 * h)
+    fd2 = (comp(t + h) - 2 * comp(t) + comp(t - h)) / h**2
+    _, d1, d2 = comp.eval2(t)
+    assert np.max(np.abs(d1 - fd1)) < 1e-8
+    assert np.max(np.abs(d2 - fd2)) < 1e-5
 
 
 def test_arclength_reparametrization():
     # ellipse-ish curve, definitely not unit speed
-    curve = Curve3(
-        lambda s: np.stack([2 * np.cos(s), np.sin(s), 0 * s], -1),
-        lambda s: np.stack([-2 * np.sin(s), np.cos(s), 0 * s], -1),
-        lambda s: np.stack([-2 * np.cos(s), -np.sin(s), 0 * s], -1),
-    )
+    curve = Curve3(lambda s: (
+        np.stack([2 * np.cos(s), np.sin(s), 0 * s], -1),
+        np.stack([-2 * np.sin(s), np.cos(s), 0 * s], -1),
+        np.stack([-2 * np.cos(s), -np.sin(s), 0 * s], -1),
+    ))
     al, (lo, hi), smap = reparametrize_arclength(curve, (0.0, 2 * np.pi))
     assert lo == 0.0
     ell = np.linspace(0, hi, 200)
-    speed = np.linalg.norm(al.d1(ell), axis=-1)
+    speed = np.linalg.norm(al.eval2(ell)[1], axis=-1)
     assert np.max(np.abs(speed - 1.0)) < 1e-10
     # total length of this ellipse (a=2, b=1), reference value
     assert hi == pytest.approx(9.688448220547677, abs=1e-8)

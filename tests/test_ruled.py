@@ -29,9 +29,9 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 
 def vertical_line_curve():
-    return Curve3(lambda s: np.multiply.outer(np.asarray(s, float), E3),
-                  lambda s: np.broadcast_to(E3, np.shape(s) + (3,)).copy(),
-                  lambda s: np.zeros(np.shape(s) + (3,)))
+    return Curve3(lambda s: (np.multiply.outer(np.asarray(s, float), E3),
+                             np.broadcast_to(E3, np.shape(s) + (3,)).copy(),
+                             np.zeros(np.shape(s) + (3,))))
 
 
 def helicoid_spec():
@@ -82,13 +82,13 @@ def test_helicoid_minimal_zeroes_all_coeffs():
 def test_vector_plane_degenerate_case():
     # line through 0 inside the plane of the ruling circle
     gamma = trig_poly_curve([0, 0, 0], [[0, 0, 0]], [[0, 0, 0]])
-    gamma = Curve3(lambda s: np.stack([np.asarray(s, float),
-                                       np.zeros(np.shape(s)),
-                                       np.zeros(np.shape(s))], -1),
-                   lambda s: np.stack([np.ones(np.shape(s)),
-                                       np.zeros(np.shape(s)),
-                                       np.zeros(np.shape(s))], -1),
-                   lambda s: np.zeros(np.shape(s) + (3,)))
+    gamma = Curve3(lambda s: (np.stack([np.asarray(s, float),
+                                        np.zeros(np.shape(s)),
+                                        np.zeros(np.shape(s))], -1),
+                              np.stack([np.ones(np.shape(s)),
+                                        np.zeros(np.shape(s)),
+                                        np.zeros(np.shape(s))], -1),
+                              np.zeros(np.shape(s) + (3,))))
     spec = RuledSpec(gamma=gamma, beta=equator_beta(), s_range=(0.0, 2 * np.pi))
     s = np.linspace(0.0, 2 * np.pi, 17)
     A = ruled_coeffs(spec, 1.7, s, check=False)
@@ -99,15 +99,15 @@ def test_striction_examples():
     # already-striction data is unchanged up to parametrization
     out = striction_line(helicoid_spec())
     s = np.linspace(*out.s_range, 33)
-    g = out.gamma.pos(s)
+    g = out.gamma(s)
     assert np.max(np.abs(g[:, :2])) < 1e-8
 
     # shifted directrix gets pulled back to the axis
     eq = equator_beta()
-    shifted = Curve3(
-        lambda s: np.multiply.outer(np.asarray(s, float), E3) + eq.pos(s),
-        lambda s: np.broadcast_to(E3, np.shape(s) + (3,)).copy() + eq.d1(s),
-        lambda s: eq.d2(s))
+    shifted = Curve3(lambda s: (
+        np.multiply.outer(np.asarray(s, float), E3) + eq(s),
+        np.broadcast_to(E3, np.shape(s) + (3,)).copy() + eq.eval2(s)[1],
+        eq.eval2(s)[2]))
     out = striction_line(RuledSpec(gamma=shifted, beta=eq,
                                    s_range=(0.0, 2 * np.pi)))
     s = np.linspace(*out.s_range, 33)
@@ -130,9 +130,9 @@ def test_striction_random_property():
 
 def test_striction_refuses_cylindrical():
     spec = RuledSpec(gamma=vertical_line_curve(),
-                     beta=Curve3(lambda s: np.broadcast_to([1.0, 0, 0], np.shape(s) + (3,)).copy(),
-                                 lambda s: np.zeros(np.shape(s) + (3,)),
-                                 lambda s: np.zeros(np.shape(s) + (3,))),
+                     beta=Curve3(lambda s: (np.broadcast_to([1.0, 0, 0], np.shape(s) + (3,)).copy(),
+                                            np.zeros(np.shape(s) + (3,)),
+                                            np.zeros(np.shape(s) + (3,)))),
                      s_range=(0.0, 1.0), cylindrical=True)
     with pytest.raises(CylindricalInputError):
         striction_line(spec)
@@ -193,8 +193,7 @@ def tilted_great_circle(theta):
     ct, st = np.cos(theta), np.sin(theta)
     R = np.array([[1.0, 0, 0], [0, ct, -st], [0, st, ct]])
     eq = equator_beta()
-    return Curve3(lambda s: eq.pos(s) @ R.T, lambda s: eq.d1(s) @ R.T,
-                  lambda s: eq.d2(s) @ R.T)
+    return Curve3(lambda s: tuple(x @ R.T for x in eq.eval2(s)))
 
 
 def test_normalize_beta_tilted_circle():
@@ -202,7 +201,7 @@ def test_normalize_beta_tilted_circle():
                      s_range=(0.0, 2 * np.pi))
     out = normalize_beta(spec)
     s = np.linspace(*out.s_range, 65)
-    bv = out.beta.pos(s)
+    bv = out.beta(s)
     assert np.max(np.abs(bv[:, 2])) < 1e-10
     ref = np.stack([np.cos(s), np.sin(s), np.zeros_like(s)], -1)
     assert np.max(np.abs(bv - ref)) < 1e-10
@@ -239,7 +238,7 @@ def test_adapted_coords_helicoid_and_reconstruction():
     bpvec = np.stack([-np.sin(s), np.cos(s), np.zeros_like(s)], -1)
     rec = (ac.a(s)[:, None] * bvec + ac.b(s)[:, None] * bpvec
            + ac.c(s)[:, None] * E3)
-    assert np.max(np.abs(rec - gamma.pos(s))) < 1e-10
+    assert np.max(np.abs(rec - gamma(s))) < 1e-10
 
 
 def test_adapted_coords_requires_equator():
@@ -251,10 +250,10 @@ def test_adapted_coords_requires_equator():
 
 def test_coeffs_striction_precondition():
     eq = equator_beta()
-    shifted = Curve3(
-        lambda s: np.multiply.outer(np.asarray(s, float), E3) + eq.pos(s),
-        lambda s: np.broadcast_to(E3, np.shape(s) + (3,)).copy() + eq.d1(s),
-        lambda s: eq.d2(s))
+    shifted = Curve3(lambda s: (
+        np.multiply.outer(np.asarray(s, float), E3) + eq(s),
+        np.broadcast_to(E3, np.shape(s) + (3,)).copy() + eq.eval2(s)[1],
+        eq.eval2(s)[2]))
     bad = RuledSpec(gamma=shifted, beta=eq, s_range=(0.0, 2 * np.pi))
     with pytest.raises(SpecValidationError):
         ruled_coeffs(bad, 1.0, np.linspace(0, 6, 5))

@@ -83,6 +83,18 @@ def test_fourier_band_limit_guard():
         fourier_defect(patch, 1.3, 1.0, n_max=1, nv=32)
 
 
+@pytest.mark.parametrize("u", [0.0, 0.3, 0.7, 1.2])
+@pytest.mark.parametrize("nv", [64, 1024])
+def test_fourier_guard_passes_exact_solutions(u, nv):
+    # the catenoid is minimal: its defect cancels to roundoff, which must
+    # stay under the floor built from the summands, not from their sum
+    fc = fourier_defect(catenoid_patch(1.0), 0.0, u, n_max=4, nv=nv)
+    assert max(np.max(np.abs(fc.A)), np.max(np.abs(fc.B))) < 1e-12
+    fc = fourier_defect(sphere_patch((0, 0, 0), 1.0), -2.0, 0.3 + u, n_max=4,
+                        nv=nv)
+    assert max(np.max(np.abs(fc.A)), np.max(np.abs(fc.B))) < 1e-12
+
+
 def test_fourier_requires_periodic_and_power_of_two():
     patch = plane_patch((0, 0, 1))
     with pytest.raises(ValidationError):
