@@ -17,12 +17,14 @@ import numpy as np
 
 from . import cyclic as _cyclic
 from . import inversion as _inversion
+from . import output
 from . import ruled as _ruled
 from .errors import (
     FoliationCollapseError,
     OriginCollisionError,
     SpecValidationError,
     ValidationError,
+    reads_spec,
 )
 from .interp import Curve3, ScalarFunc, _rk4
 from .stationary import _defect_from_jet
@@ -298,6 +300,7 @@ def _directrix_from_params(p) -> _ruled.PlanarCurve:
     raise SpecValidationError(f"unknown directrix type {kind!r}")
 
 
+@reads_spec
 def make_patch(spec: FamilySpec) -> ParametricPatch:
     """Build the patch for any catalog family."""
     k, p = spec.kind, spec.params
@@ -370,6 +373,7 @@ def ruled_spec_to_dict(spec: _ruled.RuledSpec) -> dict:
             "beta": _curve_table_dict(spec.beta, spec.s_range)}
 
 
+@reads_spec
 def ruled_spec_from_dict(d) -> _ruled.RuledSpec:
     return _ruled.RuledSpec(gamma=_curve_from_table(d["gamma"]),
                             beta=_curve_from_table(d["beta"]),
@@ -425,6 +429,4 @@ def load_family(path) -> FamilySpec:
 
 
 def save_family(spec: FamilySpec, path):
-    with open(path, "w") as fh:
-        json.dump(family_to_dict(spec), fh, indent=1)
-        fh.write("\n")
+    output.write_json(path, family_to_dict(spec))

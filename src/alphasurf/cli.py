@@ -10,13 +10,12 @@ Exit codes: 0 success, 2 validation problem, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
-from . import catalog, cyclic, flow, inversion, ruled, stationary
+from . import catalog, cyclic, flow, inversion, output, ruled, stationary
 from .errors import NumericalError, ValidationError
 from .interp import Curve3, ScalarFunc
 
@@ -260,10 +259,8 @@ def _cmd_energy(args):
     value = stationary.energy(patch, args.alpha, nu, nv)
     print(f"energy = {value:.12g}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"alpha": args.alpha, "nu": nu, "nv": nv,
-                       "energy": value}, fh, indent=1)
-            fh.write("\n")
+        output.write_json(args.out, {"alpha": args.alpha, "nu": nu, "nv": nv,
+                                     "energy": value})
     return 0
 
 
@@ -289,12 +286,8 @@ def _cmd_coeffs(args):
     A = ruled.ruled_coeffs(rs, args.alpha, s)
     print(f"max|A_n| = {np.max(np.abs(A)):.3g} over {args.samples} samples")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            import csv as _csv
-            w = _csv.writer(fh)
-            w.writerow(["s", "A0", "A1", "A2", "A3", "A4"])
-            for si, row in zip(s, A):
-                w.writerow([f"{x:.17g}" for x in (si, *row)])
+        output.write_csv(args.out, ["s", "A0", "A1", "A2", "A3", "A4"],
+                         np.column_stack([s, A]), ["%.17g"] * 6)
     return 0
 
 
@@ -306,9 +299,7 @@ def _cmd_fourier(args):
     print("harmonic amplitudes:",
           " ".join(f"n={n}:{a:.3g}" for n, a in enumerate(amp)))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(fc.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        output.write_json(args.out, fc.to_json_dict())
     return 0
 
 
@@ -365,11 +356,9 @@ def _cmd_verify_shift(args):
     print(f"source sup|residual| = {before.sup_abs:.3g} at alpha={args.alpha}; "
           f"image sup|residual| = {after.sup_abs:.3g} at alpha={a2}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"alpha": args.alpha, "shifted_alpha": a2,
-                       "source": before.to_json_dict(),
-                       "image": after.to_json_dict()}, fh, indent=1)
-            fh.write("\n")
+        output.write_json(args.out, {"alpha": args.alpha, "shifted_alpha": a2,
+                                     "source": before.to_json_dict(),
+                                     "image": after.to_json_dict()})
     return 0
 
 

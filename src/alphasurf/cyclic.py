@@ -10,19 +10,19 @@ surfaces stationary for the exponent -2.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import output
 from .errors import (
     DegenerateFamilyError,
     FoliationCollapseError,
     FrameUndefinedError,
     SpecValidationError,
     ValidationError,
+    reads_spec,
 )
 from .interp import QuinticHermite, ScalarFunc, _rk4
 from .surface_kernel import Jet2, ParametricPatch
@@ -458,6 +458,7 @@ def cyclic_spec_to_dict(spec: CyclicSpec) -> dict:
     return out
 
 
+@reads_spec
 def cyclic_spec_from_dict(d) -> CyclicSpec:
     mode = d["mode"]
     u_range = tuple(d["u_range"])
@@ -484,8 +485,5 @@ def write_solution_csv(spec: CyclicSpec, path, n=201):
     a = spec.a(u)
     r = spec.r(u)
     k = spec.frame.kappa(u) if spec.mode == "frenet" else np.zeros_like(u)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["u", "a", "r", "kappa"])
-        for row in zip(u, a, r, k):
-            w.writerow([f"{x:.17g}" for x in row])
+    output.write_csv(path, ["u", "a", "r", "kappa"],
+                     np.column_stack([u, a, r, k]), ["%.17g"] * 4)

@@ -5,6 +5,8 @@ failures (singularities, degenerate geometry, stalled iterations) are kept
 in separate branches so the CLI can map them to distinct exit codes.
 """
 
+import functools
+
 
 class AlphaSurfError(Exception):
     """Base class for all toolkit errors."""
@@ -18,12 +20,30 @@ class SpecValidationError(ValidationError):
     """A family/surface spec violates one of its invariants."""
 
 
+def reads_spec(fn):
+    """Decorate a reader of spec dicts: a missing field is bad input."""
+
+    @functools.wraps(fn)
+    def reader(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except KeyError as exc:
+            raise SpecValidationError(
+                f"spec is missing field {exc.args[0]!r}") from None
+
+    return reader
+
+
 class ParameterRangeError(ValidationError):
     """A parameter point (or finite-difference stencil) leaves the domain."""
 
 
 class NumericalError(AlphaSurfError):
     """A computation hit a singular or degenerate configuration."""
+
+
+class NonFiniteOutputError(NumericalError):
+    """A result to be written holds a NaN or an infinity."""
 
 
 class SingularPointError(NumericalError):

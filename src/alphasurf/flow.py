@@ -9,12 +9,12 @@ smooth stationary surfaces are critical points of the discretized energy.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import output
 from .errors import (
     FlowSingularityError,
     FlowStallError,
@@ -196,11 +196,8 @@ class FlowTrace:
     rows: list  # (step, energy, grad_max, dt)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "energy", "grad_max", "dt"])
-            for step, e, g, dt in self.rows:
-                w.writerow([step, f"{e:.17g}", f"{g:.17g}", f"{dt:.17g}"])
+        output.write_csv(path, ["step", "energy", "grad_max", "dt"], self.rows,
+                         ["%d", "%.17g", "%.17g", "%.17g"])
 
 
 def _min_area(verts, tris):
@@ -268,11 +265,7 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
 
 
 def write_obj(mesh: TriMesh, path):
-    with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in mesh.triangles:
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+    output.write_obj(path, mesh.vertices, mesh.triangles)
 
 
 def read_obj(path) -> TriMesh:

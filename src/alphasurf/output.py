@@ -1,0 +1,162 @@
+"""Result files: atomic writes and block-formatted JSON, CSV and OBJ rows.
+
+Every result file is opened through ``atomic_open``.  The bytes go to a
+temporary file in the target's directory, which replaces the target only
+after the write succeeded, so a failed run leaves neither a partial file
+nor a stray temporary one.
+
+Float arrays are formatted ``BLOCK_ROWS`` rows at a time with one C-level
+call per block, never one Python call per number, and give the same bytes
+as ``json.dump(doc, fh, indent=1)`` and as ``csv.writer`` with
+``f"{x:.17g}"`` cells.  Non-finite values are refused before any file is
+opened: JSON has no token for them, and a NaN in a result file is a
+numerical failure, not a result.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+from contextlib import contextmanager
+
+import numpy as np
+
+from .errors import NonFiniteOutputError, ValidationError
+
+# Rows formatted per call.  Bounds the size of the formatted text held at
+# once; a whole file formatted as one string costs tens of MB of memory.
+BLOCK_ROWS = 4096
+
+# Stands in for an array in the scalar part of a JSON document; a
+# noncharacter, so no label or kind written by the toolkit contains it.
+_ARRAY_MARK = "\ufdd0array\ufdd0"
+
+
+def _umask_mode():
+    mask = os.umask(0)
+    os.umask(mask)
+    return 0o666 & ~mask
+
+
+@contextmanager
+def atomic_open(path, newline=None):
+    """Text handle whose file replaces ``path`` only if the block succeeds."""
+    path = os.fspath(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".alphasurf-", suffix=".tmp")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc.strerror}") from None
+    try:
+        # mkstemp creates the file private; give it the mode open() would
+        os.chmod(tmp, _umask_mode())
+        with open(fd, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _require_finite(arr, what):
+    if not np.isfinite(arr).all():
+        raise NonFiniteOutputError(f"refusing to write non-finite values to {what}")
+
+
+def _blocks(arr):
+    for start in range(0, len(arr), BLOCK_ROWS):
+        yield arr[start:start + BLOCK_ROWS]
+
+
+# ---------------------------------------------------------------------------
+# JSON
+
+
+def write_json(path, doc):
+    """``json.dump(doc, fh, indent=1)`` and a newline, with arrays in blocks.
+
+    Non-empty 1-D and 2-D float arrays anywhere in ``doc`` are formatted
+    ``BLOCK_ROWS`` rows at a time; other arrays go through ``tolist`` and
+    the json encoder.  The encoder writes a float as ``float.__repr__``,
+    which ``repr`` of a list of floats does as well, so the bytes agree.
+    """
+    arrays = []
+
+    def hold(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} "
+                            "is not JSON serializable")
+        if obj.dtype.kind != "f" or obj.ndim not in (1, 2) or obj.size == 0:
+            return obj.tolist()
+        _require_finite(obj, path)
+        arrays.append(obj)
+        return _ARRAY_MARK
+
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False, default=hold)
+    except ValueError as exc:
+        raise NonFiniteOutputError(f"refusing to write {path}: {exc}") from None
+    pieces = text.split(json.dumps(_ARRAY_MARK))
+    with atomic_open(path) as fh:
+        fh.write(pieces[0])
+        for before, arr, after in zip(pieces, arrays, pieces[1:]):
+            # indent=1 puts every value on its own line, so the indent of
+            # the line the array opens on is its nesting depth
+            line = before.rpartition("\n")[2]
+            _write_json_array(fh, arr, len(line) - len(line.lstrip(" ")))
+            fh.write(after)
+        fh.write("\n")
+
+
+def _write_json_array(fh, arr, depth):
+    """Write ``arr`` as ``json.dumps(arr.tolist(), indent=1)`` at ``depth``."""
+    fh.write("[\n")
+    for k, block in enumerate(_blocks(arr)):
+        fh.write((",\n" if k else "") + _json_block(block, depth))
+    fh.write("\n" + " " * depth + "]")
+
+
+def _json_block(block, depth):
+    item = " " * (depth + 1)
+    if block.ndim == 1:  # "a, b" -> one number per line
+        return item + repr(block.tolist())[1:-1].replace(", ", ",\n" + item)
+    cell = item + " "
+    # "a, b], [c, d" -> one number per line, each row in its own brackets
+    inner = (repr(block.tolist())[2:-2]
+             .replace("], [", f"\n{item}],\n{item}[\n{cell}")
+             .replace(", ", ",\n" + cell))
+    return f"{item}[\n{cell}{inner}\n{item}]"
+
+
+# ---------------------------------------------------------------------------
+# CSV and OBJ
+
+
+def _write_lines(fh, line, rows, offset=0):
+    """Write ``line % (row + offset)`` for every row, one %-call per block."""
+    for block in _blocks(rows):
+        if offset:  # adding 0 would turn -0.0 into 0.0
+            block = block + offset
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_csv(path, header, rows, formats):
+    """What ``csv.writer`` writes for ``header`` and ``rows``, cells ``formats``.
+
+    ``formats`` holds one %-format per column, such as ``"%.17g"``, which
+    gives the same text as ``f"{x:.17g}"``; lines end in ``"\\r\\n"``.
+    """
+    rows = np.asarray(rows, dtype=float)
+    _require_finite(rows, path)
+    with atomic_open(path, newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        _write_lines(fh, ",".join(formats) + "\r\n", rows)
+
+
+def write_obj(path, vertices, triangles):
+    """Wavefront OBJ text: ``v`` lines, then 1-based triangle ``f`` lines."""
+    _require_finite(vertices, path)
+    with atomic_open(path) as fh:
+        _write_lines(fh, "v %.17g %.17g %.17g\n", vertices)
+        _write_lines(fh, "f %d %d %d\n", triangles, offset=1)

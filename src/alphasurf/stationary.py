@@ -9,13 +9,12 @@ coefficient formulas are cross-checked numerically.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import output
 from .errors import (
     BandLimitError,
     OriginOnSurfaceError,
@@ -51,20 +50,15 @@ class ResidualReport:
             "sample_count": self.sample_count,
             "sup_abs": self.sup_abs,
             "rms": self.rms,
-            "rows": self.rows.tolist(),
+            "rows": self.rows,
         }
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        output.write_json(path, self.to_json_dict())
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(REPORT_CSV_HEADER)
-            for row in self.rows:
-                w.writerow([f"{x:.17g}" for x in row])
+        output.write_csv(path, REPORT_CSV_HEADER, self.rows,
+                         ["%.17g"] * len(REPORT_CSV_HEADER))
 
 
 def _residual_fields(patch, alpha, u, v):
@@ -177,8 +171,7 @@ class FourierCoeffs:
     B: np.ndarray  # indices 1..n_max (B[0] stored as 0 for alignment)
 
     def to_json_dict(self):
-        return {"u": self.u, "A": list(map(float, self.A)),
-                "B": list(map(float, self.B))}
+        return {"u": self.u, "A": self.A, "B": self.B}
 
 
 def fourier_defect(patch: ParametricPatch, alpha: float, u: float,

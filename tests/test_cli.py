@@ -141,6 +141,10 @@ def test_fourier_command(tmp_path, capsys):
     ["verify", "--spec", "nokind.json", "--out", "r.json"],
     ["verify", "--spec", "missing.json", "--out", "r.json"],
     ["coeffs", "--spec", "missing.json", "--out", "c.csv"],
+    # a known kind without its fields: no "mode" for verify, no "gamma" for
+    # coeffs
+    ["verify", "--spec", "nofields.json", "--out", "r.json"],
+    ["coeffs", "--spec", "nofields.json", "--out", "c.csv"],
     ["coeffs", "--family", "helicoid", "--samples", "0", "--out", "c.csv"],
     ["fourier", "--family", "sphere", "--alpha", "-2", "--u", "1",
      "--nmax", "-1", "--out", "f.json"],
@@ -152,6 +156,8 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
                                                capsys):
     (tmp_path / "malformed.json").write_text("{not json")
     (tmp_path / "nokind.json").write_text('{"params": {}}')
+    (tmp_path / "nofields.json").write_text(
+        '{"kind": "frenet_cyclic", "params": {}}')
     monkeypatch.chdir(tmp_path)
     before = sorted(os.listdir())
     assert main(argv) == 2

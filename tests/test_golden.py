@@ -82,6 +82,24 @@ CLI_CASES = [
      ["coeffs", "--family", "helicoid", "--samples", "33", "--out",
       "coeffs.csv"],
      ["coeffs.csv"]),
+    # the cases below write more rows than one output block (4096), so
+    # they pin the bytes across block boundaries
+    ("verify-blocks",
+     ["verify", "--family", "catenoid", "--alpha", "0", "--grid", "72x64",
+      "--out", "blocks.json", "--csv", "blocks.csv"],
+     ["blocks.json", "blocks.csv"]),
+    ("verify-shift-blocks",
+     ["verify-shift", "--family", "catenoid", "--alpha", "0", "--grid",
+      "72x72", "--out", "shift-blocks.json"],
+     ["shift-blocks.json"]),
+    ("export-blocks",
+     ["export", "--family", "catenoid", "--grid", "64x96", "--export",
+      "catenoid.obj"],
+     ["catenoid.obj"]),
+    ("coeffs-blocks",
+     ["coeffs", "--family", "helicoid", "--samples", "5000", "--out",
+      "coeffs-blocks.csv"],
+     ["coeffs-blocks.csv"]),
 ]
 
 
@@ -142,6 +160,10 @@ def compute_digests(workdir) -> dict:
 GOLDEN = {
     'adapted-coords/table':
         '7e457077d97ac064f453371678a9a01dd8a2e5b0e8978e2b94441c20cf6bff99',
+    'coeffs-blocks/coeffs-blocks.csv':
+        '043c5cf2afe3ad9c40df55ce1f9f3d70258cf40f4376094c9bb4e03a172eca35',
+    'coeffs-blocks/stdout':
+        '8a96aea3d5c7d08fb5231de64d3d80009e6e843173e242a0fa7aeb23ee506f00',
     'coeffs-helicoid/coeffs.csv':
         'b8c08dc2200a8dc9b2d1b9e0d960f193216517a72a18c9ac32481fdbff61e7f9',
     'coeffs-helicoid/stdout':
@@ -150,6 +172,10 @@ GOLDEN = {
         '4becee25bd591d13332b5fe2848d722e5a173449c87f076bd36a37d286c9326c',
     'energy/stdout':
         'fec051ca610f227a93cfd05e006846bfed08493cb612d86491d3041bd6f4299f',
+    'export-blocks/catenoid.obj':
+        '46aa985517dfdc770b66c9720fe3d45560566cf067dd434791343ba773473a21',
+    'export-blocks/stdout':
+        '9d852cf9688bbda942bba7aea136cd8935f54346b2235cea6a8c63422dc9e59a',
     'export/sphere.obj':
         'e68e578378ca1486d5bc2a1ee4e62de9f80187242f1a16caedc2b750ba625d99',
     'export/stdout':
@@ -184,6 +210,12 @@ GOLDEN = {
         'fdfae0ad345418258785c9a7192d39350d09f6bf92c77227ff3764af6c42bd40',
     'random-ruled-spec/table':
         '93bccc113c453ec5d2b649aa187a383fed11730e56f5d37a102cc0065d17ef01',
+    'verify-blocks/blocks.csv':
+        '394a10df838e57035187dbb2f6307d4d55d92f82179d2385c91b6677f4afa9fc',
+    'verify-blocks/blocks.json':
+        '19a801035ac56f812807ef59a4a686805e4908c2808c261cc066fd6c9a8922ae',
+    'verify-blocks/stdout':
+        '0281709b726c4fed084ccca11268f18f167a13a4d1b78ffa5fffd3368f028855',
     'verify-cylinder-euler/cyl.csv':
         '5cc8a081183af8a316751e91115b586fc64d48dff04ff08cd38745f054e38117',
     'verify-cylinder-euler/stdout':
@@ -198,6 +230,10 @@ GOLDEN = {
         'a6ee073ef07567527723da2820c847d12fcd1b36c566f2d03e193bca2dffb24e',
     'verify-riemann-spec/stdout':
         '173c323e97a19a8e3ed69f8481f7a946769d4ec19202819218963d7cd923e592',
+    'verify-shift-blocks/shift-blocks.json':
+        '1ae38f3021e22bfa116feae10a065383c9df4d74d3a6fe8d15afb39c04946e63',
+    'verify-shift-blocks/stdout':
+        'd219bfa470be858a6d1ba75d887e4c65d4b1aea8898c245284cc37997f5ef71d',
     'verify-shift/shift.json':
         'd7bdfd2abf39b4d634737d66d76e3bd5a4c20dd533946edce5b2f8063e0afe82',
     'verify-shift/stdout':

@@ -1,0 +1,150 @@
+"""The block-formatted writers against the standard library as oracle."""
+
+import csv
+import io
+import json
+import os
+
+import numpy as np
+import pytest
+
+from alphasurf import output
+from alphasurf.cli import main
+from alphasurf.errors import NonFiniteOutputError, ValidationError
+from alphasurf.stationary import ResidualReport
+
+SPECIAL = [-0.0, 0.0, 5e-324, 1e16, 1.0 / 3.0, -2.5e-7, 1e-300, -1e22, 123456.0]
+ROW_COUNTS = [1, output.BLOCK_ROWS - 1, output.BLOCK_ROWS, output.BLOCK_ROWS + 1,
+              9000]
+
+
+def _values(n, cols=None):
+    """``n`` rows (scalars if ``cols`` is None) over many decades, edge cases
+    included."""
+    size = n * (cols or 1)
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal(size) * 10.0 ** rng.integers(-40, 40, size)
+    x[rng.integers(0, size, 64)] = rng.choice(SPECIAL, 64)
+    x[:len(SPECIAL)] = SPECIAL[:size]
+    return x if cols is None else x.reshape(n, cols)
+
+
+def _nested(arr, depth):
+    doc = {"label": "x", "count": 3, "rows": arr, "tail": [1.5, None, True]}
+    for _ in range(depth - 1):
+        doc = {"alpha": -2.0, "inner": doc}
+    return doc
+
+
+def _as_lists(doc):
+    if isinstance(doc, dict):
+        return {k: _as_lists(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_as_lists(v) for v in doc]
+    return doc.tolist() if isinstance(doc, np.ndarray) else doc
+
+
+@pytest.mark.parametrize("cols", [None, 1, 8])
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_json_matches_json_dump(tmp_path, n, depth, cols):
+    doc = _nested(_values(n, cols), depth)
+    path = tmp_path / "doc.json"
+    output.write_json(path, doc)
+    assert path.read_text() == json.dumps(_as_lists(doc), indent=1) + "\n"
+
+
+def test_json_handles_several_arrays_and_empty_ones(tmp_path):
+    doc = {"A": _values(5), "rows": np.empty((0, 8)), "B": np.zeros(0),
+           "list": [_values(3, 2), {"deep": _values(4097, 3)}],
+           "ints": np.arange(4)}
+    path = tmp_path / "doc.json"
+    output.write_json(path, doc)
+    text = path.read_text()
+    assert text == json.dumps(_as_lists(doc), indent=1) + "\n"
+    assert '"rows": []' in text
+
+
+@pytest.mark.parametrize("n", ROW_COUNTS)
+def test_csv_matches_csv_writer(tmp_path, n):
+    rows = _values(n, 4)
+    rows[:, 0] = np.arange(n)
+    header = ["step", "a", "b", "c"]
+    path = tmp_path / "t.csv"
+    output.write_csv(path, header, rows, ["%d", "%.17g", "%.17g", "%.17g"])
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([int(row[0])] + [f"{x:.17g}" for x in row[1:]])
+    with open(path, newline="") as fh:
+        assert fh.read() == buf.getvalue()
+
+
+def test_obj_matches_per_line_formatting(tmp_path):
+    verts = _values(output.BLOCK_ROWS + 7, 3)
+    tris = np.arange(3 * (output.BLOCK_ROWS + 2)).reshape(-1, 3) % len(verts)
+    path = tmp_path / "m.obj"
+    output.write_obj(path, verts, tris)
+    want = "".join(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in verts)
+    want += "".join(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n" for t in tris)
+    assert path.read_text() == want
+
+
+def _nan_report():
+    rows = _values(10, 8)
+    rows[4, 7] = np.nan
+    return ResidualReport(alpha=0.0, sample_count=10, sup_abs=1.0, rms=1.0,
+                          rows=rows)
+
+
+def test_non_finite_report_is_refused_and_leaves_no_file(tmp_path):
+    report = _nan_report()
+    with pytest.raises(NonFiniteOutputError):
+        report.write_json(tmp_path / "r.json")
+    with pytest.raises(NonFiniteOutputError):
+        report.write_csv(tmp_path / "r.csv")
+    with pytest.raises(NonFiniteOutputError):
+        output.write_json(tmp_path / "s.json", {"energy": float("inf")})
+    with pytest.raises(NonFiniteOutputError):
+        output.write_obj(tmp_path / "m.obj", np.full((3, 3), np.nan),
+                         np.array([[0, 1, 2]]))
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    with pytest.raises(RuntimeError):
+        with output.atomic_open(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert path.read_text() == "old"
+    with output.atomic_open(path) as fh:
+        fh.write("new")
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert path.read_text() == "new"
+    mask = os.umask(0)
+    os.umask(mask)
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~mask
+
+
+def test_unwritable_target_is_bad_input(tmp_path):
+    with pytest.raises(ValidationError):
+        output.write_csv(tmp_path / "no" / "such" / "dir.csv", ["a"],
+                         np.zeros((1, 1)), ["%.17g"])
+
+
+def test_cli_non_finite_report_exits_3_without_files(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr("alphasurf.stationary.residual_grid",
+                        lambda *a, **k: _nan_report())
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--family", "sphere", "--out", "r.json",
+                 "--csv", "r.csv"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "non-finite" in lines[0]
+    assert "Traceback" not in captured.err
+    assert os.listdir() == []
