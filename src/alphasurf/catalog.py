@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     reads_spec,
 )
 from .interp import Curve3, ScalarFunc, _rk4
-from .stationary import _defect_from_jet
+from .stationary import _defect_with_puu, _puu_free_terms
 from .surface_kernel import Jet2, ParametricPatch, translated
 
 FAMILY_KINDS = (
@@ -216,40 +216,53 @@ def euler_planar_curve(alpha, r0, theta0, kappa0_sign, length,
 # Riemann's minimal family, generated from its own defect
 
 
+# the sample angles on each horizontal circle, and Puu of the three probes
+# (a'', r'') = (0, 0), (1, 0), (0, 1) of the affine system for (a'', r'')
+_RIEMANN_V = 2.0 * math.pi * (np.arange(16) + 0.5) / 16
+_RIEMANN_CV, _RIEMANN_SV = np.cos(_RIEMANN_V), np.sin(_RIEMANN_V)
+_RIEMANN_PUU = np.stack([
+    np.stack([app + rpp * _RIEMANN_CV, rpp * _RIEMANN_SV,
+              np.zeros_like(_RIEMANN_V)], axis=-1)
+    for app, rpp in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))])[:, None]
+
+
 def _riemann_accels(u, a, ap, r, rp):
     """Solve for (a'', r'') from the n=0 and n=1 cosine coefficients of the
-    zero-exponent defect on the horizontal circle at height u (centre
-    (a, 0, u)); the defect is affine in the second derivatives, which only
-    enter Puu, so the other jet fields are shared by the three probes."""
-    nv = 16
-    v = 2.0 * math.pi * (np.arange(nv) + 0.5) / nv
-    cv, sv = np.cos(v), np.sin(v)
-    zeros = np.zeros_like(v)
-    base = Jet2(P=np.stack([a + r * cv, r * sv, np.full_like(v, u)], axis=-1),
-                Pu=np.stack([ap + rp * cv, rp * sv, np.ones_like(v)], axis=-1),
-                Pv=np.stack([-r * sv, r * cv, zeros], axis=-1),
-                Puu=None,
-                Puv=np.stack([-rp * sv, rp * cv, zeros], axis=-1),
-                Pvv=np.stack([-r * cv, -r * sv, zeros], axis=-1))
-
-    def coeffs(app, rpp):
-        Puu = np.stack([app + rpp * cv, rpp * sv, zeros], axis=-1)
-        d = _defect_from_jet(replace(base, Puu=Puu), 0.0)
-        return np.array([np.mean(d), 2.0 * np.mean(d * cv)])
-
-    f0 = coeffs(0.0, 0.0)
-    M = np.column_stack([coeffs(1.0, 0.0) - f0, coeffs(0.0, 1.0) - f0])
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if abs(det) < 1e-12 * max(1.0, float(np.abs(M).max())) ** 2:
-        raise FoliationCollapseError(
-            f"degenerate minimality system at u={u:.6g}")
-    app, rpp = np.linalg.solve(M, -f0)
-    return float(app), float(rpp)
+    zero-exponent defect on the horizontal circles at heights u (centres
+    (a, 0, u)); every argument is an array over a batch of circles.  The
+    defect is affine in the second derivatives, which only enter Puu, so
+    the other terms are shared by the three probes.  Returns a'', r'' and
+    the mask of degenerate systems, whose entries are NaN."""
+    cv, sv = _RIEMANN_CV, _RIEMANN_SV
+    u, a, ap, r, rp = (np.asarray(x, dtype=float)[:, None] for x in (u, a, ap, r, rp))
+    # P, Pu, Pv, Puv and Pvv of every circle at the sample angles
+    J = np.zeros((5, len(r), len(cv), 3))
+    J[0, ..., 0], J[0, ..., 1], J[0, ..., 2] = a + r * cv, r * sv, u
+    J[1, ..., 0], J[1, ..., 1], J[1, ..., 2] = ap + rp * cv, rp * sv, 1.0
+    J[2, ..., 0], J[2, ..., 1] = -r * sv, r * cv
+    J[3, ..., 0], J[3, ..., 1] = -rp * sv, rp * cv
+    J[4, ..., 0], J[4, ..., 1] = -r * cv, -r * sv
+    jet = Jet2(P=J[0], Pu=J[1], Pv=J[2], Puu=None, Puv=J[3], Pvv=J[4])
+    d = _defect_with_puu(_puu_free_terms(jet, 0.0), _RIEMANN_PUU)
+    # f[probe, circle] = (A0, A1); M[circle] has one column per unit probe
+    f = np.stack([np.mean(d, axis=-1), 2.0 * np.mean(d * cv, axis=-1)], axis=-1)
+    M = np.moveaxis(f[1:] - f[0], 0, -1)
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    # the threshold of one circle at a time: libm pow, as np.square may
+    # differ from it in the last bit
+    scale = [1e-12 * max(1.0, m) ** 2 for m in np.abs(M).max(axis=(1, 2))]
+    degenerate = np.abs(det) < scale
+    ok = ~degenerate & np.isfinite(M).all(axis=(1, 2))
+    x = np.linalg.solve(np.where(ok[:, None, None], M, np.eye(2)),
+                        -f[0][..., None])[..., 0]
+    x[~ok] = np.nan
+    return x[:, 0], x[:, 1], degenerate
 
 
 def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec:
     """Profile functions (a, r) of a minimal surface foliated by horizontal
-    circles, integrated by ``interp._rk4`` from the waist to u = +-span."""
+    circles, integrated by ``interp._rk4`` from the waist to u = +span and
+    u = -span as one batch of two runs."""
     r0 = float(r0)
     if r0 <= 0:
         raise ValidationError("r0 must be positive")
@@ -257,22 +270,41 @@ def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec
     if span <= 0:
         raise ValidationError("span must be positive")
 
-    def rhs(u, y):
-        a, ap, r, rp = y
-        if r <= 0.0:
-            raise FoliationCollapseError(f"radius collapsed at u={u:.6g}")
-        app, rpp = _riemann_accels(u, a, ap, r, rp)
-        return np.array([ap, app, rp, rpp])
+    # Failures surface in the order of two runs made one after the other:
+    # the +span run's first failure at once, the -span run's first failure
+    # once the +span run has ended.  Until then the failed -span run goes
+    # on from y0, so that its arithmetic stays finite.
+    y0 = np.array([[0.0, float(c_drift), r0, 0.0]] * 2)
+    failed = [None, None]
 
-    # two-sided start from the waist; node abscissae rounded as Python floats
-    y0 = np.array([0.0, float(c_drift), r0, 0.0])
-    us_p, ys_p = _rk4(rhs, 0.0, y0, span, max_step)
-    us_m, ys_m = _rk4(rhs, 0.0, y0, -span, max_step)
-    us = np.array([round(u, 12) for u in us_m[::-1] + us_p[1:]])
-    data = np.concatenate([ys_m[::-1], ys_p[1:]])
-    acc = np.array([_riemann_accels(u, *row) for u, row in zip(us, data)])
-    a_func = ScalarFunc.from_table(us, data[:, 0], data[:, 1], acc[:, 0])
-    r_func = ScalarFunc.from_table(us, data[:, 2], data[:, 3], acc[:, 1])
+    def rhs(u, y):
+        if failed[1] is not None:
+            y = np.array([y[0], y0[1]])
+        a, ap, r, rp = y.T
+        app, rpp, degenerate = _riemann_accels(u, a, ap, r, rp)
+        for i in (0, 1):
+            if failed[i] is None and r[i] <= 0.0:
+                failed[i] = f"radius collapsed at u={u[i]:.6g}"
+            elif failed[i] is None and degenerate[i]:
+                failed[i] = f"degenerate minimality system at u={u[i]:.6g}"
+        if failed[0] is not None:
+            raise FoliationCollapseError(failed[0])
+        return np.stack([ap, app, rp, rpp], axis=-1)
+
+    nodes, ys = _rk4(rhs, np.zeros(2), y0, np.array([span, -span]), max_step)
+    if failed[1] is not None:
+        raise FoliationCollapseError(failed[1])
+    # node abscissae rounded as Python floats, from -span to +span
+    nodes = np.array(nodes).tolist()
+    us = np.array([round(u, 12) for _, u in nodes[::-1]]
+                  + [round(u, 12) for u, _ in nodes[1:]])
+    data = np.concatenate([ys[::-1, 1], ys[1:, 0]])
+    app, rpp, degenerate = _riemann_accels(us, *data.T)
+    if degenerate.any():
+        raise FoliationCollapseError(
+            f"degenerate minimality system at u={us[np.argmax(degenerate)]:.6g}")
+    a_func = ScalarFunc.from_table(us, data[:, 0], data[:, 1], app)
+    r_func = ScalarFunc.from_table(us, data[:, 2], data[:, 3], rpp)
     return _cyclic.parallel_spec(a_func, 0.0, r_func, (-span, span),
                                  label=f"riemann-minimal(c={float(c_drift)},r0={r0})")
 

@@ -128,7 +128,7 @@ def _ast_eval(node, u):
     if kind == "neg":
         return -_ast_eval(node[1], u)
     if kind == "pow":
-        return _ast_eval(node[1], u) ** node[2]
+        return np.power(_ast_eval(node[1], u), node[2])
     a, b = _ast_eval(node[1], u), _ast_eval(node[2], u)
     if kind == "add":
         return a + b
@@ -246,6 +246,7 @@ def _cmd_verify(args):
     nu, nv = args.grid
     report = stationary.residual_grid(patch, args.alpha, nu, nv)
     print(f"sup|residual| = {report.sup_abs:.3g} over {report.sample_count} samples")
+    output.check_writable(args.out, args.csv)
     if args.out:
         report.write_json(args.out)
     if args.csv:
@@ -305,14 +306,16 @@ def _cmd_fourier(args):
 
 def _cmd_generate(args):
     if args.family in ("neg2-ode", "neg2_ode"):
-        if not args.kappa or not args.u:
-            raise ValidationError("generate neg2-ode needs --kappa and --u")
+        if not args.kappa or not args.u or args.r0 is None:
+            raise ValidationError("generate neg2-ode needs --kappa, --u and --r0")
         kappa = parse_scalar_expr(args.kappa)
         u_range = args.u
         spec = cyclic.integrate_neg2_family(
             kappa, args.a0, args.da0, args.r0, args.dr0, u_range)
         fam = catalog.FamilySpec(kind="frenet_cyclic", params={"spec": spec})
     elif args.family == "riemann":
+        if args.r0 is None:
+            raise ValidationError("generate riemann needs --r0")
         spec = catalog.riemann_minimal_spec(args.c_drift or 0.0,
                                             args.r0, args.span or 1.0)
         fam = catalog.FamilySpec(kind="parallel_cyclic", params={"spec": spec})
@@ -323,6 +326,7 @@ def _cmd_generate(args):
     report = stationary.residual_grid(patch, args.alpha, nu, nv)
     mesh = flow.sample_mesh(patch, nu, nv) if args.export else None
     print(f"generated; sup|residual| = {report.sup_abs:.3g} at alpha={args.alpha}")
+    output.check_writable(args.out, args.solution, args.export)
     if args.out:
         catalog.save_family(fam, args.out)
     if args.solution:
@@ -337,6 +341,7 @@ def _cmd_invert(args):
     inv = inversion.invert_patch(patch)
     nu, nv = args.grid
     mesh = flow.sample_mesh(inv, nu, nv) if args.export else None
+    output.check_writable(args.out, args.export)
     if args.out:
         catalog.save_family(
             catalog.FamilySpec(kind="inverted", params={"inner": fam}), args.out)
@@ -377,6 +382,7 @@ def _cmd_flow(args):
     first, last = trace.rows[0], trace.rows[-1]
     print(f"energy {first[1]:.9g} -> {last[1]:.9g}; "
           f"grad_max {first[2]:.3g} -> {last[2]:.3g} in {args.steps} steps")
+    output.check_writable(args.trace, args.export)
     if args.trace:
         trace.write_csv(args.trace)
     if args.export:

@@ -24,12 +24,18 @@ from .errors import (
     ValidationError,
     reads_spec,
 )
-from .interp import QuinticHermite, ScalarFunc, _rk4
+from .interp import QuinticHermite, ScalarFunc, _rk4, stage_grid, stage_table
 from .surface_kernel import Jet2, ParametricPatch
 
 
 def as_scalar_func(x) -> ScalarFunc:
-    """Coerce numbers / callables to a ScalarFunc (FD derivatives as fallback)."""
+    """Coerce numbers / callables to a ScalarFunc (FD derivatives as fallback).
+
+    A callable is evaluated on arrays of u, as the integrators evaluate their
+    coefficients on the whole stage grid at once, so it must be vectorized
+    (``np.sin``, not ``math.sin``); ``CurveFrame`` and ``build_cyclic``
+    evaluate it on arrays as well.
+    """
     if isinstance(x, ScalarFunc):
         return x
     if np.isscalar(x):
@@ -128,13 +134,15 @@ def frame_from_curvature(kappa, tau, u_range, init, max_step=1e-3) -> CurveFrame
     kappa = as_scalar_func(kappa)
     tau = as_scalar_func(tau)
     u0, u1 = float(u_range[0]), float(u_range[1])
+    _, grid = stage_grid(u0, u1 - u0, max_step)
+    with np.errstate(all="ignore"):  # the run may stop before a bad point
+        at = stage_table(grid, kappa(grid), tau(grid))
 
     def rhs(u, y):
-        g, t, n, b = y[0:3], y[3:6], y[6:9], y[9:12]
-        k = float(kappa(u))
+        t, n, b = y[3:6], y[6:9], y[9:12]
+        k, tv = at[u]
         if k <= 0.0:
             raise FrameUndefinedError(f"kappa({u}) = {k} <= 0")
-        tv = float(tau(u))
         return np.concatenate([t, k * n, -k * t + tv * b, -tv * n])
 
     def orthonormalize(y):
@@ -357,20 +365,33 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
     u0, u1 = float(u_range[0]), float(u_range[1])
     if r0 <= 0.0:
         raise SpecValidationError("r0 must be positive")
+    y0 = np.array([float(a0), float(a0p), float(r0), float(r0p)])
+    us, ys, acc = _neg2_profile(kappa, y0, u0, u1, max_step)
+    a_func = ScalarFunc.from_table(us, ys[:, 0], ys[:, 1], acc[:, 0])
+    r_func = ScalarFunc.from_table(us, ys[:, 2], ys[:, 3], acc[:, 1])
+    frame = frame_from_curvature(kappa, 0.0, (u0, u1), PLANAR_INIT,
+                                 max_step=max_step)
+    return frenet_spec(frame, a_func, 0.0, 0.0, r_func, (u0, u1),
+                       label=f"neg2-family[{u0:.3g},{u1:.3g}]")
+
+
+def _neg2_profile(kappa, y0, u0, u1, max_step):
+    """Nodes, states (a, a', r, r') and (a'', r'') of the neg2 family."""
+    _, grid = stage_grid(u0, u1 - u0, max_step)
+    with np.errstate(all="ignore"):  # the run may stop before a bad point
+        at = stage_table(grid, *kappa.eval2(grid)[:2])
 
     def second_derivs(u, a, ap, r, rp):
         if r <= 0.0:
             raise FoliationCollapseError(f"radius collapsed at u={u:.6g}")
-        k, kp, _ = (float(x) for x in kappa.eval2(u))
+        k, kp = at[u]
         # both equations are affine in (rpp, app): probe to build the system
-        def f(rpp, app):
-            return np.array([
-                neg2_eq21(a, ap, app, r, rp, rpp, k, kp),
-                neg2_eq23(a, ap, app, r, rp, k, kp),
-            ])
-
-        f0 = f(0.0, 0.0)
-        M = np.column_stack([f(1.0, 0.0) - f0, f(0.0, 1.0) - f0])
+        (e0, g0), (e1, g1), (e2, g2) = (
+            (neg2_eq21(a, ap, app, r, rp, rpp, k, kp),
+             neg2_eq23(a, ap, app, r, rp, k, kp))
+            for rpp, app in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+        f0 = np.array([e0, g0])
+        M = np.array([[e1 - e0, e2 - e0], [g1 - g0, g2 - g0]])
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
         if abs(det) < 1e-14 * max(1.0, abs(M).max()) ** 2:
             raise DegenerateFamilyError(
@@ -383,16 +404,12 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
         app, rpp = second_derivs(u, a, ap, r, rp)
         return np.array([ap, app, rp, rpp])
 
-    y0 = np.array([float(a0), float(a0p), float(r0), float(r0p)])
-    us, ys = _rk4(rhs, u0, y0, u1 - u0, max_step)
-    acc = np.array([second_derivs(u, *y) for u, y in zip(us, ys)])
-    us = np.array(us)
-    a_func = ScalarFunc.from_table(us, ys[:, 0], ys[:, 1], acc[:, 0])
-    r_func = ScalarFunc.from_table(us, ys[:, 2], ys[:, 3], acc[:, 1])
-    frame = frame_from_curvature(kappa, 0.0, (u0, u1), PLANAR_INIT,
-                                 max_step=max_step)
-    return frenet_spec(frame, a_func, 0.0, 0.0, r_func, (u0, u1),
-                       label=f"neg2-family[{u0:.3g},{u1:.3g}]")
+    slopes = []
+    us, ys = _rk4(rhs, u0, y0, u1 - u0, max_step, slopes=slopes)
+    # (a'', r'') at the nodes: each step's first slope, then the last node
+    acc = np.array([(k1[1], k1[3]) for k1 in slopes]
+                   + [second_derivs(us[-1], *ys[-1])])
+    return np.array(us), ys, acc
 
 
 def log_spiral_example(u_range) -> ParametricPatch:

@@ -22,27 +22,54 @@ from .errors import ValidationError
 from .surface_kernel import _dot
 
 
-def _rk4(rhs, u0, y0, length, max_step, project=None):
+def _rk4(rhs, u0, y0, length, max_step, project=None, slopes=None):
     """Classical RK4 for y' = rhs(u, y): n = max(1, ceil(|length|/max_step))
-    equal steps from u0 (backwards for negative length), ``project`` applied
-    to the state after each step.  Returns (node list, (n+1, dim) states)."""
-    n = max(1, int(math.ceil(abs(length) / max_step)))
-    h = length / n
+    equal steps from u0 (backwards for negative length), ``rhs`` called at
+    the abscissae of ``stage_grid``, ``project`` applied to the state after
+    each step, and ``rhs(u_i, y_i)`` of every step appended to the list
+    ``slopes`` if one is given.  Arrays ``u0`` and ``length`` run a batch
+    with one step count: each u is then an array, and y0 and every state
+    carry a leading batch axis.  Returns (node list, (n+1, ...) states)."""
+    h, grid = stage_grid(u0, length, max_step)
     y = np.asarray(y0, dtype=float)
-    u = u0
-    us, ys = [u], [y]
-    for _ in range(n):
+    if np.ndim(h):
+        h = np.reshape(h, np.shape(h) + (1,) * (y.ndim - 1))
+    ys = [y]
+    for i in range(0, len(grid) - 1, 2):
+        u, um, u1 = grid[i:i + 3]
         k1 = rhs(u, y)
-        k2 = rhs(u + h / 2, y + h / 2 * k1)
-        k3 = rhs(u + h / 2, y + h / 2 * k2)
-        k4 = rhs(u + h, y + h * k3)
+        k2 = rhs(um, y + h / 2 * k1)
+        k3 = rhs(um, y + h / 2 * k2)
+        k4 = rhs(u1, y + h * k3)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if project is not None:
             y = project(y)
-        u += h
-        us.append(u)
+        if slopes is not None:
+            slopes.append(k1)
         ys.append(y)
-    return us, np.array(ys)
+    return grid[::2], np.array(ys)
+
+
+def stage_grid(u0, length, max_step):
+    """Step and abscissae of an ``_rk4`` run: [u_0, u_0 + h/2, u_1, ...,
+    u_n], with u_(i+1) = u_i + h accumulated step by step.  The loop reads
+    its abscissae from this list, so a table of coefficients keyed by them
+    is exact."""
+    n = max(1, int(math.ceil(np.max(np.abs(length)) / max_step)))
+    h = length / n
+    u, grid = u0, [u0]
+    for _ in range(n):
+        grid.append(u + h / 2)
+        u = u + h
+        grid.append(u)
+    return h, grid
+
+
+def stage_table(grid, *columns):
+    """``table[u]``: the tuple of the columns' entries at abscissa ``u`` of
+    ``grid``, as Python floats, for a rhs that looks its coefficients up."""
+    cols = (np.asarray(c, dtype=float).tolist() for c in columns)
+    return dict(zip(grid, zip(*cols)))
 
 
 class QuinticHermite:

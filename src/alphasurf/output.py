@@ -3,7 +3,8 @@
 Every result file is opened through ``atomic_open``.  The bytes go to a
 temporary file in the target's directory, which replaces the target only
 after the write succeeded, so a failed run leaves neither a partial file
-nor a stray temporary one.
+nor a stray temporary one.  A command with several outputs calls
+``check_writable`` on all of them before it writes the first.
 
 Float arrays are formatted ``BLOCK_ROWS`` rows at a time with one C-level
 call per block, never one Python call per number, and give the same bytes
@@ -39,15 +40,30 @@ def _umask_mode():
     return 0o666 & ~mask
 
 
+def _temp_beside(path):
+    try:
+        return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                prefix=".alphasurf-", suffix=".tmp")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
+def check_writable(*paths):
+    """Fail as ``atomic_open`` would on the first path (None skipped) that
+    cannot be written, so a command with several outputs can stop before
+    its first write instead of after it."""
+    for path in paths:
+        if path is not None:
+            fd, tmp = _temp_beside(os.fspath(path))
+            os.close(fd)
+            os.unlink(tmp)
+
+
 @contextmanager
 def atomic_open(path, newline=None):
     """Text handle whose file replaces ``path`` only if the block succeeds."""
     path = os.fspath(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".alphasurf-", suffix=".tmp")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path!r}: {exc.strerror}") from None
+    fd, tmp = _temp_beside(path)
     try:
         # mkstemp creates the file private; give it the mode open() would
         os.chmod(tmp, _umask_mode())

@@ -142,14 +142,27 @@ def _defect_from_jet(jet, alpha, with_scale=False):
     cancellation, which bounds the roundoff floor of the defect (the sum
     ``hw`` itself cancels to about zero on a minimal surface).
     """
+    return _defect_with_puu(_puu_free_terms(jet, alpha), jet.Puu, with_scale)
+
+
+def _puu_free_terms(jet, alpha):
+    """The parts of the defect that do not involve ``jet.Puu``, which the
+    defect is affine in: computed once, they serve any number of Puu."""
     cross = np.cross(jet.Pu, jet.Pv)
     E, F, G = _dot(jet.Pu, jet.Pu), _dot(jet.Pu, jet.Pv), _dot(jet.Pv, jet.Pv)
     W = E * G - F * F
-    huu, huv, hvv = (G * _dot(jet.Puu, cross), 2.0 * F * _dot(jet.Puv, cross),
-                     E * _dot(jet.Pvv, cross))
-    hw = huu - huv + hvv
+    huv, hvv = 2.0 * F * _dot(jet.Puv, cross), E * _dot(jet.Pvv, cross)
     p2 = _dot(jet.P, jet.P)
     nw = alpha * _dot(cross, jet.P) * W
+    return cross, G, huv, hvv, p2, nw
+
+
+def _defect_with_puu(terms, Puu, with_scale=False):
+    """The defect from ``_puu_free_terms`` and a Puu that broadcasts
+    against the jet (a leading axis of Puu gives one defect per entry)."""
+    cross, G, huv, hvv, p2, nw = terms
+    huu = G * _dot(Puu, cross)
+    hw = huu - huv + hvv
     d = hw * p2 - nw
     if not with_scale:
         return d

@@ -151,6 +151,9 @@ def test_fourier_command(tmp_path, capsys):
     # the inverted vector plane cannot be meshed: no spec file either
     ["invert", "--family", "vector-plane", "--out", "a.json",
      "--export", "b.obj"],
+    # the generated families need a starting radius
+    ["generate", "--family", "neg2-ode", "--kappa", "1/u", "--u", "1:1.6"],
+    ["generate", "--family", "riemann", "--span", "0.5"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
                                                capsys):
@@ -167,3 +170,41 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in captured.err
     assert sorted(os.listdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "sphere", "--grid", "8x8", "--out", "a.json",
+     "--csv", "nodir/b.csv"],
+    ["generate", "--family", "neg2-ode", "--kappa", "1/u", "--u", "1:1.1",
+     "--r0", "1", "--grid", "4x8", "--out", "a.json",
+     "--solution", "nodir/b.csv", "--export", "c.obj"],
+    ["invert", "--family", "sphere", "--center", "2,0,0", "--grid", "4x8",
+     "--out", "a.json", "--export", "nodir/b.obj"],
+    ["flow", "--family", "sphere", "--grid", "4x8", "--steps", "1",
+     "--trace", "a.csv", "--export", "nodir/b.obj"],
+])
+def test_unwritable_later_output_leaves_no_file(argv, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write 'nodir/")
+    assert os.listdir() == []
+
+
+@pytest.mark.parametrize("c_drift, r0, span, where", [
+    ("3", "0.2", "3", "u=0.105"),
+    ("0.3", "0.05", "3", "u=0"),
+    ("1.5", "0.5", "2", "u=0.479"),
+])
+def test_riemann_failure_exits_3_at_first_failure(c_drift, r0, span, where,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--family", "riemann", "--c-drift", c_drift,
+                 "--r0", r0, "--span", span, "--out", "r.json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"numerical failure: degenerate minimality system at {where}"]
+    assert os.listdir() == []

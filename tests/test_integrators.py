@@ -1,0 +1,248 @@
+"""The fixed-step integrators give the tables of a plain sequential RK4.
+
+``_rk4`` reads its abscissae from ``stage_grid``, the frame and the neg2
+family look their coefficients up on that grid, and Riemann's two halves
+run as one batch.  Each table here is compared under ``np.array_equal``
+with a reference that evaluates every coefficient at every stage, one run
+at a time, as the classical loop does (Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.1).
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from alphasurf import catalog
+from alphasurf.catalog import riemann_minimal_spec
+from alphasurf.cli import parse_scalar_expr
+from alphasurf.cyclic import (
+    PLANAR_INIT,
+    _gram_schmidt,
+    frame_from_curvature,
+    integrate_neg2_family,
+    neg2_eq21,
+    neg2_eq23,
+)
+from alphasurf.errors import FoliationCollapseError
+from alphasurf.interp import QuinticHermite, ScalarFunc, _rk4, stage_grid
+from alphasurf.stationary import _defect_from_jet
+from alphasurf.surface_kernel import Jet2
+from test_interp import _count_calls
+
+
+def reference_rk4(rhs, u0, y0, length, max_step, project=None):
+    n = max(1, int(math.ceil(abs(length) / max_step)))
+    h = length / n
+    y = np.asarray(y0, dtype=float)
+    u = u0
+    us, ys = [u], [y]
+    for _ in range(n):
+        k1 = rhs(u, y)
+        k2 = rhs(u + h / 2, y + h / 2 * k1)
+        k3 = rhs(u + h / 2, y + h / 2 * k2)
+        k4 = rhs(u + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if project is not None:
+            y = project(y)
+        u += h
+        us.append(u)
+        ys.append(y)
+    return us, np.array(ys)
+
+
+def reference_frame(kappa, tau, u_range, max_step=1e-3):
+    u0, u1 = u_range
+
+    def rhs(u, y):
+        k, tv = float(kappa(u)), float(tau(u))
+        t, n, b = y[3:6], y[6:9], y[9:12]
+        return np.concatenate([t, k * n, -k * t + tv * b, -tv * n])
+
+    def orthonormalize(y):
+        return np.concatenate([y[0:3], *_gram_schmidt(y[3:6], y[6:9], y[9:12])])
+
+    y0 = orthonormalize(np.concatenate(PLANAR_INIT))
+    us, ys = reference_rk4(rhs, u0, y0, u1 - u0, max_step, orthonormalize)
+    return np.array(us), ys
+
+
+def reference_neg2(kappa, y0, u_range, max_step=1e-3):
+    def accels(u, a, ap, r, rp):
+        k, kp, _ = (float(x) for x in kappa.eval2(u))
+
+        def f(rpp, app):
+            return np.array([neg2_eq21(a, ap, app, r, rp, rpp, k, kp),
+                             neg2_eq23(a, ap, app, r, rp, k, kp)])
+
+        f0 = f(0.0, 0.0)
+        M = np.column_stack([f(1.0, 0.0) - f0, f(0.0, 1.0) - f0])
+        rpp, app = np.linalg.solve(M, -f0)
+        return float(app), float(rpp)
+
+    def rhs(u, y):
+        a, ap, r, rp = y
+        app, rpp = accels(u, a, ap, r, rp)
+        return np.array([ap, app, rp, rpp])
+
+    u0, u1 = u_range
+    us, ys = reference_rk4(rhs, u0, y0, u1 - u0, max_step)
+    acc = np.array([accels(u, *y) for u, y in zip(us, ys)])
+    return np.array(us), ys, acc
+
+
+def reference_riemann_accels(u, a, ap, r, rp):
+    v = 2.0 * math.pi * (np.arange(16) + 0.5) / 16
+    cv, sv = np.cos(v), np.sin(v)
+    zeros = np.zeros_like(v)
+    base = Jet2(P=np.stack([a + r * cv, r * sv, np.full_like(v, u)], axis=-1),
+                Pu=np.stack([ap + rp * cv, rp * sv, np.ones_like(v)], axis=-1),
+                Pv=np.stack([-r * sv, r * cv, zeros], axis=-1),
+                Puu=None,
+                Puv=np.stack([-rp * sv, rp * cv, zeros], axis=-1),
+                Pvv=np.stack([-r * cv, -r * sv, zeros], axis=-1))
+
+    def coeffs(app, rpp):
+        Puu = np.stack([app + rpp * cv, rpp * sv, zeros], axis=-1)
+        d = _defect_from_jet(replace(base, Puu=Puu), 0.0)
+        return np.array([np.mean(d), 2.0 * np.mean(d * cv)])
+
+    f0 = coeffs(0.0, 0.0)
+    M = np.column_stack([coeffs(1.0, 0.0) - f0, coeffs(0.0, 1.0) - f0])
+    app, rpp = np.linalg.solve(M, -f0)
+    return float(app), float(rpp)
+
+
+def reference_riemann(c_drift, r0, span, max_step=2e-3):
+    def rhs(u, y):
+        app, rpp = reference_riemann_accels(u, *y)
+        return np.array([y[1], app, y[3], rpp])
+
+    y0 = np.array([0.0, c_drift, r0, 0.0])
+    us_p, ys_p = reference_rk4(rhs, 0.0, y0, span, max_step)
+    us_m, ys_m = reference_rk4(rhs, 0.0, y0, -span, max_step)
+    us = np.array([round(u, 12) for u in us_m[::-1] + us_p[1:]])
+    data = np.concatenate([ys_m[::-1], ys_p[1:]])
+    acc = np.array([reference_riemann_accels(u, *row) for u, row in zip(us, data)])
+    return us, data, acc
+
+
+def assert_table(func, x, f, d1, d2):
+    """``func`` is the quintic table of the samples (x, f, d1, d2)."""
+    table, ref = func.jet.__self__, QuinticHermite(x, f, d1, d2)
+    assert np.array_equal(table.x, ref.x)
+    assert np.array_equal(table._coef, ref._coef)
+
+
+def test_stage_grid_holds_every_rhs_abscissa():
+    seen = []
+
+    def rhs(u, y):
+        seen.append(u)
+        return -y
+
+    us, _ = _rk4(rhs, 0.3, [1.0], -0.71, 0.1)
+    h, grid = stage_grid(0.3, -0.71, 0.1)
+    assert h == -0.71 / 8 and len(grid) == 17
+    assert us == grid[::2]
+    assert seen == [w for i in range(0, 16, 2)
+                    for w in (grid[i], grid[i + 1], grid[i + 1], grid[i + 2])]
+
+
+def test_rk4_batch_equals_separate_runs():
+    def rhs(u, y):
+        return np.stack([y[..., 1], -u * np.sin(y[..., 0])], axis=-1)
+
+    y0 = np.array([0.3, -0.2])
+    slopes = []
+    nodes, ys = _rk4(rhs, np.zeros(2), np.stack([y0, y0]),
+                     np.array([0.7, -0.7]), 0.01, slopes=slopes)
+    assert ys.shape == (71, 2, 2) and len(slopes) == 70
+    for i, length in enumerate((0.7, -0.7)):
+        us, ys_1 = _rk4(rhs, 0.0, y0, length, 0.01)
+        assert np.array_equal(np.array(nodes)[:, i], us)
+        assert np.array_equal(ys[:, i], ys_1)
+        assert np.array_equal(np.array(slopes)[:, i],
+                              [rhs(u, y) for u, y in zip(us[:-1], ys_1[:-1])])
+
+
+@pytest.mark.parametrize("kappa, tau, u_range", [
+    ("1/u", "0", (1.0, 1.6)),
+    ("0.7*u^2 + 0.4", "0.3*u - 0.1", (0.5, 1.5)),
+    ("2", "1", (0.0, 2.0)),
+])
+def test_frame_equals_reference(kappa, tau, u_range):
+    kappa, tau = parse_scalar_expr(kappa), parse_scalar_expr(tau)
+    frame = frame_from_curvature(kappa, tau, u_range, PLANAR_INIT)
+    us, ys = reference_frame(kappa, tau, u_range)
+    assert np.array_equal(frame.u_nodes, us)
+    for got, lo in ((frame.gamma, 0), (frame.t, 3), (frame.n, 6), (frame.b, 9)):
+        assert np.array_equal(got, ys[:, lo:lo + 3])
+
+
+@pytest.mark.parametrize("kappa, y0, u_range", [
+    ("1/u", (0.0, 0.0, 1.0, 1.0), (1.0, 1.6)),
+    ("0.97/u + 0.05", (0.1, -0.2, 1.01, 0.93), (1.0, 1.6)),
+    ("0.7*u^2 + 0.4", (0.0, 0.0, 1.1, 0.4), (1.0, 1.3)),
+])
+def test_neg2_table_equals_reference(kappa, y0, u_range):
+    kappa = parse_scalar_expr(kappa)
+    spec = integrate_neg2_family(kappa, *y0, u_range)
+    us, ys, acc = reference_neg2(kappa, np.array(y0), u_range)
+    assert_table(spec.a, us, ys[:, 0], ys[:, 1], acc[:, 0])
+    assert_table(spec.r, us, ys[:, 2], ys[:, 3], acc[:, 1])
+    fr_us, fr_ys = reference_frame(kappa, ScalarFunc.constant(0.0), u_range)
+    assert np.array_equal(spec.frame.u_nodes, fr_us)
+    assert np.array_equal(spec.frame.t, fr_ys[:, 3:6])
+
+
+@pytest.mark.parametrize("c_drift, r0, span", [(0.3, 1.0, 0.3), (0.0, 0.8, 0.2)])
+def test_riemann_table_equals_reference(c_drift, r0, span):
+    spec = riemann_minimal_spec(c_drift, r0, span)
+    us, data, acc = reference_riemann(c_drift, r0, span)
+    assert_table(spec.a, us, data[:, 0], data[:, 1], acc[:, 0])
+    assert_table(spec.r, us, data[:, 2], data[:, 3], acc[:, 1])
+
+
+def test_table_kappa_evaluations_do_not_grow_with_steps(monkeypatch):
+    calls = _count_calls(monkeypatch, QuinticHermite, "eval2")
+    x = np.linspace(0.5, 2.5, 41)
+    counts = []
+    for max_step in (1e-2, 1e-3):
+        kappa = ScalarFunc.from_table(x, 1 / x, -1 / x**2, 2 / x**3)
+        before = len(calls)
+        frame_from_curvature(kappa, 0.0, (1.0, 2.0), PLANAR_INIT,
+                             max_step=max_step)
+        middle = len(calls)
+        integrate_neg2_family(kappa, 0.0, 0.0, 1.0, 1.0, (1.0, 2.0),
+                              max_step=max_step)
+        counts.append((middle - before, len(calls) - middle))
+    assert counts[0] == counts[1]
+    assert counts[0][0] <= 2 and counts[0][1] <= 3
+
+
+def _degenerate_where(monkeypatch, bad):
+    """Make ``_riemann_accels`` report a degenerate system wherever
+    ``bad(u)`` holds."""
+    inner = catalog._riemann_accels
+
+    def accels(u, *state):
+        app, rpp, degenerate = inner(u, *state)
+        return app, rpp, degenerate | bad(np.asarray(u))
+
+    monkeypatch.setattr(catalog, "_riemann_accels", accels)
+
+
+@pytest.mark.parametrize("bad, where", [
+    # only the -span run fails: its first failure is reported
+    (lambda u: u < -0.1003, "u=-0.101"),
+    # both fail, the -span run nearer the waist: the +span run still wins,
+    # as when the +span run was integrated to the end first
+    (lambda u: (u < -0.0503) | (u > 0.1003), "u=0.101"),
+])
+def test_riemann_reports_the_plus_run_first(monkeypatch, bad, where):
+    _degenerate_where(monkeypatch, bad)
+    with pytest.raises(FoliationCollapseError) as info:
+        riemann_minimal_spec(0.3, 1.0, 0.5)
+    assert str(info.value) == f"degenerate minimality system at {where}"
