@@ -283,7 +283,7 @@ def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec
         a, ap, r, rp = y.T
         app, rpp, degenerate = _riemann_accels(u, a, ap, r, rp)
         for i in (0, 1):
-            if failed[i] is None and r[i] <= 0.0:
+            if failed[i] is None and not (r[i] > 0.0):
                 failed[i] = f"radius collapsed at u={u[i]:.6g}"
             elif failed[i] is None and degenerate[i]:
                 failed[i] = f"degenerate minimality system at u={u[i]:.6g}"

@@ -179,15 +179,35 @@ def parse_scalar_expr(text) -> ScalarFunc:
 # argument plumbing
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error:`` line (exit 2), not as
+    a usage block."""
+
+    def error(self, message):
+        if message.endswith("expected one argument"):
+            message += " (write a value that starts with '-' as --flag=value)"
+        raise ValidationError(message)
+
+
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _triple_arg(text):
-    parts = [float(x) for x in text.split(",")]
+    parts = [_finite_float(x) for x in text.split(",")]
     if len(parts) != 3:
         raise ValidationError(f"expected x,y,z triple, got {text!r}")
     return tuple(parts)
 
 
 def _range_arg(text):
-    parts = [float(x) for x in text.split(":")]
+    parts = [_finite_float(x) for x in text.split(":")]
     if len(parts) != 2:
         raise ValidationError(f"expected lo:hi range, got {text!r}")
     return tuple(parts)
@@ -205,16 +225,16 @@ def _add_family_flags(sp):
     sp.add_argument("--spec", help="JSON family spec file")
     sp.add_argument("--center", type=_triple_arg)
     sp.add_argument("--normal", type=_triple_arg)
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--offset", type=float)
-    sp.add_argument("--pitch", type=float)
-    sp.add_argument("--waist", type=float)
-    sp.add_argument("--extent", type=float)
+    sp.add_argument("--radius", type=_finite_float)
+    sp.add_argument("--offset", type=_finite_float)
+    sp.add_argument("--pitch", type=_finite_float)
+    sp.add_argument("--waist", type=_finite_float)
+    sp.add_argument("--extent", type=_finite_float)
     sp.add_argument("--u-range", dest="u_range", type=_range_arg)
     sp.add_argument("--t-range", dest="t_range", type=_range_arg)
-    sp.add_argument("--c-drift", dest="c_drift", type=float)
-    sp.add_argument("--r0", type=float)
-    sp.add_argument("--span", type=float)
+    sp.add_argument("--c-drift", dest="c_drift", type=_finite_float)
+    sp.add_argument("--r0", type=_finite_float)
+    sp.add_argument("--span", type=_finite_float)
 
 
 def _family_from_args(args) -> catalog.FamilySpec:
@@ -405,7 +425,7 @@ def _cmd_export(args):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="alphasurf",
         description="numerical toolkit for weighted-area stationary surfaces")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -413,7 +433,7 @@ def build_parser():
     def common(name, help_text, grid_default="64x64"):
         sp = sub.add_parser(name, help=help_text)
         _add_family_flags(sp)
-        sp.add_argument("--alpha", type=float, default=0.0)
+        sp.add_argument("--alpha", type=_finite_float, default=0.0)
         sp.add_argument("--grid", type=_grid_arg, default=_grid_arg(grid_default))
         sp.add_argument("--out")
         sp.add_argument("--seed", type=int, default=0)
@@ -431,7 +451,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_coeffs)
 
     sp = common("fourier", "harmonics of the weighted defect on a v-circle")
-    sp.add_argument("--u", type=float, required=True)
+    sp.add_argument("--u", type=_finite_float, required=True)
     sp.add_argument("--nmax", type=int, default=4)
     sp.add_argument("--nv", type=int, default=64)
     sp.set_defaults(func=_cmd_fourier)
@@ -439,9 +459,9 @@ def build_parser():
     sp = common("generate", "integrate an ODE-defined surface family")
     sp.add_argument("--kappa", help="curvature expression in u, e.g. 1/u")
     sp.add_argument("--u", type=_range_arg, help="integration range lo:hi")
-    sp.add_argument("--a0", type=float, default=0.0)
-    sp.add_argument("--da0", type=float, default=0.0)
-    sp.add_argument("--dr0", type=float, default=0.0)
+    sp.add_argument("--a0", type=_finite_float, default=0.0)
+    sp.add_argument("--da0", type=_finite_float, default=0.0)
+    sp.add_argument("--dr0", type=_finite_float, default=0.0)
     sp.add_argument("--solution", help="CSV path for the profile table")
     sp.add_argument("--export", help="OBJ path for the sampled surface")
     sp.set_defaults(func=_cmd_generate, alpha=-2.0)
@@ -459,8 +479,8 @@ def build_parser():
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--step-rule", dest="step_rule",
                     choices=["backtracking", "fixed"], default="backtracking")
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--perturb", type=float, default=0.0)
+    sp.add_argument("--dt", type=_finite_float, default=1e-3)
+    sp.add_argument("--perturb", type=_finite_float, default=0.0)
     sp.add_argument("--trace", help="CSV path for the energy trace")
     sp.add_argument("--export", help="OBJ path for the final mesh")
     sp.set_defaults(func=_cmd_flow)

@@ -141,7 +141,7 @@ def frame_from_curvature(kappa, tau, u_range, init, max_step=1e-3) -> CurveFrame
     def rhs(u, y):
         t, n, b = y[3:6], y[6:9], y[9:12]
         k, tv = at[u]
-        if k <= 0.0:
+        if not (k > 0.0):
             raise FrameUndefinedError(f"kappa({u}) = {k} <= 0")
         return np.concatenate([t, k * n, -k * t + tv * b, -tv * n])
 
@@ -210,11 +210,11 @@ def frenet_spec(frame, a, b, c, r, u_range=None, u_periodic=False,
 def _validate_cyclic(spec: CyclicSpec, n=101):
     u = np.linspace(*spec.u_range, n)
     r = spec.r(u)
-    if np.any(r <= 0.0):
+    if not np.all(r > 0.0):
         raise SpecValidationError("radius function must stay positive on the domain")
     if spec.mode == "frenet":
         k = spec.frame.kappa(u)
-        if np.any(k <= 0.0):
+        if not np.all(k > 0.0):
             raise SpecValidationError("frenet mode requires kappa > 0 on the domain")
 
 
@@ -382,7 +382,7 @@ def _neg2_profile(kappa, y0, u0, u1, max_step):
         at = stage_table(grid, *kappa.eval2(grid)[:2])
 
     def second_derivs(u, a, ap, r, rp):
-        if r <= 0.0:
+        if not (r > 0.0):
             raise FoliationCollapseError(f"radius collapsed at u={u:.6g}")
         k, kp = at[u]
         # both equations are affine in (rpp, app): probe to build the system

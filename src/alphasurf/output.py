@@ -41,6 +41,8 @@ def _umask_mode():
 
 
 def _temp_beside(path):
+    if os.path.isdir(path):
+        raise ValidationError(f"cannot write {path!r}: Is a directory")
     try:
         return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                 prefix=".alphasurf-", suffix=".tmp")

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .interp import Curve3, ScalarFunc, compose_reparam, reparametrize_arclength
-from .surface_kernel import Jet2, ParametricPatch, _dot
+from .surface_kernel import Jet2, ParametricPatch, _dot, _tiles
 
 
 def _triple(a, b, c):
@@ -378,29 +378,32 @@ def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
     s.shape + (5,).
     """
     s = np.asarray(s, dtype=float)
-    g, gp, gpp = spec.gamma.eval2(s)
-    b, bp, bpp = spec.beta.eval2(s)
-    if check:
-        if np.max(np.abs(_dot(gp, bp))) > 1e-6:
-            raise SpecValidationError("directrix violates the striction condition")
-        if np.max(np.abs(_dot(gp, gp) - 1.0)) > 1e-6:
-            raise SpecValidationError("directrix is not arc-length parametrized")
+    coeffs = np.empty(s.shape + (5,))
+    flat_s, flat_coeffs = s.reshape(-1), coeffs.reshape(-1, 5)
+    for sl in _tiles(s.size):
+        g, gp, gpp = spec.gamma.eval2(flat_s[sl])
+        b, bp, bpp = spec.beta.eval2(flat_s[sl])
+        if check:
+            if np.max(np.abs(_dot(gp, bp))) > 1e-6:
+                raise SpecValidationError("directrix violates the striction condition")
+            if np.max(np.abs(_dot(gp, gp) - 1.0)) > 1e-6:
+                raise SpecValidationError("directrix is not arc-length parametrized")
 
-    R0 = _triple(gp, b, gpp) - 2.0 * _dot(gp, b) * _triple(gp, b, bp)
-    R1 = _triple(gp, b, bpp) + _triple(bp, b, gpp)
-    R2 = _triple(bp, b, bpp)
-    q1 = 2.0 * _dot(g, b)
-    q0 = _dot(g, g)
-    T0 = _triple(gp, b, g)
-    T1 = _triple(bp, b, g)
-    S0 = 1.0 - _dot(gp, b) ** 2
-    S2 = _dot(bp, bp)
-    A0 = q0 * R0 - alpha * T0 * S0
-    A1 = q1 * R0 + q0 * R1 - alpha * T1 * S0
-    A2 = R0 + q1 * R1 + q0 * R2 - alpha * T0 * S2
-    A3 = R1 + q1 * R2 - alpha * T1 * S2
-    A4 = R2
-    return np.stack([A0, A1, A2, A3, A4], axis=-1)
+        R0 = _triple(gp, b, gpp) - 2.0 * _dot(gp, b) * _triple(gp, b, bp)
+        R1 = _triple(gp, b, bpp) + _triple(bp, b, gpp)
+        R2 = _triple(bp, b, bpp)
+        q1 = 2.0 * _dot(g, b)
+        q0 = _dot(g, g)
+        T0 = _triple(gp, b, g)
+        T1 = _triple(bp, b, g)
+        S0 = 1.0 - _dot(gp, b) ** 2
+        S2 = _dot(bp, bp)
+        A0 = q0 * R0 - alpha * T0 * S0
+        A1 = q1 * R0 + q0 * R1 - alpha * T1 * S0
+        A2 = R0 + q1 * R1 + q0 * R2 - alpha * T0 * S2
+        A3 = R1 + q1 * R2 - alpha * T1 * S2
+        np.stack([A0, A1, A2, A3, R2], axis=-1, out=flat_coeffs[sl])
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .surface_kernel import (
     DEFAULT_DOMAIN_MARGIN,
     ParametricPatch,
     _dot,
+    _tiles,
     eval_jet2,
     fundamental_data,
 )
@@ -61,19 +62,18 @@ class ResidualReport:
                          ["%.17g"] * len(REPORT_CSV_HEADER))
 
 
-def _residual_fields(patch, alpha, u, v):
-    jet = eval_jet2(patch, u, v)
+def _residual_fields(jet, alpha):
     fd = fundamental_data(jet)
     p2 = _dot(jet.P, jet.P)
     if np.any(p2 <= 0.0):
         raise OriginOnSurfaceError("surface touches the origin at a sampled point")
     rhs = alpha * _dot(fd.normal, jet.P) / p2
-    return jet, fd, rhs
+    return fd, rhs
 
 
 def residual(patch: ParametricPatch, alpha: float, u, v):
     """H(p) - alpha * <N,p>/|p|^2 at (u, v); vectorized."""
-    _, fd, rhs = _residual_fields(patch, alpha, u, v)
+    fd, rhs = _residual_fields(eval_jet2(patch, u, v), alpha)
     return fd.H - rhs
 
 
@@ -83,15 +83,16 @@ def residual_grid(patch: ParametricPatch, alpha: float, nu: int, nv: int,
     if nu < 2 or nv < 2:
         raise ValidationError("residual grid needs nu, nv >= 2")
     u, v = patch.domain_grid(nu, nv, margin=margin)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    jet, fd, rhs = _residual_fields(patch, alpha, uu, vv)
-    res = fd.H - rhs
-    rows = np.column_stack([
-        uu.ravel(), vv.ravel(),
-        jet.P[..., 0].ravel(), jet.P[..., 1].ravel(), jet.P[..., 2].ravel(),
-        fd.H.ravel(), rhs.ravel(), res.ravel(),
-    ])
-    flat = res.ravel()
+    rows = np.empty((nu, nv, 8))
+    rows[..., 0], rows[..., 1] = u[:, None], v
+    # pointwise work tile by tile; the reductions below see the whole grid
+    for sl in _tiles(nu, nv):
+        jet = eval_jet2(patch, u[sl, None], v)
+        fd, rhs = _residual_fields(jet, alpha)
+        rows[sl, :, 2:5] = jet.P
+        rows[sl, :, 5], rows[sl, :, 6], rows[sl, :, 7] = fd.H, rhs, fd.H - rhs
+    rows = rows.reshape(nu * nv, 8)
+    flat = rows[:, 7]
     return ResidualReport(
         alpha=float(alpha),
         sample_count=flat.size,
@@ -113,11 +114,11 @@ def energy(patch: ParametricPatch, alpha: float, nu: int, nv: int) -> float:
         raise ValidationError("energy quadrature needs nu, nv >= 1")
     un, uw = _axis_rule(patch.u_range, nu, patch.u_periodic)
     vn, vw = _axis_rule(patch.v_range, nv, patch.v_periodic)
-    uu, vv = np.meshgrid(un, vn, indexing="ij")
-    jet = eval_jet2(patch, uu, vv)
-    fd = fundamental_data(jet)
-    p2 = _dot(jet.P, jet.P)
-    integrand = p2 ** (alpha / 2.0) * np.sqrt(fd.W)
+    integrand = np.empty((nu, nv))
+    for sl in _tiles(nu, nv):
+        jet = eval_jet2(patch, un[sl, None], vn)
+        W = fundamental_data(jet).W
+        integrand[sl] = _dot(jet.P, jet.P) ** (alpha / 2.0) * np.sqrt(W)
     if not np.all(np.isfinite(integrand)):
         raise SingularIntegrandError("non-finite integrand sample in energy quadrature")
     return float(np.einsum("i,j,ij->", uw, vw, integrand))
@@ -213,10 +214,12 @@ def fourier_defect(patch: ParametricPatch, alpha: float, u: float,
     ang = 2.0 * math.pi * np.arange(nv) / nv
     n_half = nv // 2
     ns = np.arange(n_half + 1)
-    cosines = np.cos(np.outer(ns, ang))
-    sines = np.sin(np.outer(ns, ang))
-    A_all = 2.0 / nv * cosines @ d
-    B_all = 2.0 / nv * sines @ d
+    # one (n_half+1, nv) buffer holds the cosine, then the sine matrix;
+    # the products stay whole, since splitting them moves the last bits
+    x = np.outer(ns, ang)
+    A_all = np.multiply(np.cos(x, out=x), 2.0 / nv, out=x) @ d
+    np.outer(ns, ang, out=x)
+    B_all = np.multiply(np.sin(x, out=x), 2.0 / nv, out=x) @ d
     A_all[0] *= 0.5
     if n_half * 2 == nv:
         A_all[n_half] *= 0.5

@@ -27,6 +27,10 @@ DEFAULT_DOMAIN_MARGIN = 1e-3
 
 _DOMAIN_SLACK = 1e-9
 
+# Points per tile of a grid evaluation: a tile's jet and fundamental forms
+# stay near cache size (tiles of four times as many points ran slower).
+TILE_POINTS = 16384
+
 
 @dataclass(frozen=True)
 class Jet2:
@@ -105,11 +109,18 @@ def _check_domain(patch: ParametricPatch, u, v):
     return u, v
 
 
+def _tiles(n, width=1):
+    """Slices of range(n) of about TILE_POINTS points, ``width`` per index."""
+    step = max(1, TILE_POINTS // width)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
 def eval_jet2(patch: ParametricPatch, u, v) -> Jet2:
     """Analytic second-order jet of ``patch`` at (u, v) (broadcastable)."""
     u, v = _check_domain(patch, u, v)
-    u, v = np.broadcast_arrays(u, v)
-    return patch.evaluator(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    # axes passed broadcastable are checked as such, then evaluated in full
+    return patch.evaluator(*(np.asarray(x, order="C")
+                             for x in np.broadcast_arrays(u, v)))
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,21 @@ def test_fourier_command(tmp_path, capsys):
     # the generated families need a starting radius
     ["generate", "--family", "neg2-ode", "--kappa", "1/u", "--u", "1:1.6"],
     ["generate", "--family", "riemann", "--span", "0.5"],
+    # argparse errors: one line, not a usage block; a range whose lower end
+    # is negative must be written --u=-1:1
+    ["generate", "--family", "neg2-ode", "--kappa", "1/u", "--u", "-1:1",
+     "--r0", "1"],
+    ["verify", "--family", "catenoid", "--u-range", "-1:1"],
+    ["fourier", "--family", "sphere", "--alpha", "-2"],
+    ["verify", "--family", "sphere", "--bogus"],
+    # every float flag is finite, inside triples and ranges too
+    ["verify", "--family", "sphere", "--grid", "8x8", "--alpha", "nan"],
+    ["verify", "--family", "sphere", "--grid", "8x8", "--radius", "inf"],
+    ["fourier", "--family", "sphere", "--alpha", "-2", "--u", "nan"],
+    ["coeffs", "--family", "helicoid", "--alpha", "nan"],
+    ["flow", "--family", "sphere", "--alpha", "nan", "--steps", "2"],
+    ["verify", "--family", "sphere", "--center=0,-inf,0"],
+    ["verify", "--family", "catenoid", "--u-range=-1:nan"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
                                                capsys):
@@ -207,4 +222,31 @@ def test_riemann_failure_exits_3_at_first_failure(c_drift, r0, span, where,
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"numerical failure: degenerate minimality system at {where}"]
+    assert os.listdir() == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "sphere", "--grid", "8x8", "--out", "sub"],
+    ["verify", "--family", "sphere", "--grid", "8x8", "--csv", "sub"],
+    ["energy", "--family", "sphere", "--grid", "8x8", "--out", "sub"],
+])
+def test_directory_target_exits_2_without_files(argv, tmp_path, monkeypatch,
+                                                capsys):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: cannot write 'sub': Is a directory"]
+    assert os.listdir() == ["sub"] and os.listdir("sub") == []
+
+
+def test_nan_curvature_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    # u^-0.5 is NaN on the whole range; the guards must not let it through
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--family", "neg2-ode", "--kappa", "u^-0.5",
+                 "--u=-1:-0.5", "--r0", "1", "--out", "g.json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
     assert os.listdir() == []

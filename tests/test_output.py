@@ -136,6 +136,17 @@ def test_unwritable_target_is_bad_input(tmp_path):
                          np.zeros((1, 1)), ["%.17g"])
 
 
+def test_directory_target_is_bad_input_and_leaves_no_temporary(tmp_path):
+    target = tmp_path / "sub"
+    target.mkdir()
+    with pytest.raises(ValidationError, match="Is a directory"):
+        output.check_writable(tmp_path / "ok.csv", target)
+    with pytest.raises(ValidationError, match="Is a directory"):
+        with output.atomic_open(target) as fh:
+            fh.write("never")
+    assert os.listdir(tmp_path) == ["sub"] and os.listdir(target) == []
+
+
 def test_cli_non_finite_report_exits_3_without_files(tmp_path, monkeypatch,
                                                      capsys):
     monkeypatch.setattr("alphasurf.stationary.residual_grid",

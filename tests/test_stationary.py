@@ -1,12 +1,37 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from alphasurf.catalog import catenoid_patch, plane_patch, sphere_patch
-from alphasurf.cyclic import build_cyclic, parallel_spec
-from alphasurf.errors import BandLimitError, ValidationError
+from alphasurf import surface_kernel
+from alphasurf.cli import _helicoid_ruled_spec
+from alphasurf.catalog import (
+    FamilySpec,
+    catenoid_patch,
+    helicoid_patch,
+    load_family,
+    make_patch,
+    plane_patch,
+    riemann_minimal_spec,
+    ruled_spec_from_dict,
+    ruled_spec_to_dict,
+    save_family,
+    sphere_patch,
+)
+from alphasurf.cyclic import build_cyclic, log_spiral_example, parallel_spec
+from alphasurf.errors import (
+    BandLimitError,
+    DegenerateParametrizationError,
+    OriginOnSurfaceError,
+    SingularIntegrandError,
+    ValidationError,
+)
 from alphasurf.interp import ScalarFunc
+from alphasurf.inversion import invert_patch
+from alphasurf.ruled import random_ruled_spec, ruled_coeffs
 from alphasurf.stationary import (
     energy,
     fourier_defect,
@@ -14,7 +39,13 @@ from alphasurf.stationary import (
     residual_grid,
     weighted_defect,
 )
-from alphasurf.surface_kernel import eval_jet2, fundamental_data, scaled
+from alphasurf.surface_kernel import (
+    Jet2,
+    ParametricPatch,
+    eval_jet2,
+    fundamental_data,
+    scaled,
+)
 
 
 def test_sphere_residual_zero_only_at_its_exponent():
@@ -110,3 +141,188 @@ def test_residual_on_surface_through_origin_raises():
     patch = plane_patch((0, 0, 1))  # contains 0 at (u,v)=(0,0)
     with pytest.raises(OriginOnSurfaceError):
         residual(patch, 1.0, np.array([0.0]), np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# tiled grid evaluation: the bytes do not depend on the tile size
+
+# (nu, nv): an odd grid, a square one and one larger than a default tile
+GRIDS = [(33, 17), (64, 64), (160, 130)]
+TILE_ROWS = [1, 7, 16, None]  # None: the whole grid in one tile
+
+
+@pytest.fixture(scope="module")
+def grid_patches(tmp_path_factory):
+    path = tmp_path_factory.mktemp("riemann") / "riemann.json"
+    save_family(FamilySpec(kind="parallel_cyclic",
+                           params={"spec": riemann_minimal_spec(0.3, 1.0, 0.8)}),
+                path)
+    return {
+        "catenoid": (catenoid_patch(1.0), 0.7),
+        "helicoid": (helicoid_patch(1.1), 0.0),
+        "sphere": (sphere_patch((0.1, -0.2, 0.05), 1.2), -2.0),
+        "log-spiral": (log_spiral_example((0.5, 2.0)), -2.0),
+        "inverted-catenoid": (invert_patch(catenoid_patch(1.0)), -4.0),
+        "riemann-reloaded": (make_patch(load_family(path)), 0.0),
+    }
+
+
+def _tile_points(monkeypatch, rows, width, total):
+    monkeypatch.setattr(surface_kernel, "TILE_POINTS",
+                        total if rows is None else rows * width)
+
+
+def _untiled_rows(patch, alpha, nu, nv):
+    """The residual rows as one whole-grid evaluation computes them."""
+    u, v = patch.domain_grid(nu, nv)
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    jet = eval_jet2(patch, uu, vv)
+    fd = fundamental_data(jet)
+    rhs = alpha * np.einsum("...i,...i->...", fd.normal, jet.P) / np.einsum(
+        "...i,...i->...", jet.P, jet.P)
+    cols = (uu, vv, jet.P[..., 0], jet.P[..., 1], jet.P[..., 2], fd.H, rhs,
+            fd.H - rhs)
+    return np.column_stack([c.ravel() for c in cols])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family", ["catenoid", "helicoid", "sphere",
+                                    "log-spiral", "inverted-catenoid",
+                                    "riemann-reloaded"])
+@pytest.mark.parametrize("nu, nv", GRIDS)
+def test_grid_results_do_not_depend_on_tile_size(family, nu, nv, grid_patches,
+                                                 monkeypatch):
+    patch, alpha = grid_patches[family]
+    want_rows = _untiled_rows(patch, alpha, nu, nv)
+    res = want_rows[:, 7]
+    want_sup = float(np.max(np.abs(res)))
+    want_rms = float(np.sqrt(np.mean(res * res)))
+    energies = []
+    for rows in TILE_ROWS:
+        _tile_points(monkeypatch, rows, nv, nu * nv)
+        rep = residual_grid(patch, alpha, nu, nv)
+        assert _same_bits(rep.rows, want_rows), (family, rows)
+        assert rep.sup_abs == want_sup and rep.rms == want_rms
+        assert rep.sample_count == nu * nv
+        energies.append(energy(patch, alpha, nu, nv))
+    # tiles of 7 and 16 rows leave a partial last tile on most grids
+    assert len({e.hex() for e in energies}) == 1, energies
+
+
+@pytest.fixture(scope="module")
+def ruled_table_spec():
+    # table-backed (pointwise Hermite evaluation); not striction-exact after
+    # the reload, so its checks are off
+    return ruled_spec_from_dict(ruled_spec_to_dict(
+        random_ruled_spec(np.random.default_rng(3))))
+
+
+@pytest.mark.parametrize("n", [561, 4096, 20000])
+def test_ruled_coeffs_do_not_depend_on_tile_size(n, ruled_table_spec,
+                                                 monkeypatch):
+    for spec, alpha, check in ((_helicoid_ruled_spec(), 0.4, True),
+                               (ruled_table_spec, -0.6, False)):
+        s = np.linspace(*spec.s_range, n)
+        got = [ruled_coeffs(spec, alpha, s, check=check)]  # default tiles
+        for rows in ([1, 7, 16, None] if n < 1000 else [16, None]):
+            _tile_points(monkeypatch, rows, 1, n)
+            got.append(ruled_coeffs(spec, alpha, s, check=check))
+        assert got[0].shape == (n, 5)
+        assert all(_same_bits(g, got[0]) for g in got[1:])
+        # a 2-D sample array gives the same values in its own shape
+        got2 = ruled_coeffs(spec, alpha, s.reshape(-1, 1), check=check)
+        assert _same_bits(got2.reshape(n, 5), got[0])
+
+
+@pytest.mark.parametrize("family", ["catenoid", "sphere", "log-spiral",
+                                    "inverted-catenoid", "riemann-reloaded"])
+@pytest.mark.parametrize("nv", [64, 256, 1024])
+def test_fourier_matches_two_matrix_formula(family, nv, grid_patches):
+    patch, alpha = grid_patches[family]
+    u = float(np.mean(patch.u_range)) + 0.1
+    n_max = nv // 4
+    # a guard that never fires, so every returned harmonic is compared
+    fc = fourier_defect(patch, alpha + 0.3, u, n_max=n_max, nv=nv,
+                        guard=np.inf)
+    v0, v1 = patch.v_range
+    v = v0 + (v1 - v0) * np.arange(nv) / nv
+    d = weighted_defect(patch, alpha + 0.3, np.full(nv, u), v)
+    ang = 2.0 * np.pi * np.arange(nv) / nv
+    ns = np.arange(nv // 2 + 1)
+    A_all = 2.0 / nv * np.cos(np.outer(ns, ang)) @ d
+    B_all = 2.0 / nv * np.sin(np.outer(ns, ang)) @ d
+    A_all[0] *= 0.5
+    A_all[nv // 2] *= 0.5
+    B_all[0] = 0.0
+    assert _same_bits(fc.A, A_all[:n_max + 1])
+    assert _same_bits(fc.B, B_all[:n_max + 1])
+
+
+def _flat_patch(bad):
+    """The plane z = 1 over [-1, 1]^2, spoiled by ``bad(u, P, Pu)`` where
+    u > 0.9 (the last rows of a grid only)."""
+
+    def ev(u, v):
+        z = np.zeros_like(u)
+        P = np.stack([u, v, z + 1.0], axis=-1)
+        Pu = np.stack([z + 1.0, z, z], axis=-1)
+        Pv = np.stack([z, z + 1.0, z], axis=-1)
+        bad(u > 0.9, P, Pu)
+        zero = np.zeros_like(P)
+        return Jet2(P=P, Pu=Pu, Pv=Pv, Puu=zero, Puv=zero, Pvv=zero)
+
+    return ParametricPatch(evaluator=ev, u_range=(-1.0, 1.0),
+                           v_range=(-1.0, 1.0), label="flat")
+
+
+def _degenerate(mask, P, Pu):
+    Pu[mask] = 0.0
+
+
+def _through_origin(mask, P, Pu):
+    P[mask] = 0.0
+
+
+def _infinite(mask, P, Pu):
+    P[mask, 2] = np.inf
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_guards_fire_in_a_later_tile(rows, monkeypatch):
+    nu, nv = 40, 24
+    _tile_points(monkeypatch, rows, nv, nu * nv)
+    # only rows after the first 16 are spoiled
+    u, _ = _flat_patch(_degenerate).domain_grid(nu, nv)
+    assert np.all(u[:16] <= 0.9) and np.any(u > 0.9)
+    with pytest.raises(DegenerateParametrizationError):
+        residual_grid(_flat_patch(_degenerate), 0.0, nu, nv)
+    with pytest.raises(DegenerateParametrizationError):
+        energy(_flat_patch(_degenerate), 0.0, nu, nv)
+    with pytest.raises(OriginOnSurfaceError):
+        residual_grid(_flat_patch(_through_origin), 1.0, nu, nv)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SingularIntegrandError):
+            energy(_flat_patch(_infinite), 1.0, nu, nv)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux only")
+def test_verify_1024_grid_peak_memory(tmp_path):
+    # an intermediate interpreter, so RUSAGE_CHILDREN sees that one child
+    probe = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'alphasurf.cli', 'verify',"
+        " '--family', 'catenoid', '--grid', '1024x1024'], check=True,"
+        " stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                         check=True, capture_output=True, text=True).stdout
+    assert int(out) / 1024 <= 160.0
