@@ -444,12 +444,22 @@ def family_from_dict(d) -> FamilySpec:
     return FamilySpec(kind=kind, params=params)
 
 
+def _finite_json_number(text, kind=float):
+    """``kind(text)`` of a JSON number; NaN, Infinity and overflow refused."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"non-finite number {text}")
+    return kind(text)
+
+
 def read_spec(path) -> dict:
-    """JSON object of a spec file; unreadable or malformed files are bad input."""
+    """JSON object of a spec file; unreadable or malformed files, non-finite
+    numbers and nesting too deep for the decoder are bad input."""
     try:
         with open(path) as fh:
-            d = json.load(fh)
-    except (OSError, ValueError) as exc:
+            d = json.load(fh, parse_float=_finite_json_number,
+                          parse_int=lambda text: _finite_json_number(text, int),
+                          parse_constant=_finite_json_number)
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read spec file: {exc}") from None
     if not isinstance(d, dict):
         raise ValidationError(f"spec file {path!r} is not a JSON object")

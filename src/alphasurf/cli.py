@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 validation problem, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import math
+import re
 import sys
 
 import numpy as np
@@ -23,100 +25,61 @@ from .interp import Curve3, ScalarFunc
 # ---------------------------------------------------------------------------
 # minimal arithmetic expressions in one variable (for kappa(u) and friends)
 
+# Deepest expression tree accepted, in operator levels; the derivative trees
+# are a few times deeper, and ``_ast_eval`` takes one stack frame per level.
+MAX_EXPR_DEPTH = 50
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
-                                     or (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            try:
-                tokens.append(("num", float(text[i:j])))
-            except ValueError:
-                raise ValidationError(f"malformed number {text[i:j]!r}") from None
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            name = text[i:j]
-            if name != "u":
-                raise ValidationError(f"unknown name {name!r} in expression")
-            tokens.append(("var",))
-            i = j
-        else:
-            raise ValidationError(f"unexpected character {ch!r} in expression")
-    return tokens
+_BINOPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div"}
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.pos = 0
+def _number(node, text):
+    """Float of a numeric literal node, read from its source like float()."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(text[node.col_offset:node.end_col_offset])
+    return None
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+def _tree(node, text, depth=0):
+    """The tuple tree of a parsed node; ``depth`` counts operator levels."""
+    if depth > MAX_EXPR_DEPTH:
+        raise RecursionError   # reported as Python's own nesting limits are
+    value = _number(node, text)
+    if value is not None:
+        return ("num", value)
+    if isinstance(node, ast.Name) and node.id == "u":
+        return ("var",)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return ("neg", _tree(node.operand, text, depth + 1))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return (_BINOPS[type(node.op)], _tree(node.left, text, depth + 1),
+                _tree(node.right, text, depth + 1))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        exp = node.right
+        neg = isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub)
+        n = _number(exp.operand if neg else exp, text)
+        if n is None:
+            raise ValidationError("exponent must be a constant")
+        return ("pow", _tree(node.left, text, depth + 1), -n if neg else n)
+    raise ValidationError(f"unsupported syntax in expression {text!r}")
 
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
 
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def factor(self):
-        if self.peek() == "-":
-            self.take()
-            return ("neg", self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp = self.factor()
-            if exp[0] == "neg" and exp[1][0] == "num":
-                exp = ("num", -exp[1][1])
-            if exp[0] != "num":
-                raise ValidationError("exponent must be a constant")
-            return ("pow", base, exp[1])
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            if self.take() != ")":
-                raise ValidationError("missing closing parenthesis")
-            return node
-        if isinstance(tok, tuple) and tok[0] == "num":
-            return ("num", tok[1])
-        if isinstance(tok, tuple) and tok[0] == "var":
-            return ("var",)
-        raise ValidationError(f"unexpected token {tok!r} in expression")
+def _parse_tree(text):
+    """The ``_ast_eval`` tree of an expression: numbers, ``u``, unary ``-``,
+    ``+ - * /`` and ``^`` with a constant exponent, read by Python's own
+    parser after ``^`` becomes ``**``."""
+    text = " ".join(text.split())
+    bad = re.search(r"[^0-9.eEu+\-*/^() ]|\*\*", text)
+    if bad:
+        raise ValidationError(f"unexpected {bad.group()!r} in expression")
+    # Python refuses the leading zeros of an integer literal; float() does not
+    text = re.sub(r"(?<![\w.])0+(?=\d)", "", text.replace("^", "**"))
+    try:
+        return _tree(ast.parse(text, mode="eval").body, text)
+    except SyntaxError as exc:
+        raise ValidationError(f"malformed expression: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise ValidationError(f"expression nested deeper than {MAX_EXPR_DEPTH} "
+                              "levels") from None
 
 
 def _ast_eval(node, u):
@@ -166,13 +129,10 @@ def _ast_diff(node):
 
 def parse_scalar_expr(text) -> ScalarFunc:
     """Parse expressions like ``1/u`` or ``0.5*u^2 + 1`` into a ScalarFunc."""
-    p = _Parser(_tokenize(text))
-    ast = p.expr()
-    if p.peek() is not None:
-        raise ValidationError(f"trailing input in expression {text!r}")
-    d1 = _ast_diff(ast)
+    tree = _parse_tree(text)
+    d1 = _ast_diff(tree)
     d2 = _ast_diff(d1)
-    return ScalarFunc(lambda u: tuple(_ast_eval(n, u) for n in (ast, d1, d2)))
+    return ScalarFunc(lambda u: tuple(_ast_eval(n, u) for n in (tree, d1, d2)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +180,17 @@ def _grid_arg(text):
     return int(parts[0]), int(parts[1])
 
 
-def _add_family_flags(sp):
-    sp.add_argument("--family", help="catalog family kind")
-    sp.add_argument("--spec", help="JSON family spec file")
-    sp.add_argument("--center", type=_triple_arg)
-    sp.add_argument("--normal", type=_triple_arg)
-    sp.add_argument("--radius", type=_finite_float)
-    sp.add_argument("--offset", type=_finite_float)
-    sp.add_argument("--pitch", type=_finite_float)
-    sp.add_argument("--waist", type=_finite_float)
-    sp.add_argument("--extent", type=_finite_float)
-    sp.add_argument("--u-range", dest="u_range", type=_range_arg)
-    sp.add_argument("--t-range", dest="t_range", type=_range_arg)
-    sp.add_argument("--c-drift", dest="c_drift", type=_finite_float)
-    sp.add_argument("--r0", type=_finite_float)
-    sp.add_argument("--span", type=_finite_float)
+# The family shape flags, in the order their values enter FamilySpec.params
+# (and so the bytes of ``invert --out``).
+_SHAPE_FLAGS = {
+    "center": _triple_arg, "normal": _triple_arg, "radius": _finite_float,
+    "offset": _finite_float, "pitch": _finite_float, "waist": _finite_float,
+    "extent": _finite_float, "u_range": _range_arg, "t_range": _range_arg,
+    "c_drift": _finite_float, "r0": _finite_float, "span": _finite_float,
+}
+
+# Output targets, in the order a command that has several checks them.
+_OUTPUTS = ("out", "csv", "solution", "trace", "export")
 
 
 def _family_from_args(args) -> catalog.FamilySpec:
@@ -243,12 +199,8 @@ def _family_from_args(args) -> catalog.FamilySpec:
     if not args.family:
         raise ValidationError("either --family or --spec is required")
     kind = args.family.replace("-", "_")
-    params = {}
-    for key in ("center", "normal", "radius", "offset", "pitch", "waist",
-                "extent", "u_range", "t_range", "c_drift", "r0", "span"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+    params = {key: getattr(args, key) for key in _SHAPE_FLAGS
+              if getattr(args, key) is not None}
     return catalog.FamilySpec(kind=kind, params=params)
 
 
@@ -266,12 +218,10 @@ def _cmd_verify(args):
     nu, nv = args.grid
     report = stationary.residual_grid(patch, args.alpha, nu, nv)
     print(f"sup|residual| = {report.sup_abs:.3g} over {report.sample_count} samples")
-    output.check_writable(args.out, args.csv)
     if args.out:
         report.write_json(args.out)
     if args.csv:
         report.write_csv(args.csv)
-    return 0
 
 
 def _cmd_energy(args):
@@ -282,7 +232,6 @@ def _cmd_energy(args):
     if args.out:
         output.write_json(args.out, {"alpha": args.alpha, "nu": nu, "nv": nv,
                                      "energy": value})
-    return 0
 
 
 def _helicoid_ruled_spec() -> ruled.RuledSpec:
@@ -305,11 +254,11 @@ def _cmd_coeffs(args):
         raise ValidationError("coeffs needs --spec or --family helicoid")
     s = np.linspace(*rs.s_range, args.samples)
     A = ruled.ruled_coeffs(rs, args.alpha, s)
-    print(f"max|A_n| = {np.max(np.abs(A)):.3g} over {args.samples} samples")
+    # max|A| without a second array of |A|; abs() drops the sign of a zero
+    print(f"max|A_n| = {abs(max(A.max(), -A.min())):.3g} over {args.samples} samples")
     if args.out:
         output.write_csv(args.out, ["s", "A0", "A1", "A2", "A3", "A4"],
                          np.column_stack([s, A]), ["%.17g"] * 6)
-    return 0
 
 
 def _cmd_fourier(args):
@@ -321,17 +270,14 @@ def _cmd_fourier(args):
           " ".join(f"n={n}:{a:.3g}" for n, a in enumerate(amp)))
     if args.out:
         output.write_json(args.out, fc.to_json_dict())
-    return 0
 
 
 def _cmd_generate(args):
     if args.family in ("neg2-ode", "neg2_ode"):
         if not args.kappa or not args.u or args.r0 is None:
             raise ValidationError("generate neg2-ode needs --kappa, --u and --r0")
-        kappa = parse_scalar_expr(args.kappa)
-        u_range = args.u
-        spec = cyclic.integrate_neg2_family(
-            kappa, args.a0, args.da0, args.r0, args.dr0, u_range)
+        spec = cyclic.integrate_neg2_family(parse_scalar_expr(args.kappa), args.a0,
+                                            args.da0, args.r0, args.dr0, args.u)
         fam = catalog.FamilySpec(kind="frenet_cyclic", params={"spec": spec})
     elif args.family == "riemann":
         if args.r0 is None:
@@ -346,14 +292,12 @@ def _cmd_generate(args):
     report = stationary.residual_grid(patch, args.alpha, nu, nv)
     mesh = flow.sample_mesh(patch, nu, nv) if args.export else None
     print(f"generated; sup|residual| = {report.sup_abs:.3g} at alpha={args.alpha}")
-    output.check_writable(args.out, args.solution, args.export)
     if args.out:
         catalog.save_family(fam, args.out)
     if args.solution:
         cyclic.write_solution_csv(spec, args.solution)
     if args.export:
         flow.write_obj(mesh, args.export)
-    return 0
 
 
 def _cmd_invert(args):
@@ -361,14 +305,12 @@ def _cmd_invert(args):
     inv = inversion.invert_patch(patch)
     nu, nv = args.grid
     mesh = flow.sample_mesh(inv, nu, nv) if args.export else None
-    output.check_writable(args.out, args.export)
     if args.out:
         catalog.save_family(
             catalog.FamilySpec(kind="inverted", params={"inner": fam}), args.out)
     if args.export:
         flow.write_obj(mesh, args.export)
     print(f"inverted patch {patch.label!r}")
-    return 0
 
 
 def _cmd_verify_shift(args):
@@ -384,7 +326,6 @@ def _cmd_verify_shift(args):
         output.write_json(args.out, {"alpha": args.alpha, "shifted_alpha": a2,
                                      "source": before.to_json_dict(),
                                      "image": after.to_json_dict()})
-    return 0
 
 
 def _cmd_flow(args):
@@ -402,12 +343,10 @@ def _cmd_flow(args):
     first, last = trace.rows[0], trace.rows[-1]
     print(f"energy {first[1]:.9g} -> {last[1]:.9g}; "
           f"grad_max {first[2]:.3g} -> {last[2]:.3g} in {args.steps} steps")
-    output.check_writable(args.trace, args.export)
     if args.trace:
         trace.write_csv(args.trace)
     if args.export:
         flow.write_obj(final, args.export)
-    return 0
 
 
 def _cmd_export(args):
@@ -417,7 +356,6 @@ def _cmd_export(args):
     flow.write_obj(mesh, args.export)
     print(f"wrote {len(mesh.vertices)} vertices, {len(mesh.triangles)} "
           f"triangles to {args.export}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -430,33 +368,44 @@ def build_parser():
         description="numerical toolkit for weighted-area stationary surfaces")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(name, help_text, grid_default="64x64"):
+    def command(name, help_text, func, shapes=_SHAPE_FLAGS, spec=True,
+                alpha=0.0, grid="64x64", out=True):
+        """A subcommand with the family, --alpha, --grid and --out flags
+        that ``func`` reads; None or False leaves one out."""
         sp = sub.add_parser(name, help=help_text)
-        _add_family_flags(sp)
-        sp.add_argument("--alpha", type=_finite_float, default=0.0)
-        sp.add_argument("--grid", type=_grid_arg, default=_grid_arg(grid_default))
-        sp.add_argument("--out")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.set_defaults(func=func)
+        sp.add_argument("--family", help="catalog family kind")
+        if spec:
+            sp.add_argument("--spec", help="JSON family spec file")
+        for key in shapes:
+            sp.add_argument("--" + key.replace("_", "-"), type=_SHAPE_FLAGS[key])
+        if alpha is not None:
+            sp.add_argument("--alpha", type=_finite_float, default=alpha)
+        if grid:
+            sp.add_argument("--grid", type=_grid_arg, default=grid)
+        if out:
+            sp.add_argument("--out")
         return sp
 
-    sp = common("verify", "residual of the stationarity equation on a grid")
+    sp = command("verify", "residual of the stationarity equation on a grid",
+                 _cmd_verify)
     sp.add_argument("--csv")
-    sp.set_defaults(func=_cmd_verify)
 
-    sp = common("energy", "weighted-area energy by quadrature")
-    sp.set_defaults(func=_cmd_energy)
+    command("energy", "weighted-area energy by quadrature", _cmd_energy)
 
-    sp = common("coeffs", "ruled-surface defect polynomial coefficients")
+    sp = command("coeffs", "ruled-surface defect polynomial coefficients",
+                 _cmd_coeffs, shapes=(), grid=None)
     sp.add_argument("--samples", type=int, default=64)
-    sp.set_defaults(func=_cmd_coeffs)
 
-    sp = common("fourier", "harmonics of the weighted defect on a v-circle")
+    sp = command("fourier", "harmonics of the weighted defect on a v-circle",
+                 _cmd_fourier, grid=None)
     sp.add_argument("--u", type=_finite_float, required=True)
     sp.add_argument("--nmax", type=int, default=4)
     sp.add_argument("--nv", type=int, default=64)
-    sp.set_defaults(func=_cmd_fourier)
 
-    sp = common("generate", "integrate an ODE-defined surface family")
+    sp = command("generate", "integrate an ODE-defined surface family",
+                 _cmd_generate, shapes=("c_drift", "r0", "span"), spec=False,
+                 alpha=-2.0)
     sp.add_argument("--kappa", help="curvature expression in u, e.g. 1/u")
     sp.add_argument("--u", type=_range_arg, help="integration range lo:hi")
     sp.add_argument("--a0", type=_finite_float, default=0.0)
@@ -464,18 +413,19 @@ def build_parser():
     sp.add_argument("--dr0", type=_finite_float, default=0.0)
     sp.add_argument("--solution", help="CSV path for the profile table")
     sp.add_argument("--export", help="OBJ path for the sampled surface")
-    sp.set_defaults(func=_cmd_generate, alpha=-2.0)
 
-    sp = common("invert", "transport a family through the sphere inversion")
+    sp = command("invert", "transport a family through the sphere inversion",
+                 _cmd_invert, alpha=None)
     sp.add_argument("--export", help="OBJ path for the inverted mesh")
-    sp.set_defaults(func=_cmd_invert)
 
-    sp = common("verify-shift", "check the exponent shift under inversion")
+    sp = command("verify-shift", "check the exponent shift under inversion",
+                 _cmd_verify_shift)
     sp.add_argument("--direction", choices=["forward", "inverse"],
                     default="forward")
-    sp.set_defaults(func=_cmd_verify_shift)
 
-    sp = common("flow", "gradient descent of the discrete energy", "16x32")
+    sp = command("flow", "gradient descent of the discrete energy", _cmd_flow,
+                 grid="16x32", out=False)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--steps", type=int, default=100)
     sp.add_argument("--step-rule", dest="step_rule",
                     choices=["backtracking", "fixed"], default="backtracking")
@@ -483,11 +433,10 @@ def build_parser():
     sp.add_argument("--perturb", type=_finite_float, default=0.0)
     sp.add_argument("--trace", help="CSV path for the energy trace")
     sp.add_argument("--export", help="OBJ path for the final mesh")
-    sp.set_defaults(func=_cmd_flow)
 
-    sp = common("export", "sample a family into an OBJ mesh", "32x64")
+    sp = command("export", "sample a family into an OBJ mesh", _cmd_export,
+                 alpha=None, grid="32x64", out=False)
     sp.add_argument("--export", required=True)
-    sp.set_defaults(func=_cmd_export)
 
     return ap
 
@@ -496,7 +445,11 @@ def main(argv=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        return args.func(args)
+        # every target is checked before the work, so a bad one fails
+        # before anything is printed or written
+        output.check_writable(*(getattr(args, k, None) for k in _OUTPUTS))
+        args.func(args)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -385,6 +385,8 @@ def _neg2_profile(kappa, y0, u0, u1, max_step):
         if not (r > 0.0):
             raise FoliationCollapseError(f"radius collapsed at u={u:.6g}")
         k, kp = at[u]
+        if not (k > 0.0):
+            raise FrameUndefinedError(f"kappa({u}) = {k} <= 0")
         # both equations are affine in (rpp, app): probe to build the system
         (e0, g0), (e1, g1), (e2, g2) = (
             (neg2_eq21(a, ap, app, r, rp, rpp, k, kp),

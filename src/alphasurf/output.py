@@ -3,8 +3,9 @@
 Every result file is opened through ``atomic_open``.  The bytes go to a
 temporary file in the target's directory, which replaces the target only
 after the write succeeded, so a failed run leaves neither a partial file
-nor a stray temporary one.  A command with several outputs calls
-``check_writable`` on all of them before it writes the first.
+nor a stray temporary one.  The command line calls ``check_writable`` on
+every output target before the command runs, so a bad target fails before
+anything is printed, computed or written.
 
 Float arrays are formatted ``BLOCK_ROWS`` rows at a time with one C-level
 call per block, never one Python call per number, and give the same bytes
@@ -52,8 +53,8 @@ def _temp_beside(path):
 
 def check_writable(*paths):
     """Fail as ``atomic_open`` would on the first path (None skipped) that
-    cannot be written, so a command with several outputs can stop before
-    its first write instead of after it."""
+    cannot be written, so a command can stop before its work and its first
+    write instead of after them."""
     for path in paths:
         if path is not None:
             fd, tmp = _temp_beside(os.fspath(path))

@@ -1,10 +1,12 @@
 import json
 import os
+import random
 
 import numpy as np
 import pytest
 
-from alphasurf.cli import main, parse_scalar_expr
+from alphasurf import cli
+from alphasurf.cli import MAX_EXPR_DEPTH, main, parse_scalar_expr
 from alphasurf.errors import ValidationError
 
 
@@ -32,6 +34,219 @@ def test_expression_parser_rejects_garbage():
     for bad in ("sin(u)", "u + ", "2 ** u", "u^v", "x + 1"):
         with pytest.raises(ValidationError):
             parse_scalar_expr(bad)
+
+
+# The hand-written recursive-descent parser that read expressions before
+# Python's own parser did; the oracle for the corpus test below.
+
+def _tokenize(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*/^()":
+            tokens.append(ch)
+            i += 1
+        elif ch.isdigit() or ch == ".":
+            j = i
+            while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
+                                     or (text[j] in "+-" and text[j - 1] in "eE")):
+                j += 1
+            try:
+                tokens.append(("num", float(text[i:j])))
+            except ValueError:
+                raise ValidationError(f"malformed number {text[i:j]!r}") from None
+            i = j
+        elif ch.isalpha():
+            j = i
+            while j < len(text) and text[j].isalpha():
+                j += 1
+            name = text[i:j]
+            if name != "u":
+                raise ValidationError(f"unknown name {name!r} in expression")
+            tokens.append(("var",))
+            i = j
+        else:
+            raise ValidationError(f"unexpected character {ch!r} in expression")
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens):
+        self.toks = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expr(self):
+        node = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            node = ("add" if op == "+" else "sub", node, rhs)
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek() in ("*", "/"):
+            op = self.take()
+            rhs = self.factor()
+            node = ("mul" if op == "*" else "div", node, rhs)
+        return node
+
+    def factor(self):
+        if self.peek() == "-":
+            self.take()
+            return ("neg", self.factor())
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek() == "^":
+            self.take()
+            exp = self.factor()
+            if exp[0] == "neg" and exp[1][0] == "num":
+                exp = ("num", -exp[1][1])
+            if exp[0] != "num":
+                raise ValidationError("exponent must be a constant")
+            return ("pow", base, exp[1])
+        return base
+
+    def atom(self):
+        tok = self.take()
+        if tok == "(":
+            node = self.expr()
+            if self.take() != ")":
+                raise ValidationError("missing closing parenthesis")
+            return node
+        if isinstance(tok, tuple) and tok[0] == "num":
+            return ("num", tok[1])
+        if isinstance(tok, tuple) and tok[0] == "var":
+            return ("var",)
+        raise ValidationError(f"unexpected token {tok!r} in expression")
+
+
+def _old_tree(text):
+    """The old parser's tree, or None where it refused the text."""
+    try:
+        p = _Parser(_tokenize(text))
+        tree = p.expr()
+    except ValidationError:
+        return None
+    return tree if p.peek() is None else None
+
+
+def _new_tree(text):
+    try:
+        return cli._parse_tree(text)
+    except ValidationError:
+        return None
+
+
+def _depth(tree):
+    kids = [k for k in tree[1:] if isinstance(k, tuple)]
+    return 1 + max(map(_depth, kids)) if kids else 0
+
+
+_SPACES = ["", "", "", " ", "  ", "\t", "\n", " \t\n "]
+_NUMBERS = ["0", "1", "2", "10", "007", "00", "0.5", ".5", "1.", "3.25", "1e3",
+            "1E3", "1e-3", "2.5e+2", "1.e2", ".5e1", "1e05", "1e400", "0e0",
+            "123456789012345678901234567890"]
+# pieces that the old parser refused, or that Python reads differently
+_JUNK = ["**", "//", "+", "1_0", "0x10", "1j", "1e", "1e+", "e", "E", "v", "x",
+         ".", "..", "...", "u.e", "2u", "u2", "uu", "^", "(", ")", "()", "--",
+         "%", ",", "[", "'", "_", "1..2", "٣", "\u00a0", "\u2003", "sin"]
+
+
+def _random_expr(rng, depth):
+    def sp():
+        return rng.choice(_SPACES)
+
+    if depth <= 0 or rng.random() < 0.25:
+        leaf = "u" if rng.random() < 0.5 else rng.choice(_NUMBERS)
+        return sp() + leaf + sp()
+    kind = rng.random()
+    if kind < 0.15:
+        return sp() + "-" + _random_expr(rng, depth - 1)
+    if kind < 0.3:
+        return "(" + _random_expr(rng, depth - 1) + ")"
+    if kind < 0.5:
+        exp = rng.choice([rng.choice(_NUMBERS), "-" + rng.choice(_NUMBERS),
+                          "(" + rng.choice(_NUMBERS) + ")", "-(" + rng.choice(_NUMBERS) + ")",
+                          "u", "--2", "2^2", "(-2)", "-" + sp() + "2",
+                          _random_expr(rng, depth - 1)])
+        return _random_expr(rng, depth - 1) + sp() + "^" + sp() + exp
+    op = rng.choice("+-*/")
+    return _random_expr(rng, depth - 1) + sp() + op + sp() + _random_expr(rng, depth - 1)
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        action = rng.random()
+        if action < 0.4:
+            text = text[:i] + rng.choice(_JUNK) + text[i:]
+        elif action < 0.7 and text:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(["u", "1", "-", "^", "(", ")", " "]) + text[i:]
+    return text
+
+
+def test_expression_parser_matches_the_old_parser_on_a_corpus():
+    rng = random.Random(20261018)
+    corpus = list(_JUNK) + [
+        "u ^ -2", "u^-0", "-u^2", "u^2^3", "u^-2*3", "u^(-(2))", "u^-(-2)",
+        "2^u", "u**2", "u//2", "+u", "u++u", "1 2", "u\t*\n2", "01 + u",
+        "u^2.5e-1", "(u)(u)", "2(u)", "u^ --2", "1e5e5", "2e-u", "1.e",
+        "1" + "0" * 400 + "*u"]
+    # around the depth bound: sums, unary minuses and parenthesised quotients
+    for k in range(MAX_EXPR_DEPTH - 2, MAX_EXPR_DEPTH + 3):
+        corpus += ["+".join(["u"] * (k + 1)), "-" * k + "u",
+                   "(1/" * k + "u" + ")" * k]
+    while len(corpus) < 24_000:
+        text = _random_expr(rng, rng.randint(0, 8))
+        corpus.append(_mutate(rng, text) if rng.random() < 0.5 else text)
+    accepted = narrowed = 0
+    for text in corpus:
+        old, new = _old_tree(text), _new_tree(text)
+        # the two intended differences: trees past the depth bound, and
+        # digits outside 0-9, which float() read but are refused now
+        if old is not None and (_depth(old) > MAX_EXPR_DEPTH or any(
+                ch.isdigit() and not ch.isascii() for ch in text)):
+            assert new is None, text
+            narrowed += 1
+            continue
+        # repr tells -0.0 from 0.0
+        assert repr(new) == repr(old), text
+        accepted += old is not None
+    # both halves of the corpus are populated
+    assert accepted > 5000 and len(corpus) - accepted > 5000
+
+
+def test_nested_quotients_up_to_the_depth_bound():
+    def nested(depth):
+        text = "u"
+        for _ in range(depth):
+            text = f"1/({text})"
+        return text
+
+    u = np.linspace(1.0, 2.0, 5)
+    for text in (nested(MAX_EXPR_DEPTH), nested(MAX_EXPR_DEPTH - 1)):
+        jet = parse_scalar_expr(text).eval2(u)
+        assert all(np.isfinite(part).all() for part in jet)
+    v, d1, d2 = parse_scalar_expr(nested(MAX_EXPR_DEPTH)).eval2(u)
+    assert np.allclose(v, u) and np.allclose(d1, 1.0) and np.allclose(d2, 0.0)
+    with pytest.raises(ValidationError, match="nested deeper"):
+        parse_scalar_expr(nested(MAX_EXPR_DEPTH + 1))
 
 
 def test_verify_sphere(tmp_path, capsys):
@@ -169,6 +384,20 @@ def test_fourier_command(tmp_path, capsys):
     ["flow", "--family", "sphere", "--alpha", "nan", "--steps", "2"],
     ["verify", "--family", "sphere", "--center=0,-inf,0"],
     ["verify", "--family", "catenoid", "--u-range=-1:nan"],
+    # spec files: non-finite numbers, and nesting too deep for the decoder
+    ["verify", "--spec", "nan.json", "--grid", "8x8"],
+    ["verify", "--spec", "huge.json", "--grid", "8x8"],
+    ["verify", "--spec", "inf.json", "--grid", "8x8"],
+    ["verify", "--spec", "deep.json", "--grid", "8x8"],
+    # expressions nested past Python's or the old parser's recursion limit
+    ["generate", "--family", "neg2-ode", "--kappa=" + "-" * 1200 + "u",
+     "--u", "1:1.6", "--r0", "1", "--out", "g.json"],
+    ["generate", "--family", "neg2-ode", "--kappa", "(" * 300 + "u" + ")" * 300,
+     "--u", "1:1.6", "--r0", "1", "--out", "g.json"],
+    ["generate", "--family", "neg2-ode", "--kappa", "+".join(["u"] * 1500),
+     "--u", "1:1.6", "--r0", "1", "--out", "g.json"],
+    # an integer past the float range
+    ["verify", "--spec", "bigint.json", "--grid", "8x8"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
                                                capsys):
@@ -176,6 +405,15 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
     (tmp_path / "nokind.json").write_text('{"params": {}}')
     (tmp_path / "nofields.json").write_text(
         '{"kind": "frenet_cyclic", "params": {}}')
+    (tmp_path / "nan.json").write_text(
+        '{"kind": "sphere", "params": {"radius": NaN}}')
+    (tmp_path / "huge.json").write_text(
+        '{"kind": "catenoid", "params": {"waist": 1e999}}')
+    (tmp_path / "inf.json").write_text(
+        '{"kind": "sphere", "params": {"center": [0, Infinity, 0]}}')
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "bigint.json").write_text(
+        '{"kind": "sphere", "params": {"radius": 1%s}}' % ("0" * 400))
     monkeypatch.chdir(tmp_path)
     before = sorted(os.listdir())
     assert main(argv) == 2
@@ -235,8 +473,9 @@ def test_directory_target_exits_2_without_files(argv, tmp_path, monkeypatch,
     (tmp_path / "sub").mkdir()
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["error: cannot write 'sub': Is a directory"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: cannot write 'sub': Is a directory"]
     assert os.listdir() == ["sub"] and os.listdir("sub") == []
 
 
@@ -248,5 +487,55 @@ def test_nan_curvature_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: kappa(")
+    assert os.listdir() == []
+
+
+# Flags that a subcommand parsed and then ignored, now refused: per
+# subcommand, a working command line and the flags it no longer takes.
+_SHAPE_VALUES = {"--center": "0,0,0", "--normal": "0,0,1", "--radius": "1",
+                 "--offset": "1", "--pitch": "1", "--waist": "1",
+                 "--extent": "1", "--u-range": "0:1", "--t-range": "0:1",
+                 "--c-drift": "1", "--r0": "1", "--span": "1"}
+_BASES = {
+    "verify": ["verify", "--family", "sphere", "--grid", "4x4"],
+    "energy": ["energy", "--family", "sphere", "--grid", "4x4"],
+    "coeffs": ["coeffs", "--family", "helicoid", "--samples", "4"],
+    "fourier": ["fourier", "--family", "sphere", "--alpha", "-2", "--u", "1",
+                "--nv", "16"],
+    "generate": ["generate", "--family", "riemann", "--r0", "1", "--span", "0.3",
+                 "--alpha", "0", "--grid", "4x8"],
+    "invert": ["invert", "--family", "sphere", "--center", "2,0,0", "--grid", "4x8"],
+    "verify-shift": ["verify-shift", "--family", "catenoid", "--grid", "4x4"],
+    "flow": ["flow", "--family", "sphere", "--grid", "4x8", "--steps", "1"],
+    "export": ["export", "--family", "sphere", "--grid", "4x8", "--export", "e.obj"],
+}
+_REMOVED = (
+    [(sub, "--seed", "1") for sub in _BASES if sub != "flow"]
+    + [(sub, "--out", "x.json") for sub in ("flow", "export")]
+    + [(sub, "--alpha", "1") for sub in ("invert", "export")]
+    + [(sub, "--grid", "4x4") for sub in ("coeffs", "fourier")]
+    + [("coeffs", flag, value) for flag, value in _SHAPE_VALUES.items()]
+    + [("generate", "--spec", "s.json")]
+    + [("generate", flag, value) for flag, value in _SHAPE_VALUES.items()
+       if flag not in ("--c-drift", "--r0", "--span")])
+
+
+def test_removed_flags_and_their_base_commands(tmp_path, monkeypatch, capsys):
+    assert len(_REMOVED) == 36
+    monkeypatch.chdir(tmp_path)
+    for argv in _BASES.values():
+        assert main(argv) == 0, argv
+
+
+@pytest.mark.parametrize("sub, flag, value", _REMOVED,
+                         ids=[f"{sub}{flag}" for sub, flag, _ in _REMOVED])
+def test_ignored_flag_is_refused(sub, flag, value, tmp_path, monkeypatch,
+                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(_BASES[sub] + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: unrecognized arguments: {flag} {value}"]
     assert os.listdir() == []

@@ -78,6 +78,12 @@ CLI_CASES = [
      ["export", "--family", "sphere", "--radius", "2", "--grid", "8x16",
       "--export", "sphere.obj"],
      ["sphere.obj"]),
+    # the inner family's params follow the flag table, not the argv order
+    ("invert",
+     ["invert", "--family", "catenoid", "--waist", "1.2", "--u-range", "0.2:1",
+      "--center", "3,0,0", "--grid", "8x16", "--out", "inv.json",
+      "--export", "inv.obj"],
+     ["inv.json", "inv.obj"]),
     ("coeffs-helicoid",
      ["coeffs", "--family", "helicoid", "--samples", "33", "--out",
       "coeffs.csv"],
@@ -204,6 +210,12 @@ GOLDEN = {
         'ea47156f7f460c5299856a36cf50c5019e70dab3754fbb5412a22c38f9650b50',
     'generate-riemann/stdout':
         '12d71fe241716aee15281b44792ccab8607540aa9fe08ef54033fad2f2a91c35',
+    'invert/inv.json':
+        '5102ec797530256508cd0c198adb53bd0fa6c95dcdc3e1d1e6e97f24c2f8be8a',
+    'invert/inv.obj':
+        'd3687815c3d6fd756692b0b22a6d810dd9ac23e4cfcdcb0f2668be96892ed8df',
+    'invert/stdout':
+        '9934da038d48a5271a95414ab540589e0e45d39a36cb8547301d785e934c27cb',
     'latitude-beta/table':
         'dfda242a9f69bdcb56b2dcbcd3351e323cab20ee12e0700265768f6c2a184dac',
     'normalize-beta/table':

@@ -309,20 +309,33 @@ def test_guards_fire_in_a_later_tile(rows, monkeypatch):
             energy(_flat_patch(_infinite), 1.0, nu, nv)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in kilobytes on Linux only")
-def test_verify_1024_grid_peak_memory(tmp_path):
+def _peak_rss_mb(argv, cwd):
+    """Peak RSS in MB of ``alphasurf ARGV`` run in a child interpreter."""
     # an intermediate interpreter, so RUSAGE_CHILDREN sees that one child
     probe = (
         "import resource, subprocess, sys\n"
-        "subprocess.run([sys.executable, '-m', 'alphasurf.cli', 'verify',"
-        " '--family', 'catenoid', '--grid', '1024x1024'], check=True,"
-        " stdout=subprocess.DEVNULL)\n"
+        f"subprocess.run([sys.executable, '-m', 'alphasurf.cli', *{argv!r}],"
+        " check=True, stdout=subprocess.DEVNULL)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
                          check=True, capture_output=True, text=True).stdout
-    assert int(out) / 1024 <= 160.0
+    return int(out) / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux only")
+def test_verify_1024_grid_peak_memory(tmp_path):
+    argv = ["verify", "--family", "catenoid", "--grid", "1024x1024"]
+    assert _peak_rss_mb(argv, tmp_path) <= 160.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux only")
+def test_coeffs_million_samples_peak_memory(tmp_path):
+    # the 40 MB result is held once: max|A| builds no second array
+    argv = ["coeffs", "--family", "helicoid", "--samples", "1000000"]
+    assert _peak_rss_mb(argv, tmp_path) <= 100.0
