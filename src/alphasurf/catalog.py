@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     reads_spec,
 )
-from .interp import Curve3, ScalarFunc, _rk4
+from .interp import Curve3, ScalarFunc, _rk4, read_table, write_table
 from .stationary import _defect_with_puu, _puu_free_terms
 from .surface_kernel import Jet2, ParametricPatch, translated
 
@@ -69,12 +69,11 @@ def _plane_basis(normal):
     return n, e1, e2
 
 
-def plane_patch(normal, offset=0.0, extent=2.0, label=None) -> ParametricPatch:
+def plane_patch(normal, offset=0.0, extent=2.0) -> ParametricPatch:
     """Plane with the given unit normal at signed distance ``offset`` from 0."""
     n, e1, e2 = _plane_basis(normal)
     base = float(offset) * n
-    if label is None:
-        label = "vector-plane" if offset == 0.0 else f"affine-plane(d={offset})"
+    label = "vector-plane" if offset == 0.0 else f"affine-plane(d={offset})"
 
     def ev(u, v):
         zeros = np.zeros(np.shape(u) + (3,))
@@ -88,14 +87,12 @@ def plane_patch(normal, offset=0.0, extent=2.0, label=None) -> ParametricPatch:
                            v_range=(-extent, extent), label=label)
 
 
-def sphere_patch(center, radius, label=None) -> ParametricPatch:
+def sphere_patch(center, radius) -> ParametricPatch:
     """Sphere in colatitude/longitude coordinates; u-endpoints are poles."""
     c = np.asarray(center, dtype=float)
     R = float(radius)
     if R <= 0:
         raise SpecValidationError("sphere radius must be positive")
-    if label is None:
-        label = f"sphere(c={c.tolist()},R={R})"
 
     def ev(u, v):
         su, cu = np.sin(u), np.cos(u)
@@ -109,17 +106,15 @@ def sphere_patch(center, radius, label=None) -> ParametricPatch:
 
     return ParametricPatch(evaluator=ev, u_range=(0.0, math.pi),
                            v_range=(0.0, 2.0 * math.pi), v_periodic=True,
-                           u_collapse=(True, True), label=label)
+                           u_collapse=(True, True),
+                           label=f"sphere(c={c.tolist()},R={R})")
 
 
-def helicoid_patch(pitch=1.0, t_range=(-2.0, 2.0), turns=1.0,
-                   label=None) -> ParametricPatch:
+def helicoid_patch(pitch=1.0, t_range=(-2.0, 2.0), turns=1.0) -> ParametricPatch:
     """Psi(s, t) = (t cos s, t sin s, pitch * s)."""
     p = float(pitch)
     if p == 0.0:
         raise SpecValidationError("helicoid pitch must be nonzero")
-    if label is None:
-        label = f"helicoid(pitch={p})"
 
     def ev(u, v):
         cs, sn = np.cos(u), np.sin(u)
@@ -135,18 +130,16 @@ def helicoid_patch(pitch=1.0, t_range=(-2.0, 2.0), turns=1.0,
     return ParametricPatch(evaluator=ev,
                            u_range=(0.0, 2.0 * math.pi * float(turns)),
                            v_range=(float(t_range[0]), float(t_range[1])),
-                           label=label)
+                           label=f"helicoid(pitch={p})")
 
 
-def catenoid_patch(waist=1.0, u_range=(-1.5, 1.5), center=(0.0, 0.0, 0.0),
-                   label=None) -> ParametricPatch:
+def catenoid_patch(waist=1.0, u_range=(-1.5, 1.5),
+                   center=(0.0, 0.0, 0.0)) -> ParametricPatch:
     """(c cosh(u/c) cos v, c cosh(u/c) sin v, u), axis through ``center``."""
     c = float(waist)
     if c <= 0:
         raise SpecValidationError("catenoid waist must be positive")
     off = np.asarray(center, dtype=float)
-    if label is None:
-        label = f"catenoid(waist={c})"
 
     def ev(u, v):
         r = c * np.cosh(u / c)
@@ -165,7 +158,7 @@ def catenoid_patch(waist=1.0, u_range=(-1.5, 1.5), center=(0.0, 0.0, 0.0),
     return ParametricPatch(evaluator=ev,
                            u_range=(float(u_range[0]), float(u_range[1])),
                            v_range=(0.0, 2.0 * math.pi), v_periodic=True,
-                           label=label)
+                           label=f"catenoid(waist={c})")
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +339,8 @@ def make_patch(spec: FamilySpec) -> ParametricPatch:
     if k == "sphere":
         return sphere_patch(p.get("center", (0.0, 0.0, 0.0)), p.get("radius", 1.0))
     if k == "cylinder_over_curve":
-        curve = p["curve"] if "curve" in p else _directrix_from_params(p["directrix"])
-        return _ruled.build_cylinder_patch(curve, p.get("t_range", (-1.0, 1.0)))
+        return _ruled.build_cylinder_patch(_directrix_from_params(p["directrix"]),
+                                           p.get("t_range", (-1.0, 1.0)))
     if k == "helicoid":
         patch = helicoid_patch(p.get("pitch", 1.0),
                                t_range=p.get("t_range", (-2.0, 2.0)),
@@ -360,20 +353,15 @@ def make_patch(spec: FamilySpec) -> ParametricPatch:
                               u_range=p.get("u_range", (-1.5, 1.5)),
                               center=p.get("center", (0.0, 0.0, 0.0)))
     if k == "ruled_generic":
-        rs = p["spec"] if "spec" in p else ruled_spec_from_dict(p)
-        return _ruled.build_ruled_patch(rs, p.get("t_range", (-1.0, 1.0)))
+        return _ruled.build_ruled_patch(p["spec"], p.get("t_range", (-1.0, 1.0)))
     if k in ("parallel_cyclic", "frenet_cyclic"):
-        cs = p["spec"] if "spec" in p else _cyclic.cyclic_spec_from_dict(p)
+        cs = p["spec"]
         want = "parallel" if k == "parallel_cyclic" else "frenet"
         if cs.mode != want:
             raise SpecValidationError(f"cyclic spec mode {cs.mode!r} does not match {k}")
         return _cyclic.build_cyclic(cs)
     if k == "inverted":
-        inner = p["inner"]
-        if isinstance(inner, dict):
-            inner = family_from_dict(inner)
-        inner_patch = inner if isinstance(inner, ParametricPatch) else make_patch(inner)
-        return _inversion.invert_patch(inner_patch)
+        return _inversion.invert_patch(make_patch(p["inner"]))
     if k == "log_spiral_neg2":
         return _cyclic.log_spiral_example(p.get("u_range", (0.5, 2.0)))
     if k == "riemann_minimal":
@@ -386,29 +374,17 @@ def make_patch(spec: FamilySpec) -> ParametricPatch:
 # JSON round-trip
 
 
-def _curve_table_dict(curve: Curve3, s_range, n=801):
-    s = np.linspace(*s_range, n)
-    pv, d1, d2 = curve.eval2(s)
-    return {"s": s.tolist(), "p": pv.tolist(), "d1": d1.tolist(),
-            "d2": d2.tolist()}
-
-
-def _curve_from_table(d) -> Curve3:
-    return Curve3.from_table(np.asarray(d["s"]), np.asarray(d["p"]),
-                             np.asarray(d["d1"]), np.asarray(d["d2"]))
-
-
 def ruled_spec_to_dict(spec: _ruled.RuledSpec) -> dict:
     return {"s_range": list(spec.s_range),
             "cylindrical": spec.cylindrical,
-            "gamma": _curve_table_dict(spec.gamma, spec.s_range),
-            "beta": _curve_table_dict(spec.beta, spec.s_range)}
+            "gamma": write_table(spec.gamma, spec.s_range),
+            "beta": write_table(spec.beta, spec.s_range)}
 
 
 @reads_spec
 def ruled_spec_from_dict(d) -> _ruled.RuledSpec:
-    return _ruled.RuledSpec(gamma=_curve_from_table(d["gamma"]),
-                            beta=_curve_from_table(d["beta"]),
+    return _ruled.RuledSpec(gamma=read_table(Curve3, d["gamma"]),
+                            beta=read_table(Curve3, d["beta"]),
                             s_range=tuple(d["s_range"]),
                             cylindrical=bool(d.get("cylindrical", False)))
 

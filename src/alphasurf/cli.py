@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import catalog, cyclic, flow, inversion, output, ruled, stationary
-from .errors import NumericalError, ValidationError
+from .errors import NonFiniteOutputError, NumericalError, ValidationError
 from .interp import Curve3, ScalarFunc
 
 
@@ -193,15 +193,21 @@ _SHAPE_FLAGS = {
 _OUTPUTS = ("out", "csv", "solution", "trace", "export")
 
 
+# The generate flags that each family refuses: those of the other one.
+_GENERATE_REFUSES = {"neg2-ode": ("c_drift", "span"),
+                     "riemann": ("kappa", "u", "a0", "da0", "dr0")}
+
+
 def _family_from_args(args) -> catalog.FamilySpec:
+    params = {key: getattr(args, key) for key in _SHAPE_FLAGS
+              if getattr(args, key) is not None}
+    if args.spec and params:
+        raise ValidationError("--spec excludes --" + next(iter(params)).replace("_", "-"))
     if args.spec:
         return catalog.load_family(args.spec)
     if not args.family:
         raise ValidationError("either --family or --spec is required")
-    kind = args.family.replace("-", "_")
-    params = {key: getattr(args, key) for key in _SHAPE_FLAGS
-              if getattr(args, key) is not None}
-    return catalog.FamilySpec(kind=kind, params=params)
+    return catalog.FamilySpec(kind=args.family.replace("-", "_"), params=params)
 
 
 def _patch_from_args(args):
@@ -213,11 +219,20 @@ def _patch_from_args(args):
 # subcommand implementations
 
 
+def _summary(text, *numbers):
+    """Print a command's summary line; like a result file, it refuses a
+    number that is not finite."""
+    if not np.isfinite(numbers).all():
+        raise NonFiniteOutputError(f"refusing to print non-finite values: {text}")
+    print(text)
+
+
 def _cmd_verify(args):
     _, patch = _patch_from_args(args)
     nu, nv = args.grid
     report = stationary.residual_grid(patch, args.alpha, nu, nv)
-    print(f"sup|residual| = {report.sup_abs:.3g} over {report.sample_count} samples")
+    _summary(f"sup|residual| = {report.sup_abs:.3g} over {report.sample_count} "
+             "samples", report.sup_abs)
     if args.out:
         report.write_json(args.out)
     if args.csv:
@@ -228,7 +243,7 @@ def _cmd_energy(args):
     _, patch = _patch_from_args(args)
     nu, nv = args.grid
     value = stationary.energy(patch, args.alpha, nu, nv)
-    print(f"energy = {value:.12g}")
+    _summary(f"energy = {value:.12g}", value)
     if args.out:
         output.write_json(args.out, {"alpha": args.alpha, "nu": nu, "nv": nv,
                                      "energy": value})
@@ -255,7 +270,8 @@ def _cmd_coeffs(args):
     s = np.linspace(*rs.s_range, args.samples)
     A = ruled.ruled_coeffs(rs, args.alpha, s)
     # max|A| without a second array of |A|; abs() drops the sign of a zero
-    print(f"max|A_n| = {abs(max(A.max(), -A.min())):.3g} over {args.samples} samples")
+    top = abs(max(A.max(), -A.min()))
+    _summary(f"max|A_n| = {top:.3g} over {args.samples} samples", top)
     if args.out:
         output.write_csv(args.out, ["s", "A0", "A1", "A2", "A3", "A4"],
                          np.column_stack([s, A]), ["%.17g"] * 6)
@@ -266,32 +282,39 @@ def _cmd_fourier(args):
     fc = stationary.fourier_defect(patch, args.alpha, args.u,
                                    n_max=args.nmax, nv=args.nv)
     amp = np.hypot(fc.A, fc.B)
-    print("harmonic amplitudes:",
-          " ".join(f"n={n}:{a:.3g}" for n, a in enumerate(amp)))
+    _summary("harmonic amplitudes: "
+             + " ".join(f"n={n}:{a:.3g}" for n, a in enumerate(amp)), *amp)
     if args.out:
         output.write_json(args.out, fc.to_json_dict())
 
 
 def _cmd_generate(args):
-    if args.family in ("neg2-ode", "neg2_ode"):
+    family = "neg2-ode" if args.family == "neg2_ode" else args.family
+    if family not in _GENERATE_REFUSES:
+        raise ValidationError("generate supports --family neg2-ode or riemann")
+    for key in _GENERATE_REFUSES[family]:
+        if getattr(args, key) is not None:
+            raise ValidationError(f"generate {family} does not take --"
+                                  + key.replace("_", "-"))
+    if family == "neg2-ode":
         if not args.kappa or not args.u or args.r0 is None:
             raise ValidationError("generate neg2-ode needs --kappa, --u and --r0")
-        spec = cyclic.integrate_neg2_family(parse_scalar_expr(args.kappa), args.a0,
-                                            args.da0, args.r0, args.dr0, args.u)
+        a0, da0, dr0 = (0.0 if x is None else x for x in (args.a0, args.da0, args.dr0))
+        spec = cyclic.integrate_neg2_family(parse_scalar_expr(args.kappa), a0,
+                                            da0, args.r0, dr0, args.u)
         fam = catalog.FamilySpec(kind="frenet_cyclic", params={"spec": spec})
-    elif args.family == "riemann":
+    else:
         if args.r0 is None:
             raise ValidationError("generate riemann needs --r0")
-        spec = catalog.riemann_minimal_spec(args.c_drift or 0.0,
-                                            args.r0, args.span or 1.0)
+        spec = catalog.riemann_minimal_spec(args.c_drift or 0.0, args.r0,
+                                            1.0 if args.span is None else args.span)
         fam = catalog.FamilySpec(kind="parallel_cyclic", params={"spec": spec})
-    else:
-        raise ValidationError("generate supports --family neg2-ode or riemann")
     patch = catalog.make_patch(fam)
     nu, nv = args.grid
     report = stationary.residual_grid(patch, args.alpha, nu, nv)
     mesh = flow.sample_mesh(patch, nu, nv) if args.export else None
-    print(f"generated; sup|residual| = {report.sup_abs:.3g} at alpha={args.alpha}")
+    _summary(f"generated; sup|residual| = {report.sup_abs:.3g} at alpha={args.alpha}",
+             report.sup_abs)
     if args.out:
         catalog.save_family(fam, args.out)
     if args.solution:
@@ -320,8 +343,9 @@ def _cmd_verify_shift(args):
     nu, nv = args.grid
     before, after = inversion.verify_shift(patch, args.alpha, nu, nv)
     a2 = inversion.shifted_alpha(args.alpha)
-    print(f"source sup|residual| = {before.sup_abs:.3g} at alpha={args.alpha}; "
-          f"image sup|residual| = {after.sup_abs:.3g} at alpha={a2}")
+    _summary(f"source sup|residual| = {before.sup_abs:.3g} at alpha={args.alpha}; "
+             f"image sup|residual| = {after.sup_abs:.3g} at alpha={a2}",
+             before.sup_abs, after.sup_abs)
     if args.out:
         output.write_json(args.out, {"alpha": args.alpha, "shifted_alpha": a2,
                                      "source": before.to_json_dict(),
@@ -341,8 +365,9 @@ def _cmd_flow(args):
     final, trace = flow.descend(mesh, args.alpha, args.steps,
                                 step_rule=args.step_rule, dt=args.dt)
     first, last = trace.rows[0], trace.rows[-1]
-    print(f"energy {first[1]:.9g} -> {last[1]:.9g}; "
-          f"grad_max {first[2]:.3g} -> {last[2]:.3g} in {args.steps} steps")
+    _summary(f"energy {first[1]:.9g} -> {last[1]:.9g}; "
+             f"grad_max {first[2]:.3g} -> {last[2]:.3g} in {args.steps} steps",
+             first[1], last[1], first[2], last[2])
     if args.trace:
         trace.write_csv(args.trace)
     if args.export:
@@ -374,9 +399,10 @@ def build_parser():
         that ``func`` reads; None or False leaves one out."""
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
-        sp.add_argument("--family", help="catalog family kind")
+        source = sp.add_mutually_exclusive_group()
+        source.add_argument("--family", help="catalog family kind")
         if spec:
-            sp.add_argument("--spec", help="JSON family spec file")
+            source.add_argument("--spec", help="JSON family spec file")
         for key in shapes:
             sp.add_argument("--" + key.replace("_", "-"), type=_SHAPE_FLAGS[key])
         if alpha is not None:
@@ -408,9 +434,9 @@ def build_parser():
                  alpha=-2.0)
     sp.add_argument("--kappa", help="curvature expression in u, e.g. 1/u")
     sp.add_argument("--u", type=_range_arg, help="integration range lo:hi")
-    sp.add_argument("--a0", type=_finite_float, default=0.0)
-    sp.add_argument("--da0", type=_finite_float, default=0.0)
-    sp.add_argument("--dr0", type=_finite_float, default=0.0)
+    sp.add_argument("--a0", type=_finite_float)
+    sp.add_argument("--da0", type=_finite_float)
+    sp.add_argument("--dr0", type=_finite_float)
     sp.add_argument("--solution", help="CSV path for the profile table")
     sp.add_argument("--export", help="OBJ path for the sampled surface")
 
@@ -448,7 +474,9 @@ def main(argv=None):
         # every target is checked before the work, so a bad one fails
         # before anything is printed or written
         output.check_writable(*(getattr(args, k, None) for k in _OUTPUTS))
-        args.func(args)
+        # a non-finite result is refused once, not warned about on the way
+        with np.errstate(all="ignore"):
+            args.func(args)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,8 @@ from .errors import (
     ValidationError,
     reads_spec,
 )
-from .interp import QuinticHermite, ScalarFunc, _rk4, stage_grid, stage_table
+from .interp import (QuinticHermite, ScalarFunc, _rk4, read_table, stage_grid,
+                     stage_table, write_table)
 from .surface_kernel import Jet2, ParametricPatch
 
 
@@ -71,9 +72,7 @@ class CurveFrame:
     b: np.ndarray
     kappa: ScalarFunc
     tau: ScalarFunc
-    _t_interp: QuinticHermite = field(init=False, repr=False, compare=False)
-    _n_interp: QuinticHermite = field(init=False, repr=False, compare=False)
-    _b_interp: QuinticHermite = field(init=False, repr=False, compare=False)
+    _tnb_interp: QuinticHermite = field(init=False, repr=False, compare=False)
     _gamma_interp: QuinticHermite = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,11 +80,11 @@ class CurveFrame:
         k, kp, _ = self.kappa.eval2(u)
         t_, tp, _ = self.tau.eval2(u)
         T, N, B = self.t, self.n, self.b
-        (dT, dN, dB), (ddT, ddN, ddB) = _frenet_derivs(T, N, B, k, kp, t_, tp)
-        object.__setattr__(self, "_t_interp", QuinticHermite(u, T, dT, ddT))
-        object.__setattr__(self, "_n_interp", QuinticHermite(u, N, dN, ddN))
-        object.__setattr__(self, "_b_interp", QuinticHermite(u, B, dB, ddB))
-        object.__setattr__(self, "_gamma_interp", QuinticHermite(u, self.gamma, T, dT))
+        d1, d2 = _frenet_derivs(T, N, B, k, kp, t_, tp)
+        # (t, n, b) side by side as nine columns: one table lookup for all
+        object.__setattr__(self, "_tnb_interp", QuinticHermite(
+            u, np.hstack([T, N, B]), np.hstack(d1), np.hstack(d2)))
+        object.__setattr__(self, "_gamma_interp", QuinticHermite(u, self.gamma, T, d1[0]))
 
     @property
     def u_range(self):
@@ -96,9 +95,7 @@ class CurveFrame:
 
     def frame_jets(self, u):
         """Frame vectors with first and second u-derivatives via Frenet."""
-        T = self._t_interp.eval2(u)[0]
-        N = self._n_interp.eval2(u)[0]
-        B = self._b_interp.eval2(u)[0]
+        T, N, B = np.split(self._tnb_interp(u), 3, axis=-1)
         k, kp, _ = self.kappa.eval2(u)
         t_, tp, _ = self.tau.eval2(u)
         return (T, N, B), *_frenet_derivs(T, N, B, k, kp, t_, tp)
@@ -207,8 +204,8 @@ def frenet_spec(frame, a, b, c, r, u_range=None, u_periodic=False,
                       label=label)
 
 
-def _validate_cyclic(spec: CyclicSpec, n=101):
-    u = np.linspace(*spec.u_range, n)
+def _validate_cyclic(spec: CyclicSpec):
+    u = np.linspace(*spec.u_range, 101)
     r = spec.r(u)
     if not np.all(r > 0.0):
         raise SpecValidationError("radius function must stay positive on the domain")
@@ -445,62 +442,42 @@ def log_spiral_example(u_range) -> ParametricPatch:
 # ---------------------------------------------------------------------------
 # serialization
 
-
-def _table_dict(func: ScalarFunc, u_range, n=801):
-    u = np.linspace(*u_range, n)
-    f, d1, d2 = func.eval2(u)
-    return {"u": u.tolist(), "f": f.tolist(), "d1": d1.tolist(), "d2": d2.tolist()}
-
-
-def _func_from_table(d) -> ScalarFunc:
-    return ScalarFunc.from_table(np.asarray(d["u"]), np.asarray(d["f"]),
-                                 np.asarray(d["d1"]), np.asarray(d["d2"]))
+# the spec tables of a cyclic spec; the last three only in frenet mode
+_TABLE_NAMES = ("a", "b", "r", "c", "kappa", "tau")
 
 
 def cyclic_spec_to_dict(spec: CyclicSpec) -> dict:
-    out = {
-        "mode": spec.mode,
-        "u_range": list(spec.u_range),
-        "u_periodic": spec.u_periodic,
-        "label": spec.label,
-        "a": _table_dict(spec.a, spec.u_range),
-        "b": _table_dict(spec.b, spec.u_range),
-        "r": _table_dict(spec.r, spec.u_range),
-    }
+    out = {"mode": spec.mode, "u_range": list(spec.u_range),
+           "u_periodic": spec.u_periodic, "label": spec.label}
+    funcs = [spec.a, spec.b, spec.r]
     if spec.mode == "frenet":
-        out["c"] = _table_dict(spec.c, spec.u_range)
-        out["kappa"] = _table_dict(spec.frame.kappa, spec.u_range)
-        out["tau"] = _table_dict(spec.frame.tau, spec.u_range)
-        g0 = spec.frame.gamma[0]
-        out["init_frame"] = [g0.tolist(), spec.frame.t[0].tolist(),
-                             spec.frame.n[0].tolist(), spec.frame.b[0].tolist()]
+        funcs += [spec.c, spec.frame.kappa, spec.frame.tau]
+    out.update(zip(_TABLE_NAMES, (write_table(f, spec.u_range) for f in funcs)))
+    if spec.mode == "frenet":
+        fr = spec.frame
+        out["init_frame"] = [x[0].tolist() for x in (fr.gamma, fr.t, fr.n, fr.b)]
     return out
 
 
 @reads_spec
 def cyclic_spec_from_dict(d) -> CyclicSpec:
-    mode = d["mode"]
+    # any mode but "parallel" reads as frenet; make_patch checks it on the kind
+    mode = d["mode"] if d["mode"] == "parallel" else "frenet"
     u_range = tuple(d["u_range"])
-    a = _func_from_table(d["a"])
-    b = _func_from_table(d["b"])
-    r = _func_from_table(d["r"])
-    if mode == "parallel":
-        return CyclicSpec(mode="parallel", u_range=u_range, a=a, b=b, r=r,
-                          u_periodic=bool(d.get("u_periodic", False)),
-                          label=d.get("label", ""))
-    c = _func_from_table(d["c"])
-    kappa = _func_from_table(d["kappa"])
-    tau = _func_from_table(d["tau"])
-    init = tuple(np.asarray(x, dtype=float) for x in d["init_frame"])
-    frame = frame_from_curvature(kappa, tau, u_range, init)
-    return CyclicSpec(mode="frenet", u_range=u_range, a=a, b=b, c=c, r=r,
-                      frame=frame, u_periodic=bool(d.get("u_periodic", False)),
-                      label=d.get("label", ""))
+    names = _TABLE_NAMES[:3] if mode == "parallel" else _TABLE_NAMES
+    f = {key: read_table(ScalarFunc, d[key]) for key in names}
+    if mode == "frenet":
+        init = tuple(np.asarray(x, dtype=float) for x in d["init_frame"])
+        f["frame"] = frame_from_curvature(f.pop("kappa"), f.pop("tau"),
+                                          u_range, init)
+    return CyclicSpec(mode=mode, u_range=u_range,
+                      u_periodic=bool(d.get("u_periodic", False)),
+                      label=d.get("label", ""), **f)
 
 
-def write_solution_csv(spec: CyclicSpec, path, n=201):
+def write_solution_csv(spec: CyclicSpec, path):
     """Solution curve table (u, a, r, kappa) for generated families."""
-    u = np.linspace(*spec.u_range, n)
+    u = np.linspace(*spec.u_range, 201)
     a = spec.a(u)
     r = spec.r(u)
     k = spec.frame.kappa(u) if spec.mode == "frenet" else np.zeros_like(u)

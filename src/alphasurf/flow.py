@@ -9,7 +9,6 @@ smooth stationary surfaces are critical points of the discretized energy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,9 @@ from .errors import (
 from .surface_kernel import ParametricPatch, eval_jet2
 
 MIN_TRIANGLE_AREA = 1e-14
+
+# consecutive backtracking rejections before a descent step gives up
+MAX_REJECTS = 50
 
 
 @dataclass
@@ -84,8 +86,7 @@ def _require_flowable(mesh: TriMesh):
 # sampling patches into meshes
 
 
-def sample_mesh(patch: ParametricPatch, nu: int, nv: int,
-                margin=None) -> TriMesh:
+def sample_mesh(patch: ParametricPatch, nu: int, nv: int) -> TriMesh:
     """Structured triangulation of a patch.
 
     The v direction must be periodic.  In u, periodic patches wrap around
@@ -103,49 +104,27 @@ def sample_mesh(patch: ParametricPatch, nu: int, nv: int,
 
     if patch.u_periodic:
         u_rows = u0 + (u1 - u0) * np.arange(nu) / nu
+        lo_fan = hi_fan = False
     else:
-        u_rows = np.linspace(u0, u1, nu + 1)
-        if lo_fan:
-            u_rows = u_rows[1:]
-        if hi_fan:
-            u_rows = u_rows[:-1]
-        if margin is not None and not (lo_fan or hi_fan):
-            m = margin * (u1 - u0)
-            u_rows = np.linspace(u0 + m, u1 - m, nu + 1)
+        u_rows = np.linspace(u0, u1, nu + 1)[int(lo_fan):nu + 1 - int(hi_fan)]
 
     uu, vv = np.meshgrid(u_rows, v, indexing="ij")
-    grid = eval_jet2(patch, uu, vv).P
-    n_rows = len(u_rows)
-    verts = [grid.reshape(-1, 3)]
-    idx = np.arange(n_rows * nv).reshape(n_rows, nv)
-    tris = []
-
-    def quad_band(row_a, row_b):
-        for j in range(nv):
-            jn = (j + 1) % nv
-            a, b = row_a[j], row_b[j]
-            c, d = row_b[jn], row_a[jn]
-            tris.append([a, b, c])
-            tris.append([a, c, d])
-
-    for i in range(n_rows - 1):
-        quad_band(idx[i], idx[i + 1])
-    if patch.u_periodic:
-        quad_band(idx[-1], idx[0])
-    next_vid = n_rows * nv
-    if not patch.u_periodic and lo_fan:
-        apex = eval_jet2(patch, np.array([u0]), np.array([v0])).P[0]
-        verts.append(apex[None, :])
-        for j in range(nv):
-            tris.append([next_vid, idx[0][j], idx[0][(j + 1) % nv]])
-        next_vid += 1
-    if not patch.u_periodic and hi_fan:
-        apex = eval_jet2(patch, np.array([u1]), np.array([v0])).P[0]
-        verts.append(apex[None, :])
-        for j in range(nv):
-            tris.append([next_vid, idx[-1][(j + 1) % nv], idx[-1][j]])
-        next_vid += 1
-    return TriMesh(np.concatenate(verts, axis=0), np.array(tris))
+    verts = [eval_jet2(patch, uu, vv).P.reshape(-1, 3)]
+    # quad (a, b, c, d) joins columns j, j+1 of rows i, i+1 (row 0 after the
+    # last one when u wraps); it splits into (a, b, c) and (a, c, d)
+    idx = np.arange(len(u_rows) * nv).reshape(-1, nv)
+    a = idx if patch.u_periodic else idx[:-1]
+    b = np.roll(idx, -1, axis=0)[:len(a)]
+    c, d = np.roll(b, -1, axis=1), np.roll(a, -1, axis=1)
+    tris = [np.stack([a, b, c, a, c, d], -1).reshape(-1, 3)]
+    # each pole fan joins its apex to the nearest ring, wound outwards
+    for fan, u_end, left, right in ((lo_fan, u0, idx[0], np.roll(idx[0], -1)),
+                                    (hi_fan, u1, np.roll(idx[-1], -1), idx[-1])):
+        if fan:
+            tris.append(np.column_stack([np.full(nv, sum(map(len, verts))),
+                                         left, right]))
+            verts.append(eval_jet2(patch, np.array([u_end]), np.array([v0])).P)
+    return TriMesh(np.concatenate(verts, axis=0), np.concatenate(tris))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +186,7 @@ def _min_area(verts, tris):
 
 
 def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
-            dt=1e-3, max_rejects=50):
+            dt=1e-3):
     """Gradient descent on the discrete energy.
 
     ``step_rule`` is "backtracking" (monotone, halves dt on rejection) or
@@ -252,7 +231,7 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
                 break
             dt *= 0.5
             rejects += 1
-            if rejects > max_rejects:
+            if rejects > MAX_REJECTS:
                 raise FlowStallError(
                     f"step {step}: {rejects} consecutive rejections", step=step)
     g = discrete_gradient(cur, alpha)

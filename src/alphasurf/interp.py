@@ -115,15 +115,15 @@ class QuinticHermite:
     def eval2(self, u):
         """Return (value, first derivative, second derivative) at ``u``."""
         u, idx, t = self._segments(u)
-        c = self._coef[idx]  # (..., 6, m)
+        c = self._coef   # gathered one power at a time, (..., m) each
         t = t[..., None]
-        v = c[..., 5, :]
+        v = c[idx, 5]
         d = np.zeros_like(v)
         s = np.zeros_like(v)
         for k in range(4, -1, -1):
             s = s * t + 2.0 * d
             d = d * t + v
-            v = v * t + c[..., k, :]
+            v = v * t + c[idx, k]
         if self._scalar:
             return v[..., 0], d[..., 0], s[..., 0]
         return v, d, s
@@ -136,6 +136,7 @@ class QuinticHermite:
 class ScalarFunc:
     """Scalar function of one variable; ``jet(u)`` returns (f, f', f'')."""
 
+    TABLE_KEYS = ("u", "f")   # abscissa and value keys of its spec table
     jet: Callable
 
     def eval2(self, u):
@@ -168,6 +169,7 @@ class ScalarFunc:
 class Curve3:
     """Space curve; vectorized ``jet(s)`` returns (position, first, second)."""
 
+    TABLE_KEYS = ("s", "p")
     jet: Callable
 
     def eval2(self, s):
@@ -180,6 +182,20 @@ class Curve3:
     @staticmethod
     def from_table(x, p, d1, d2):
         return Curve3(QuinticHermite(x, p, d1, d2).eval2)
+
+
+def write_table(func, x_range):
+    """Spec-file table of a ScalarFunc or Curve3: abscissae, values and two
+    derivatives at 801 uniform nodes of ``x_range``, as lists."""
+    x = np.linspace(*x_range, 801)
+    return dict(zip(func.TABLE_KEYS + ("d1", "d2"),
+                    (a.tolist() for a in (x, *func.eval2(x)))))
+
+
+def read_table(cls, d):
+    """The ``cls`` (ScalarFunc or Curve3) interpolating a spec table."""
+    return cls.from_table(*(np.asarray(d[k])
+                            for k in cls.TABLE_KEYS + ("d1", "d2")))
 
 
 def compose_reparam(curve: Curve3, smap: ScalarFunc) -> Curve3:
@@ -197,9 +213,9 @@ def compose_reparam(curve: Curve3, smap: ScalarFunc) -> Curve3:
 class _ArclenMap:
     """Inverse arc-length map s(l) for a regular curve segment."""
 
-    def __init__(self, curve: Curve3, s_range, n=2001):
+    def __init__(self, curve: Curve3, s_range):
         s0, s1 = float(s_range[0]), float(s_range[1])
-        nodes = np.linspace(s0, s1, n)
+        nodes = np.linspace(s0, s1, 2001)
         _, dp, ddp = curve.eval2(nodes)
         speed = np.linalg.norm(dp, axis=-1)
         if np.any(speed <= 0):
@@ -240,13 +256,13 @@ class _ArclenMap:
         return s, 1.0 / lp, -lpp / lp**3
 
 
-def reparametrize_arclength(curve: Curve3, s_range, n=2001):
+def reparametrize_arclength(curve: Curve3, s_range):
     """Re-parametrize a regular curve by arc length.
 
     Returns (curve_in_arclength, (0, L), smap) where smap carries the old
     parameter as a function of arc length, for re-parametrizing companion
     curves consistently.
     """
-    amap = _ArclenMap(curve, s_range, n=n)
+    amap = _ArclenMap(curve, s_range)
     smap = ScalarFunc(amap.jet)
     return compose_reparam(curve, smap), (0.0, amap.total_length), smap

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularPointError
-from .stationary import ResidualReport, residual_grid
-from .surface_kernel import Jet2, ParametricPatch, _dot, eval_jet2
+from .stationary import residual_grid
+from .surface_kernel import Jet2, ParametricPatch, _dot
 
 #: minimum distance from the origin for points being inverted
 DELTA_INV = 1e-6
@@ -52,12 +52,12 @@ def _d2phi(p, q, h, k):
             + (8.0 * ph * pk / (q2 * q))[..., None] * p)
 
 
-def invert_jet(jet: Jet2, delta=DELTA_INV) -> Jet2:
+def invert_jet(jet: Jet2) -> Jet2:
     p = jet.P
     q = _dot(p, p)
-    if np.any(np.sqrt(q) < delta):
+    if np.any(np.sqrt(q) < DELTA_INV):
         raise SingularPointError(
-            f"surface point within {delta} of the origin during inversion")
+            f"surface point within {DELTA_INV} of the origin during inversion")
     return Jet2(
         P=p / q[..., None],
         Pu=_dphi(p, q, jet.Pu),
@@ -68,11 +68,11 @@ def invert_jet(jet: Jet2, delta=DELTA_INV) -> Jet2:
     )
 
 
-def invert_patch(patch: ParametricPatch, delta=DELTA_INV) -> ParametricPatch:
+def invert_patch(patch: ParametricPatch) -> ParametricPatch:
     """Transport a patch through Phi with exact chain-rule jets."""
 
     def ev(u, v):
-        return invert_jet(patch.evaluator(u, v), delta=delta)
+        return invert_jet(patch.evaluator(u, v))
 
     return ParametricPatch(
         evaluator=ev,

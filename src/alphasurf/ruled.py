@@ -48,8 +48,8 @@ class RuledSpec:
         return np.linspace(*self.s_range, n)
 
 
-def validate_ruled(spec: RuledSpec, n=64):
-    s = spec.samples(n)
+def validate_ruled(spec: RuledSpec):
+    s = spec.samples()
     _, gp, _ = spec.gamma.eval2(s)
     bv, bp, _ = spec.beta.eval2(s)
     if np.max(np.abs(np.linalg.norm(gp, axis=-1) - 1.0)) > 1e-8:
@@ -60,7 +60,7 @@ def validate_ruled(spec: RuledSpec, n=64):
         raise SpecValidationError("non-cylindrical spec has a stationary ruling direction")
 
 
-def build_ruled_patch(spec: RuledSpec, t_range, label="ruled") -> ParametricPatch:
+def build_ruled_patch(spec: RuledSpec, t_range) -> ParametricPatch:
     """Patch Psi(s, t) = gamma(s) + t*beta(s) with analytic jets."""
 
     def ev(s, t):
@@ -73,20 +73,20 @@ def build_ruled_patch(spec: RuledSpec, t_range, label="ruled") -> ParametricPatc
 
     return ParametricPatch(evaluator=ev, u_range=spec.s_range,
                            v_range=(float(t_range[0]), float(t_range[1])),
-                           label=label)
+                           label="ruled")
 
 
 # ---------------------------------------------------------------------------
 # striction line
 
 
-def _mu_funcs(spec: RuledSpec, n_dense=2001):
+def _mu_funcs(spec: RuledSpec):
     """mu = <gamma', beta'>/<beta', beta'> with two derivatives.
 
     mu' is analytic in the available jets; mu'' falls back to a dense-grid
     central difference of mu' (the third curve derivatives are not stored).
     """
-    s = np.linspace(*spec.s_range, n_dense)
+    s = np.linspace(*spec.s_range, 2001)
 
     def mu_and_d1(sv):
         _, gp, gpp = spec.gamma.eval2(sv)
@@ -161,12 +161,12 @@ class PlanarCurve:
                                  self.kappa[:, None] * self.n)
 
     @staticmethod
-    def circle(center, radius, n_samples=257):
+    def circle(center, radius):
         """CCW circle of given radius about (cx, cy) in the z = 0 plane."""
         cx, cy = float(center[0]), float(center[1])
         if radius <= 0:
             raise ValidationError("circle radius must be positive")
-        s = np.linspace(0.0, 2.0 * math.pi * radius, n_samples)
+        s = np.linspace(0.0, 2.0 * math.pi * radius, 257)
         ph = s / radius
         gamma = np.stack([cx + radius * np.cos(ph), cy + radius * np.sin(ph),
                           np.zeros_like(ph)], axis=-1)
@@ -177,11 +177,11 @@ class PlanarCurve:
                            plane_normal=np.array([0.0, 0.0, 1.0]))
 
     @staticmethod
-    def line(point, direction, length=4.0, n_samples=65):
+    def line(point, direction, length=4.0):
         px, py = float(point[0]), float(point[1])
         d = np.array([float(direction[0]), float(direction[1]), 0.0])
         d /= np.linalg.norm(d)
-        s = np.linspace(-length / 2, length / 2, n_samples)
+        s = np.linspace(-length / 2, length / 2, 65)
         gamma = np.array([px, py, 0.0]) + s[:, None] * d
         t = np.broadcast_to(d, gamma.shape).copy()
         nrm = np.cross([0.0, 0.0, 1.0], d)
@@ -191,7 +191,7 @@ class PlanarCurve:
                            plane_normal=np.array([0.0, 0.0, 1.0]))
 
     @staticmethod
-    def from_space_samples(s, gamma, tol=1e-8):
+    def from_space_samples(s, gamma):
         """Build from 3D samples, verifying planarity and arc length."""
         s = np.asarray(s, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
@@ -199,7 +199,7 @@ class PlanarCurve:
         _, sv, vt = np.linalg.svd(gamma - centroid)
         zhat = vt[2]
         dev = np.abs((gamma - centroid) @ zhat)
-        if np.max(dev) > tol * max(1.0, np.max(sv)):
+        if np.max(dev) > 1e-8 * max(1.0, np.max(sv)):
             raise PlanarityError(
                 f"curve deviates from a plane by {np.max(dev):.3e}")
         t = np.gradient(gamma, s, axis=0, edge_order=2)
@@ -227,8 +227,7 @@ def cylinder_check(curve: PlanarCurve, alpha: float):
     return C2, C0
 
 
-def build_cylinder_patch(curve: PlanarCurve, t_range,
-                         label="cylinder") -> ParametricPatch:
+def build_cylinder_patch(curve: PlanarCurve, t_range) -> ParametricPatch:
     """Cylinder over a planar directrix, ruled by w = -(plane normal).
 
     The sign choice makes the patch normal equal the curve normal, so
@@ -248,7 +247,7 @@ def build_cylinder_patch(curve: PlanarCurve, t_range,
         evaluator=ev,
         u_range=(float(curve.s[0]), float(curve.s[-1])),
         v_range=(float(t_range[0]), float(t_range[1])),
-        label=label)
+        label="cylinder")
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +454,13 @@ def trig_poly_curve(const, cos_coeffs, sin_coeffs) -> Curve3:
     return Curve3(jet)
 
 
-def random_ruled_spec(rng, n_harmonics=2, coeff_scale=2.0,
-                      s_range=(0.0, 2.0 * math.pi)) -> RuledSpec:
-    """Random non-cylindrical spec: trig-polynomial directrix over the
-    equator ruling, corrected to the striction line and arc length."""
-    const = rng.uniform(-coeff_scale, coeff_scale, 3)
-    cc = rng.uniform(-coeff_scale, coeff_scale, (n_harmonics, 3))
-    sc = rng.uniform(-coeff_scale, coeff_scale, (n_harmonics, 3))
+def random_ruled_spec(rng) -> RuledSpec:
+    """Random non-cylindrical spec: a directrix of two harmonics with
+    coefficients uniform in [-2, 2] over the equator ruling on [0, 2 pi],
+    corrected to the striction line and arc length."""
+    const = rng.uniform(-2.0, 2.0, 3)
+    cc = rng.uniform(-2.0, 2.0, (2, 3))
+    sc = rng.uniform(-2.0, 2.0, (2, 3))
     raw = RuledSpec(gamma=trig_poly_curve(const, cc, sc),
-                    beta=equator_beta(), s_range=s_range)
+                    beta=equator_beta(), s_range=(0.0, 2.0 * math.pi))
     return striction_line(raw)

@@ -22,7 +22,6 @@ from .errors import (
     ValidationError,
 )
 from .surface_kernel import (
-    DEFAULT_DOMAIN_MARGIN,
     ParametricPatch,
     _dot,
     _tiles,
@@ -77,12 +76,12 @@ def residual(patch: ParametricPatch, alpha: float, u, v):
     return fd.H - rhs
 
 
-def residual_grid(patch: ParametricPatch, alpha: float, nu: int, nv: int,
-                  margin: float = DEFAULT_DOMAIN_MARGIN) -> ResidualReport:
+def residual_grid(patch: ParametricPatch, alpha: float, nu: int,
+                  nv: int) -> ResidualReport:
     """Residual on a uniform interior grid (u-major row order)."""
     if nu < 2 or nv < 2:
         raise ValidationError("residual grid needs nu, nv >= 2")
-    u, v = patch.domain_grid(nu, nv, margin=margin)
+    u, v = patch.domain_grid(nu, nv)
     rows = np.empty((nu, nv, 8))
     rows[..., 0], rows[..., 1] = u[:, None], v
     # pointwise work tile by tile; the reductions below see the whole grid

@@ -11,7 +11,7 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np

@@ -1,11 +1,12 @@
 import json
 import os
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from alphasurf import cli
+from alphasurf import catalog, cli
 from alphasurf.cli import MAX_EXPR_DEPTH, main, parse_scalar_expr
 from alphasurf.errors import ValidationError
 
@@ -347,6 +348,21 @@ def test_fourier_command(tmp_path, capsys):
     assert max(abs(x) for x in data["A"] + data["B"]) < 1e-8
 
 
+def _write_spec_files(tmp_path):
+    """A sphere family file and a helicoid ruled table, both valid."""
+    (tmp_path / "sphere.json").write_text('{"kind": "sphere", "params": {}}')
+    (tmp_path / "helicoid.json").write_text(
+        json.dumps(catalog.ruled_spec_to_dict(cli._helicoid_ruled_spec())))
+
+
+def test_spec_files_run_alone(tmp_path, monkeypatch, capsys):
+    _write_spec_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--spec", "sphere.json", "--grid", "8x8"]) == 0
+    assert main(["energy", "--spec", "sphere.json", "--grid", "8x8"]) == 0
+    assert main(["coeffs", "--spec", "helicoid.json"]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["flow", "--family", "sphere", "--alpha", "-2", "--steps", "-3"],
     ["energy", "--family", "sphere", "--grid", "0x4"],
@@ -356,7 +372,7 @@ def test_fourier_command(tmp_path, capsys):
     ["verify", "--spec", "nokind.json", "--out", "r.json"],
     ["verify", "--spec", "missing.json", "--out", "r.json"],
     ["coeffs", "--spec", "missing.json", "--out", "c.csv"],
-    # a known kind without its fields: no "mode" for verify, no "gamma" for
+    # a known kind without its fields: no "spec" for verify, no "gamma" for
     # coeffs
     ["verify", "--spec", "nofields.json", "--out", "r.json"],
     ["coeffs", "--spec", "nofields.json", "--out", "c.csv"],
@@ -398,9 +414,27 @@ def test_fourier_command(tmp_path, capsys):
      "--u", "1:1.6", "--r0", "1", "--out", "g.json"],
     # an integer past the float range
     ["verify", "--spec", "bigint.json", "--grid", "8x8"],
+    # a spec file excludes --family and the shape flags (both files work
+    # alone: test_spec_files_run_alone)
+    ["verify", "--spec", "sphere.json", "--family", "sphere", "--radius", "5",
+     "--alpha", "0", "--grid", "8x8"],
+    ["verify", "--spec", "sphere.json", "--radius", "5", "--grid", "8x8"],
+    ["energy", "--spec", "sphere.json", "--center", "0,0,1", "--grid", "8x8"],
+    ["coeffs", "--spec", "helicoid.json", "--family", "helicoid"],
+    # each generated family refuses the flags of the other one
+    *(["generate", "--family", "riemann", "--r0", "1", "--span", "0.3",
+       "--alpha", "0", flag, value]
+      for flag, value in (("--kappa", "zzz"), ("--u", "1:1.2"), ("--a0", "0"),
+                          ("--da0", "0"), ("--dr0", "0"))),
+    *(["generate", "--family", "neg2-ode", "--kappa", "1/u", "--u", "1:1.2",
+       "--r0", "1", flag, value]
+      for flag, value in (("--c-drift", "9"), ("--span", "5"))),
+    # a given span of zero is refused, not replaced by the default
+    ["generate", "--family", "riemann", "--r0", "1", "--span", "0"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
                                                capsys):
+    _write_spec_files(tmp_path)
     (tmp_path / "malformed.json").write_text("{not json")
     (tmp_path / "nokind.json").write_text('{"params": {}}')
     (tmp_path / "nofields.json").write_text(
@@ -477,6 +511,29 @@ def test_directory_target_exits_2_without_files(argv, tmp_path, monkeypatch,
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: cannot write 'sub': Is a directory"]
     assert os.listdir() == ["sub"] and os.listdir("sub") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "sphere", "--radius", "1e200", "--alpha", "-2",
+     "--grid", "8x8", "--out", "r.json", "--csv", "r.csv"],
+    ["coeffs", "--family", "helicoid", "--alpha", "1e308", "--samples", "4",
+     "--out", "c.csv"],
+    ["fourier", "--family", "sphere", "--radius", "1e200", "--alpha", "-2",
+     "--u", "1", "--out", "f.json"],
+])
+def test_non_finite_summary_exits_3(argv, tmp_path, monkeypatch, capsys):
+    # finite flags whose results overflow: the summary would print nan or inf;
+    # a numpy RuntimeWarning on the way would be a second stderr line
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "numerical failure: refusing to print non-finite values")
+    assert os.listdir() == []
 
 
 def test_nan_curvature_is_a_numerical_failure(tmp_path, monkeypatch, capsys):

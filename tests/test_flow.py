@@ -3,6 +3,8 @@ import pytest
 
 from alphasurf.catalog import catenoid_patch, helicoid_patch, sphere_patch
 from alphasurf.cyclic import PLANAR_INIT, build_cyclic, frame_from_curvature, frenet_spec
+from alphasurf.inversion import invert_patch
+from alphasurf.surface_kernel import eval_jet2
 from alphasurf.errors import (
     OpenMeshError,
     SpecValidationError,
@@ -28,6 +30,77 @@ def torus_mesh(nu=16, nv=16):
                                  max_step=2e-3)
     spec = frenet_spec(frame, 0.0, -2.0, 0.0, 0.7, u_periodic=True)
     return sample_mesh(build_cyclic(spec), nu, nv)
+
+
+def loop_triangulation(patch, nu, nv):
+    """The triangulation as it was first written, one Python loop per quad
+    band and per pole fan: the oracle for ``sample_mesh``."""
+    u0, u1 = patch.u_range
+    v0, v1 = patch.v_range
+    v = v0 + (v1 - v0) * np.arange(nv) / nv
+    lo_fan, hi_fan = patch.u_collapse
+    if patch.u_periodic:
+        u_rows = u0 + (u1 - u0) * np.arange(nu) / nu
+    else:
+        u_rows = np.linspace(u0, u1, nu + 1)
+        if lo_fan:
+            u_rows = u_rows[1:]
+        if hi_fan:
+            u_rows = u_rows[:-1]
+    uu, vv = np.meshgrid(u_rows, v, indexing="ij")
+    verts = [eval_jet2(patch, uu, vv).P.reshape(-1, 3)]
+    n_rows = len(u_rows)
+    idx = np.arange(n_rows * nv).reshape(n_rows, nv)
+    tris = []
+
+    def quad_band(row_a, row_b):
+        for j in range(nv):
+            jn = (j + 1) % nv
+            a, b = row_a[j], row_b[j]
+            c, d = row_b[jn], row_a[jn]
+            tris.append([a, b, c])
+            tris.append([a, c, d])
+
+    for i in range(n_rows - 1):
+        quad_band(idx[i], idx[i + 1])
+    if patch.u_periodic:
+        quad_band(idx[-1], idx[0])
+    next_vid = n_rows * nv
+    if not patch.u_periodic and lo_fan:
+        verts.append(eval_jet2(patch, np.array([u0]), np.array([v0])).P)
+        for j in range(nv):
+            tris.append([next_vid, idx[0][j], idx[0][(j + 1) % nv]])
+        next_vid += 1
+    if not patch.u_periodic and hi_fan:
+        verts.append(eval_jet2(patch, np.array([u1]), np.array([v0])).P)
+        for j in range(nv):
+            tris.append([next_vid, idx[-1][(j + 1) % nv], idx[-1][j]])
+    return np.concatenate(verts, axis=0), np.array(tris)
+
+
+@pytest.fixture(scope="module")
+def torus_patch():
+    frame = frame_from_curvature(0.5, 0.0, (0.0, 4 * np.pi), PLANAR_INIT,
+                                 max_step=2e-3)
+    return build_cyclic(frenet_spec(frame, 0.0, -2.0, 0.0, 0.7, u_periodic=True))
+
+
+@pytest.mark.parametrize("nu, nv", [(2, 3), (3, 4), (5, 7), (16, 32), (96, 192)])
+@pytest.mark.parametrize("family", ["sphere", "catenoid", "inverted-sphere",
+                                    "torus"])
+def test_sample_mesh_matches_loop_triangulation(family, nu, nv, torus_patch):
+    patch = {"sphere": sphere_patch((0.1, 0, 0), 1.5),
+             "catenoid": catenoid_patch(1.0),
+             "inverted-sphere": invert_patch(sphere_patch((0, 0, 2), 1.0)),
+             "torus": torus_patch}[family]
+    mesh = sample_mesh(patch, nu, nv)
+    verts, tris = loop_triangulation(patch, nu, nv)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.triangles, tris)
+    assert mesh.triangles.dtype == tris.dtype == np.int64
+    # two rows of a u-periodic mesh join twice, along the same edges
+    assert mesh.is_closed() == (family != "catenoid"
+                                and (nu > 2 or family != "torus"))
 
 
 def test_topology_sphere_and_torus():

@@ -74,6 +74,12 @@ CLI_CASES = [
       "--grid", "8x16", "--steps", "5", "--perturb", "0.05", "--seed", "1",
       "--trace", "trace.csv", "--export", "flow.obj"],
      ["trace.csv", "flow.obj"]),
+    ("flow-fixed",
+     ["flow", "--family", "sphere", "--radius", "1.5", "--alpha", "-2",
+      "--grid", "6x12", "--steps", "4", "--step-rule", "fixed", "--dt",
+      "0.002", "--perturb", "0.05", "--seed", "2", "--trace",
+      "trace-fixed.csv", "--export", "flow-fixed.obj"],
+     ["trace-fixed.csv", "flow-fixed.obj"]),
     ("export",
      ["export", "--family", "sphere", "--radius", "2", "--grid", "8x16",
       "--export", "sphere.obj"],
@@ -188,6 +194,12 @@ GOLDEN = {
         '54297a18260172165cbec2514699debe53f616073e067d8757a332242f856ceb',
     'fd-scalar-func/table':
         'dab047aaffed06177a777859a65a3581e885388f7520ecc85a86c057113c9eda',
+    'flow-fixed/flow-fixed.obj':
+        '1e7c89ca56f6785f3c7c4464d460b7d7e1d2f9c37a8ad6b130065e5c4952e32a',
+    'flow-fixed/stdout':
+        'ff7fd32951c1e30dbf208c72e17f174dbf09e51d54cf6a682053b4632a2a67b6',
+    'flow-fixed/trace-fixed.csv':
+        'a1ffd264a662a000b9a0366433d3a521c74f40d675f32c2f3aa3895e8aff8c4a',
     'flow/flow.obj':
         '5b53a055a4add2f3230272d55594ff495e0ea36cd61bff1cb90d0af76cd9a202',
     'flow/stdout':
