@@ -408,16 +408,27 @@ def family_to_dict(spec: FamilySpec) -> dict:
 
 
 def family_from_dict(d) -> FamilySpec:
-    kind = d.get("kind")
-    params = dict(d.get("params", {}))
-    if kind == "inverted" and isinstance(params.get("inner"), dict):
-        params["inner"] = family_from_dict(params["inner"])
-    if kind in ("parallel_cyclic", "frenet_cyclic") and isinstance(
-            params.get("spec"), dict):
-        params["spec"] = _cyclic.cyclic_spec_from_dict(params["spec"])
-    if kind == "ruled_generic" and isinstance(params.get("spec"), dict):
-        params["spec"] = ruled_spec_from_dict(params["spec"])
-    return FamilySpec(kind=kind, params=params)
+    kind, params = d.get("kind"), d.get("params", {})
+    if not isinstance(params, dict):
+        raise SpecValidationError("spec params must be a JSON object")
+    for key, val in params.items():   # a JSON bool is no number here
+        if key in _SCALAR_PARAMS and type(val) not in (int, float):
+            raise SpecValidationError(f"spec param {key!r} must be a number")
+    key, reader = _NESTED_PARAMS.get(kind, (None, None))
+    if key in params:
+        if not isinstance(params[key], dict):
+            raise SpecValidationError(f"spec param {key!r} must be a JSON object")
+        params = {**params, key: reader(params[key])}
+    return FamilySpec(kind=kind, params=dict(params))
+
+
+# the family params that make_patch reads as one number or as a nested spec
+_SCALAR_PARAMS = {"radius", "extent", "offset", "pitch", "turns", "waist",
+                  "c_drift", "r0", "span"}
+_NESTED_PARAMS = {"inverted": ("inner", family_from_dict),
+                  "parallel_cyclic": ("spec", _cyclic.cyclic_spec_from_dict),
+                  "frenet_cyclic": ("spec", _cyclic.cyclic_spec_from_dict),
+                  "ruled_generic": ("spec", ruled_spec_from_dict)}
 
 
 def _finite_json_number(text, kind=float):

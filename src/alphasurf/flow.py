@@ -63,23 +63,25 @@ class TriMesh:
             return False
         return np.array_equal(fwd, np.sort(d[:, 1] * n + d[:, 0]))
 
-    def triangle_geometry(self):
-        """(centroids, area vectors, areas) for all triangles."""
-        v = self.vertices[self.triangles]
-        cent = v.mean(axis=1)
-        avec = 0.5 * np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-        area = np.linalg.norm(avec, axis=-1)
-        return cent, avec, area
+
+def _cross(a, b, out):
+    """``np.cross`` of (m, 3) rows into ``out``, in its order: same bits."""
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        out[:, i] = a[:, j] * b[:, k] - a[:, k] * b[:, j]
+    return out
 
 
-def _require_flowable(mesh: TriMesh):
-    if not mesh.is_closed():
-        raise OpenMeshError("flow requires a closed oriented mesh")
-    _, _, area = mesh.triangle_geometry()
-    if np.any(area <= MIN_TRIANGLE_AREA):
-        raise ValidationError("mesh contains a degenerate triangle")
-    if np.any(np.linalg.norm(mesh.vertices, axis=-1) < 1e-9):
-        raise ValidationError("mesh has a vertex at the origin")
+def _geometry(verts, tris):
+    """(centroids, area vectors, areas, |centroid|^2) of every triangle, with
+    the bits of ``v.mean(axis=1)``, ``0.5 * np.cross`` and ``np.linalg.norm``
+    (a written-out |centroid|^2 would not match its ``einsum``)."""
+    v0, v1, v2 = (verts.take(tris[:, k], axis=0) for k in range(3))
+    cent = (v0 + v1 + v2) / 3.0
+    avec = _cross(v1 - v0, v2 - v0, np.empty_like(cent))
+    avec *= 0.5
+    s = avec * avec
+    area = np.sqrt(s[:, 0] + s[:, 1] + s[:, 2])
+    return cent, avec, area, np.einsum("ij,ij->i", cent, cent)
 
 
 # ---------------------------------------------------------------------------
@@ -131,38 +133,41 @@ def sample_mesh(patch: ParametricPatch, nu: int, nv: int) -> TriMesh:
 # energy and gradient
 
 
-def discrete_energy(mesh: TriMesh, alpha: float) -> float:
-    cent, _, area = mesh.triangle_geometry()
-    c2 = np.einsum("ij,ij->i", cent, cent)
+def discrete_energy(mesh: TriMesh, alpha: float, *, _geom=None) -> float:
+    """Sum of |centroid|^alpha * area; ``_geom``: the mesh's ``_geometry``."""
+    _, _, area, c2 = _geometry(mesh.vertices, mesh.triangles) if _geom is None else _geom
     if np.any(c2 <= 0.0):
         raise OriginInFaceError("triangle centroid at the origin")
     return float(np.sum(c2 ** (alpha / 2.0) * area))
 
 
-def discrete_gradient(mesh: TriMesh, alpha: float) -> np.ndarray:
-    """Exact per-vertex gradient of ``discrete_energy``."""
-    tri = mesh.triangles
-    v = mesh.vertices[tri]
-    cent, avec, area = mesh.triangle_geometry()
+def discrete_gradient(mesh: TriMesh, alpha: float, *, _geom=None) -> np.ndarray:
+    """Exact per-vertex gradient of ``discrete_energy`` (``_geom`` as there)."""
+    verts, tri = mesh.vertices, mesh.triangles
+    cent, avec, area, c2 = _geometry(verts, tri) if _geom is None else _geom
     bad = area <= MIN_TRIANGLE_AREA
     if np.any(bad):
         raise FlowSingularityError(
             f"{int(bad.sum())} degenerate triangle(s) in gradient evaluation")
-    c2 = np.einsum("ij,ij->i", cent, cent)
     if np.any(c2 <= 0.0):
         raise OriginInFaceError("triangle centroid at the origin")
     w = c2 ** (alpha / 2.0)
     nhat = avec / area[:, None]
-    grad = np.zeros_like(mesh.vertices)
-    # area gradient at vertex i is (opposite edge) x nhat / 2
-    for k in range(3):
-        e = v[:, (k + 1) % 3] - v[:, (k + 2) % 3]
-        darea = 0.5 * np.cross(e, nhat)
-        term = w[:, None] * darea
-        if alpha != 0.0:
-            term = term + ((alpha / 3.0) * c2 ** (alpha / 2.0 - 1.0)
-                           * area)[:, None] * cent
-        np.add.at(grad, tri[:, k], term)
+    # the area gradient at a corner is (opposite edge) x nhat / 2
+    v = [verts.take(tri[:, k], axis=0) for k in range(3)]
+    terms = np.empty((3,) + cent.shape)
+    for k, term in enumerate(terms):
+        _cross(v[(k + 1) % 3] - v[(k + 2) % 3], nhat, term)
+        term *= 0.5
+        term *= w[:, None]
+    del v, nhat   # freed before the centroid term: a lower peak
+    if alpha != 0.0:   # the centroid weight's share, the same at each corner
+        terms += ((alpha / 3.0) * c2 ** (alpha / 2.0 - 1.0) * area)[:, None] * cent
+    # bincount adds corner 0, 1, 2 in triangle order from zero: the bits
+    # of np.add.at corner by corner
+    grad = np.empty_like(verts)
+    for j in range(3):
+        grad[:, j] = np.bincount(tri.T.ravel(), terms[..., j].ravel(), len(verts))
     return grad
 
 
@@ -179,49 +184,53 @@ class FlowTrace:
                          ["%d", "%.17g", "%.17g", "%.17g"])
 
 
-def _min_area(verts, tris):
-    v = verts[tris]
-    avec = 0.5 * np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    return float(np.min(np.linalg.norm(avec, axis=-1)))
-
-
 def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
             dt=1e-3):
     """Gradient descent on the discrete energy.
 
     ``step_rule`` is "backtracking" (monotone, halves dt on rejection) or
     "fixed" (constant dt, no acceptance test).  Returns (mesh, FlowTrace).
+    A candidate's geometry serves its area test, energy and next gradient.
     """
     if step_rule not in ("backtracking", "fixed"):
         raise ValidationError(f"unknown step rule {step_rule!r}")
     if steps < 0:
         raise ValidationError(f"step count must be non-negative, got {steps}")
-    _require_flowable(mesh)
+    if not mesh.is_closed():
+        raise OpenMeshError("flow requires a closed oriented mesh")
+    geom = _, _, area, _ = _geometry(mesh.vertices, mesh.triangles)
+    if np.any(area <= MIN_TRIANGLE_AREA):
+        raise ValidationError("mesh contains a degenerate triangle")
+    if np.any(np.linalg.norm(mesh.vertices, axis=-1) < 1e-9):
+        raise ValidationError("mesh has a vertex at the origin")
     cur = mesh.copy()
-    energy = discrete_energy(cur, alpha)
+    tris = cur.triangles
+    energy = discrete_energy(cur, alpha, _geom=geom)
     trace = []
     dt = float(dt)
     for step in range(int(steps)):
-        g = discrete_gradient(cur, alpha)
+        g = discrete_gradient(cur, alpha, _geom=geom)
+        geom = None   # each candidate builds its own
         gmax = float(np.max(np.linalg.norm(g, axis=-1)))
         trace.append((step, energy, gmax, dt))
         if step_rule == "fixed":
             cand = cur.vertices - dt * g
-            if _min_area(cand, cur.triangles) <= MIN_TRIANGLE_AREA:
+            geom = _, _, area, _ = _geometry(cand, tris)
+            if np.min(area) <= MIN_TRIANGLE_AREA:
                 raise FlowSingularityError(
                     f"triangle degenerated at step {step}", step=step)
             cur.vertices = cand
-            energy = discrete_energy(cur, alpha)
+            energy = discrete_energy(cur, alpha, _geom=geom)
             continue
         g2 = float(np.sum(g * g))
         rejects = 0
         while True:
             cand = cur.vertices - dt * g
-            ok = _min_area(cand, cur.triangles) > MIN_TRIANGLE_AREA
+            geom = _, _, area, _ = _geometry(cand, tris)
+            ok = np.min(area) > MIN_TRIANGLE_AREA
             if ok:
-                cand_mesh = TriMesh(cand, cur.triangles)
                 try:
-                    e_new = discrete_energy(cand_mesh, alpha)
+                    e_new = discrete_energy(TriMesh(cand, tris), alpha, _geom=geom)
                 except OriginInFaceError:
                     ok = False
             if ok and e_new <= energy - 1e-4 * dt * g2:
@@ -234,7 +243,7 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
             if rejects > MAX_REJECTS:
                 raise FlowStallError(
                     f"step {step}: {rejects} consecutive rejections", step=step)
-    g = discrete_gradient(cur, alpha)
+    g = discrete_gradient(cur, alpha, _geom=geom)
     trace.append((int(steps), energy, float(np.max(np.linalg.norm(g, axis=-1))), dt))
     return cur, FlowTrace(trace)
 

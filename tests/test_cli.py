@@ -431,6 +431,10 @@ def test_spec_files_run_alone(tmp_path, monkeypatch, capsys):
       for flag, value in (("--c-drift", "9"), ("--span", "5"))),
     # a given span of zero is refused, not replaced by the default
     ["generate", "--family", "riemann", "--r0", "1", "--span", "0"],
+    # spec params of the wrong type
+    *(["verify", "--spec", f"{name}.json", "--alpha", "0", "--grid", "4x4"]
+      for name in ("inner-int", "radius-str", "radius-list", "frenet-list",
+                   "ruled-str")),
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
                                                capsys):
@@ -448,6 +452,13 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
     (tmp_path / "deep.json").write_text("[" * 100_000)
     (tmp_path / "bigint.json").write_text(
         '{"kind": "sphere", "params": {"radius": 1%s}}' % ("0" * 400))
+    for name, kind, params in (("inner-int", "inverted", '{"inner": 5}'),
+                               ("radius-str", "sphere", '{"radius": "x"}'),
+                               ("radius-list", "sphere", '{"radius": [1]}'),
+                               ("frenet-list", "frenet_cyclic", '{"spec": [1]}'),
+                               ("ruled-str", "ruled_generic", '{"spec": "x"}')):
+        (tmp_path / f"{name}.json").write_text(
+            '{"kind": "%s", "params": %s}' % (kind, params))
     monkeypatch.chdir(tmp_path)
     before = sorted(os.listdir())
     assert main(argv) == 2

@@ -6,11 +6,16 @@ from alphasurf.cyclic import PLANAR_INIT, build_cyclic, frame_from_curvature, fr
 from alphasurf.inversion import invert_patch
 from alphasurf.surface_kernel import eval_jet2
 from alphasurf.errors import (
+    FlowSingularityError,
+    FlowStallError,
     OpenMeshError,
+    OriginInFaceError,
     SpecValidationError,
     ValidationError,
 )
 from alphasurf.flow import (
+    MAX_REJECTS,
+    MIN_TRIANGLE_AREA,
     TriMesh,
     descend,
     discrete_energy,
@@ -246,3 +251,158 @@ def test_obj_round_trip(tmp_path):
 def test_mesh_validation():
     with pytest.raises(ValidationError):
         TriMesh(np.zeros((3, 3)), [[0, 1, 5]])
+
+
+# ---------------------------------------------------------------------------
+# the flow as it was first written, with np.cross, np.linalg.norm, np.add.at
+# and a separate geometry pass for every use: the oracle for the one-pass
+# geometry, which must give the same bits
+
+
+def oracle_geometry(verts, tris):
+    v = verts[tris]
+    cent = v.mean(axis=1)
+    avec = 0.5 * np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    return cent, avec, np.linalg.norm(avec, axis=-1)
+
+
+def oracle_energy(mesh, alpha):
+    cent, _, area = oracle_geometry(mesh.vertices, mesh.triangles)
+    c2 = np.einsum("ij,ij->i", cent, cent)
+    if np.any(c2 <= 0.0):
+        raise OriginInFaceError("triangle centroid at the origin")
+    return float(np.sum(c2 ** (alpha / 2.0) * area))
+
+
+def oracle_gradient(mesh, alpha):
+    tri = mesh.triangles
+    v = mesh.vertices[tri]
+    cent, avec, area = oracle_geometry(mesh.vertices, tri)
+    if np.any(area <= MIN_TRIANGLE_AREA):
+        raise FlowSingularityError("degenerate triangle in gradient evaluation")
+    c2 = np.einsum("ij,ij->i", cent, cent)
+    if np.any(c2 <= 0.0):
+        raise OriginInFaceError("triangle centroid at the origin")
+    w = c2 ** (alpha / 2.0)
+    nhat = avec / area[:, None]
+    grad = np.zeros_like(mesh.vertices)
+    for k in range(3):
+        e = v[:, (k + 1) % 3] - v[:, (k + 2) % 3]
+        term = w[:, None] * (0.5 * np.cross(e, nhat))
+        if alpha != 0.0:
+            term = term + ((alpha / 3.0) * c2 ** (alpha / 2.0 - 1.0)
+                           * area)[:, None] * cent
+        np.add.at(grad, tri[:, k], term)
+    return grad
+
+
+def oracle_descend(mesh, alpha, steps, step_rule="backtracking", dt=1e-3):
+    def min_area(verts):
+        return float(np.min(oracle_geometry(verts, mesh.triangles)[2]))
+
+    cur = mesh.copy()
+    energy = oracle_energy(cur, alpha)
+    trace = []
+    for step in range(steps):
+        g = oracle_gradient(cur, alpha)
+        trace.append((step, energy, float(np.max(np.linalg.norm(g, axis=-1))), dt))
+        if step_rule == "fixed":
+            cand = cur.vertices - dt * g
+            if min_area(cand) <= MIN_TRIANGLE_AREA:
+                raise FlowSingularityError("triangle degenerated", step=step)
+            cur.vertices = cand
+            energy = oracle_energy(cur, alpha)
+            continue
+        g2 = float(np.sum(g * g))
+        rejects = 0
+        while True:
+            cand = cur.vertices - dt * g
+            ok = min_area(cand) > MIN_TRIANGLE_AREA
+            if ok:
+                try:
+                    e_new = oracle_energy(TriMesh(cand, mesh.triangles), alpha)
+                except OriginInFaceError:
+                    ok = False
+            if ok and e_new <= energy - 1e-4 * dt * g2:
+                cur.vertices = cand
+                energy = e_new
+                dt = min(dt * 1.5, 1.0)
+                break
+            dt *= 0.5
+            rejects += 1
+            if rejects > MAX_REJECTS:
+                raise FlowStallError("consecutive rejections", step=step)
+    g = oracle_gradient(cur, alpha)
+    trace.append((steps, energy, float(np.max(np.linalg.norm(g, axis=-1))), dt))
+    return cur, trace
+
+
+def perturbed_mesh(family, torus_patch):
+    """A small closed mesh of each kind, roughened so nothing cancels."""
+    patch = {"sphere": sphere_patch((0.2, -0.1, 0.1), 1.0),
+             "inverted-sphere": invert_patch(sphere_patch((0, 0, 2), 1.0)),
+             "torus": torus_patch}[family]
+    mesh = sample_mesh(patch, 6, 10)
+    rng = np.random.default_rng(5)
+    mesh.vertices = mesh.vertices * (1 + 0.02 * rng.uniform(-1, 1, (len(mesh.vertices), 1)))
+    return mesh
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("step_rule", ["backtracking", "fixed"])
+@pytest.mark.parametrize("alpha", [-4.0, -2.0, 0.0, 2.0])
+@pytest.mark.parametrize("family", ["sphere", "inverted-sphere", "torus"])
+def test_flow_matches_the_oracle_bit_for_bit(family, alpha, step_rule, torus_patch):
+    mesh = perturbed_mesh(family, torus_patch)
+    assert same_bits(discrete_energy(mesh, alpha), oracle_energy(mesh, alpha))
+    assert same_bits(discrete_gradient(mesh, alpha), oracle_gradient(mesh, alpha))
+    final, trace = descend(mesh, alpha, 12, step_rule=step_rule)
+    ref_final, ref_rows = oracle_descend(mesh, alpha, 12, step_rule)
+    assert same_bits(trace.rows, ref_rows)
+    assert same_bits(final.vertices, ref_final.vertices)
+    assert not np.array_equal(final.vertices, mesh.vertices)
+
+
+def test_backtracking_with_rejections_matches_the_oracle(torus_patch):
+    mesh = perturbed_mesh("sphere", torus_patch)
+    final, trace = descend(mesh, -2.0, 20, dt=1.0)
+    ref_final, ref_rows = oracle_descend(mesh, -2.0, 20, dt=1.0)
+    assert same_bits(trace.rows, ref_rows)
+    assert same_bits(final.vertices, ref_final.vertices)
+    # an accepted step grows dt by 1.5 (up to 1), a rejected one halves it
+    dts = [row[3] for row in trace.rows]
+    assert sum(b < min(1.5 * a, 1.0) for a, b in zip(dts, dts[1:])) >= 2
+
+
+def shrunk_sphere(excess):
+    """A sphere scaled until its smallest triangle has area
+    MIN_TRIANGLE_AREA * (1 + excess); area flow shrinks every triangle."""
+    mesh = sphere_mesh(4, 6)
+    amin = np.min(oracle_geometry(mesh.vertices, mesh.triangles)[2])
+    mesh.vertices = mesh.vertices * np.sqrt(MIN_TRIANGLE_AREA * (1 + excess) / amin)
+    assert np.min(oracle_geometry(mesh.vertices, mesh.triangles)[2]) > MIN_TRIANGLE_AREA
+    return mesh
+
+
+def test_fixed_step_degenerates_at_the_oracle_step():
+    mesh = shrunk_sphere(1.0)
+    with pytest.raises(FlowSingularityError) as ref:
+        oracle_descend(mesh, 0.0, 30, "fixed", dt=0.05)
+    with pytest.raises(FlowSingularityError) as new:
+        descend(mesh, 0.0, 30, step_rule="fixed", dt=0.05)
+    assert new.value.step == ref.value.step == 6
+
+
+def test_backtracking_stalls_where_the_oracle_stalls():
+    # one part in 1e15 above the bound: every candidate down to dt / 2^51
+    # shrinks the smallest triangle past it
+    mesh = shrunk_sphere(1e-15)
+    with pytest.raises(FlowStallError) as ref:
+        oracle_descend(mesh, 0.0, 5, dt=1.0)
+    with pytest.raises(FlowStallError) as new:
+        descend(mesh, 0.0, 5, dt=1.0)
+    assert new.value.step == ref.value.step == 0

@@ -50,6 +50,21 @@ def test_quintic_order_of_accuracy():
     assert errs[0] / errs[1] > 40
 
 
+@pytest.mark.parametrize("columns", [None, 1, 9])
+def test_quintic_value_is_the_value_of_eval2(columns):
+    rng = np.random.default_rng(3)
+    x = np.cumsum(rng.uniform(0.1, 1.0, 12))
+    shape = (12,) if columns is None else (12, columns)
+    h = QuinticHermite(x, *(rng.normal(size=shape) for _ in range(3)))
+    # nodes, points between them and past both ends
+    for u in (x[0] - 0.3, float(x[5]), 0.5 * (x[6] + x[7]),
+              rng.uniform(x[0] - 0.3, x[-1] + 0.3, 200),
+              rng.uniform(x[0], x[-1], (7, 5))):
+        value = h(u)
+        assert value.shape == h.eval2(u)[0].shape
+        assert np.array_equal(value, h.eval2(u)[0])
+
+
 def test_quintic_rejects_bad_nodes():
     with pytest.raises(ValidationError):
         QuinticHermite([0.0, 0.0, 1.0], [0, 0, 0], [0, 0, 0], [0, 0, 0])
