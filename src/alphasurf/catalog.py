@@ -30,13 +30,6 @@ from .interp import Curve3, ScalarFunc, _rk4, read_table, write_table
 from .stationary import _defect_with_puu, _puu_free_terms
 from .surface_kernel import Jet2, ParametricPatch, translated
 
-FAMILY_KINDS = (
-    "vector_plane", "affine_plane", "sphere", "cylinder_over_curve",
-    "helicoid", "catenoid", "ruled_generic", "parallel_cyclic",
-    "frenet_cyclic", "inverted", "log_spiral_neg2", "riemann_minimal",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A named family plus its kind-specific parameters."""
@@ -45,8 +38,11 @@ class FamilySpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in FAMILIES:
             raise SpecValidationError(f"unknown family kind {self.kind!r}")
+        for key in self.params:
+            if key not in FAMILIES[self.kind][1]:
+                raise SpecValidationError(f"family {self.kind} takes no param {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +106,9 @@ def sphere_patch(center, radius) -> ParametricPatch:
                            label=f"sphere(c={c.tolist()},R={R})")
 
 
-def helicoid_patch(pitch=1.0, t_range=(-2.0, 2.0), turns=1.0) -> ParametricPatch:
-    """Psi(s, t) = (t cos s, t sin s, pitch * s)."""
+def helicoid_patch(pitch=1.0, t_range=(-2.0, 2.0), turns=1.0,
+                   center=None) -> ParametricPatch:
+    """Psi(s, t) = (t cos s, t sin s, pitch * s), moved by ``center``."""
     p = float(pitch)
     if p == 0.0:
         raise SpecValidationError("helicoid pitch must be nonzero")
@@ -127,10 +124,11 @@ def helicoid_patch(pitch=1.0, t_range=(-2.0, 2.0), turns=1.0) -> ParametricPatch
         Pvv = np.zeros_like(P)
         return Jet2(P, Pu, Pv, Puu, Puv, Pvv)
 
-    return ParametricPatch(evaluator=ev,
-                           u_range=(0.0, 2.0 * math.pi * float(turns)),
-                           v_range=(float(t_range[0]), float(t_range[1])),
-                           label=f"helicoid(pitch={p})")
+    patch = ParametricPatch(evaluator=ev,
+                            u_range=(0.0, 2.0 * math.pi * float(turns)),
+                            v_range=(float(t_range[0]), float(t_range[1])),
+                            label=f"helicoid(pitch={p})")
+    return patch if center is None else translated(patch, center)
 
 
 def catenoid_patch(waist=1.0, u_range=(-1.5, 1.5),
@@ -325,49 +323,18 @@ def _directrix_from_params(p) -> _ruled.PlanarCurve:
     raise SpecValidationError(f"unknown directrix type {kind!r}")
 
 
+def _cyclic_patch(spec, mode):
+    if spec.mode == mode:
+        return _cyclic.build_cyclic(spec)
+    raise SpecValidationError(f"cyclic spec mode {spec.mode!r} is not {mode!r}")
+
+
 @reads_spec
 def make_patch(spec: FamilySpec) -> ParametricPatch:
-    """Build the patch for any catalog family."""
-    k, p = spec.kind, spec.params
-    if k == "vector_plane":
-        return plane_patch(p.get("normal", (0.0, 0.0, 1.0)),
-                           extent=p.get("extent", 2.0))
-    if k == "affine_plane":
-        return plane_patch(p.get("normal", (0.0, 0.0, 1.0)),
-                           offset=p.get("offset", 1.0),
-                           extent=p.get("extent", 2.0))
-    if k == "sphere":
-        return sphere_patch(p.get("center", (0.0, 0.0, 0.0)), p.get("radius", 1.0))
-    if k == "cylinder_over_curve":
-        return _ruled.build_cylinder_patch(_directrix_from_params(p["directrix"]),
-                                           p.get("t_range", (-1.0, 1.0)))
-    if k == "helicoid":
-        patch = helicoid_patch(p.get("pitch", 1.0),
-                               t_range=p.get("t_range", (-2.0, 2.0)),
-                               turns=p.get("turns", 1.0))
-        if "center" in p:
-            patch = translated(patch, p["center"])
-        return patch
-    if k == "catenoid":
-        return catenoid_patch(p.get("waist", 1.0),
-                              u_range=p.get("u_range", (-1.5, 1.5)),
-                              center=p.get("center", (0.0, 0.0, 0.0)))
-    if k == "ruled_generic":
-        return _ruled.build_ruled_patch(p["spec"], p.get("t_range", (-1.0, 1.0)))
-    if k in ("parallel_cyclic", "frenet_cyclic"):
-        cs = p["spec"]
-        want = "parallel" if k == "parallel_cyclic" else "frenet"
-        if cs.mode != want:
-            raise SpecValidationError(f"cyclic spec mode {cs.mode!r} does not match {k}")
-        return _cyclic.build_cyclic(cs)
-    if k == "inverted":
-        return _inversion.invert_patch(make_patch(p["inner"]))
-    if k == "log_spiral_neg2":
-        return _cyclic.log_spiral_example(p.get("u_range", (0.5, 2.0)))
-    if k == "riemann_minimal":
-        return riemann_minimal(p.get("c_drift", 0.0), p.get("r0", 1.0),
-                               p.get("span", 1.0))
-    raise SpecValidationError(f"unknown family kind {k!r}")
+    """Build the patch for any catalog family; a nested param must be given."""
+    build, takes = FAMILIES[spec.kind]
+    return build(**{key: spec.params[key] if callable(val) else spec.params.get(key, val)
+                    for key, val in takes.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -407,28 +374,66 @@ def family_to_dict(spec: FamilySpec) -> dict:
     return {"kind": spec.kind, "params": params}
 
 
+def _checked(fields, counts, readers, what="spec param"):
+    """Copy of the JSON object ``fields``: a field counted in ``counts`` holds that
+    many numbers (no bool), and one with a reader is an object it reads."""
+    out = {}
+    for key, val in fields.items():
+        if callable(readers.get(key)):
+            if not isinstance(val, dict):
+                raise SpecValidationError(f"{what} {key!r} must be a JSON object")
+            val = readers[key](val)
+        elif key in counts:
+            n, nums = counts[key], [val] if counts[key] == 1 else val
+            if not (type(nums) is list and len(nums) == n
+                    and all(type(x) in (int, float) for x in nums)):
+                raise SpecValidationError(f"{what} {key!r} must be {n} number(s)")
+        out[key] = val
+    return out
+
+
 def family_from_dict(d) -> FamilySpec:
-    kind, params = d.get("kind"), d.get("params", {})
+    kind, params = FamilySpec(d.get("kind")).kind, d.get("params", {})
     if not isinstance(params, dict):
         raise SpecValidationError("spec params must be a JSON object")
-    for key, val in params.items():   # a JSON bool is no number here
-        if key in _SCALAR_PARAMS and type(val) not in (int, float):
-            raise SpecValidationError(f"spec param {key!r} must be a number")
-    key, reader = _NESTED_PARAMS.get(kind, (None, None))
-    if key in params:
-        if not isinstance(params[key], dict):
-            raise SpecValidationError(f"spec param {key!r} must be a JSON object")
-        params = {**params, key: reader(params[key])}
-    return FamilySpec(kind=kind, params=dict(params))
+    return FamilySpec(kind, _checked(params, NUMBER_PARAMS, FAMILIES[kind][1]))
 
 
-# the family params that make_patch reads as one number or as a nested spec
-_SCALAR_PARAMS = {"radius", "extent", "offset", "pitch", "turns", "waist",
-                  "c_drift", "r0", "span"}
-_NESTED_PARAMS = {"inverted": ("inner", family_from_dict),
-                  "parallel_cyclic": ("spec", _cyclic.cyclic_spec_from_dict),
-                  "frenet_cyclic": ("spec", _cyclic.cyclic_spec_from_dict),
-                  "ruled_generic": ("spec", ruled_spec_from_dict)}
+# How many numbers each number param holds, in every kind that takes it.
+NUMBER_PARAMS = {"center": 3, "normal": 3, "u_range": 2, "t_range": 2,
+                 **dict.fromkeys(("radius", "offset", "pitch", "waist", "extent",
+                                  "turns", "c_drift", "r0", "span"), 1)}
+_CURVE_NUMBERS = {"center": 2, "point": 2, "direction": 2, "radius": 1, "length": 1,
+                  "alpha": 1, "r0": 1, "theta0": 1, "kappa0_sign": 1, "tangent_angle": 1}
+
+# kind -> (patch builder, {param: default}), a nested param with its reader in
+# place of a default; other modules' functions are looked up at each call.
+FAMILIES = {
+    "vector_plane": (plane_patch, {"normal": (0.0, 0.0, 1.0), "extent": 2.0}),
+    "affine_plane": (plane_patch, {"normal": (0.0, 0.0, 1.0), "offset": 1.0,
+                                   "extent": 2.0}),
+    "sphere": (sphere_patch, {"center": (0.0, 0.0, 0.0), "radius": 1.0}),
+    "cylinder_over_curve": (
+        lambda directrix, t_range: _ruled.build_cylinder_patch(
+            _directrix_from_params(directrix), t_range),
+        {"directrix": lambda d: _checked(d, _CURVE_NUMBERS, {}, "directrix field"),
+         "t_range": (-1.0, 1.0)}),
+    "helicoid": (helicoid_patch, {"pitch": 1.0, "t_range": (-2.0, 2.0),
+                                  "turns": 1.0, "center": None}),
+    "catenoid": (catenoid_patch, {"waist": 1.0, "u_range": (-1.5, 1.5),
+                                  "center": (0.0, 0.0, 0.0)}),
+    "ruled_generic": (lambda spec, t_range: _ruled.build_ruled_patch(spec, t_range),
+                      {"spec": ruled_spec_from_dict, "t_range": (-1.0, 1.0)}),
+    "parallel_cyclic": (lambda spec: _cyclic_patch(spec, "parallel"),
+                        {"spec": lambda d: _cyclic.cyclic_spec_from_dict(d)}),
+    "frenet_cyclic": (lambda spec: _cyclic_patch(spec, "frenet"),
+                      {"spec": lambda d: _cyclic.cyclic_spec_from_dict(d)}),
+    "inverted": (lambda inner: _inversion.invert_patch(make_patch(inner)),
+                 {"inner": family_from_dict}),
+    "log_spiral_neg2": (lambda u_range: _cyclic.log_spiral_example(u_range),
+                        {"u_range": (0.5, 2.0)}),
+    "riemann_minimal": (riemann_minimal, {"c_drift": 0.0, "r0": 1.0, "span": 1.0}),
+}
 
 
 def _finite_json_number(text, kind=float):
@@ -453,6 +458,7 @@ def read_spec(path) -> dict:
     return d
 
 
+@reads_spec
 def load_family(path) -> FamilySpec:
     return family_from_dict(read_spec(path))
 

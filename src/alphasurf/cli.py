@@ -3,7 +3,8 @@
 Subcommands: verify, energy, coeffs, fourier, generate, invert,
 verify-shift, flow, export.  Families come either from kind-specific flags
 or from a JSON spec file; all file outputs are written only after the
-computation has fully succeeded, so failed runs leave no partial files.
+computation has fully succeeded, so failed runs leave no partial files, and
+the summary line is printed after the last of them.
 Exit codes: 0 success, 2 validation problem, 3 numerical failure.
 """
 
@@ -181,13 +182,11 @@ def _grid_arg(text):
 
 
 # The family shape flags, in the order their values enter FamilySpec.params
-# (and so the bytes of ``invert --out``).
-_SHAPE_FLAGS = {
-    "center": _triple_arg, "normal": _triple_arg, "radius": _finite_float,
-    "offset": _finite_float, "pitch": _finite_float, "waist": _finite_float,
-    "extent": _finite_float, "u_range": _range_arg, "t_range": _range_arg,
-    "c_drift": _finite_float, "r0": _finite_float, "span": _finite_float,
-}
+# (and so the bytes of ``invert --out``), parsed by ``catalog.NUMBER_PARAMS``.
+_NUMBER_ARGS = {1: _finite_float, 2: _range_arg, 3: _triple_arg}
+_SHAPE_FLAGS = {key: _NUMBER_ARGS[catalog.NUMBER_PARAMS[key]] for key in (
+    "center", "normal", "radius", "offset", "pitch", "waist", "extent",
+    "u_range", "t_range", "c_drift", "r0", "span")}
 
 # Output targets, in the order a command that has several checks them.
 _OUTPUTS = ("out", "csv", "solution", "trace", "export")
@@ -220,33 +219,35 @@ def _patch_from_args(args):
 
 
 def _summary(text, *numbers):
-    """Print a command's summary line; like a result file, it refuses a
-    number that is not finite."""
+    """A command's summary line, which ``main`` prints once every file is
+    written; like a result file, it refuses a number that is not finite."""
     if not np.isfinite(numbers).all():
         raise NonFiniteOutputError(f"refusing to print non-finite values: {text}")
-    print(text)
+    return text
 
 
 def _cmd_verify(args):
     _, patch = _patch_from_args(args)
     nu, nv = args.grid
     report = stationary.residual_grid(patch, args.alpha, nu, nv)
-    _summary(f"sup|residual| = {report.sup_abs:.3g} over {report.sample_count} "
-             "samples", report.sup_abs)
+    summary = _summary(f"sup|residual| = {report.sup_abs:.3g} over "
+                       f"{report.sample_count} samples", report.sup_abs)
     if args.out:
         report.write_json(args.out)
     if args.csv:
         report.write_csv(args.csv)
+    return summary
 
 
 def _cmd_energy(args):
     _, patch = _patch_from_args(args)
     nu, nv = args.grid
     value = stationary.energy(patch, args.alpha, nu, nv)
-    _summary(f"energy = {value:.12g}", value)
+    summary = _summary(f"energy = {value:.12g}", value)
     if args.out:
         output.write_json(args.out, {"alpha": args.alpha, "nu": nu, "nv": nv,
                                      "energy": value})
+    return summary
 
 
 def _helicoid_ruled_spec() -> ruled.RuledSpec:
@@ -271,10 +272,11 @@ def _cmd_coeffs(args):
     A = ruled.ruled_coeffs(rs, args.alpha, s)
     # max|A| without a second array of |A|; abs() drops the sign of a zero
     top = abs(max(A.max(), -A.min()))
-    _summary(f"max|A_n| = {top:.3g} over {args.samples} samples", top)
+    summary = _summary(f"max|A_n| = {top:.3g} over {args.samples} samples", top)
     if args.out:
         output.write_csv(args.out, ["s", "A0", "A1", "A2", "A3", "A4"],
                          np.column_stack([s, A]), ["%.17g"] * 6)
+    return summary
 
 
 def _cmd_fourier(args):
@@ -282,10 +284,11 @@ def _cmd_fourier(args):
     fc = stationary.fourier_defect(patch, args.alpha, args.u,
                                    n_max=args.nmax, nv=args.nv)
     amp = np.hypot(fc.A, fc.B)
-    _summary("harmonic amplitudes: "
-             + " ".join(f"n={n}:{a:.3g}" for n, a in enumerate(amp)), *amp)
+    summary = _summary("harmonic amplitudes: "
+                       + " ".join(f"n={n}:{a:.3g}" for n, a in enumerate(amp)), *amp)
     if args.out:
         output.write_json(args.out, fc.to_json_dict())
+    return summary
 
 
 def _cmd_generate(args):
@@ -306,21 +309,23 @@ def _cmd_generate(args):
     else:
         if args.r0 is None:
             raise ValidationError("generate riemann needs --r0")
-        spec = catalog.riemann_minimal_spec(args.c_drift or 0.0, args.r0,
-                                            1.0 if args.span is None else args.span)
+        spec = catalog.riemann_minimal_spec(**{
+            key: val if getattr(args, key) is None else getattr(args, key)
+            for key, val in catalog.FAMILIES["riemann_minimal"][1].items()})
         fam = catalog.FamilySpec(kind="parallel_cyclic", params={"spec": spec})
     patch = catalog.make_patch(fam)
     nu, nv = args.grid
     report = stationary.residual_grid(patch, args.alpha, nu, nv)
     mesh = flow.sample_mesh(patch, nu, nv) if args.export else None
-    _summary(f"generated; sup|residual| = {report.sup_abs:.3g} at alpha={args.alpha}",
-             report.sup_abs)
+    summary = _summary(f"generated; sup|residual| = {report.sup_abs:.3g} at "
+                       f"alpha={args.alpha}", report.sup_abs)
     if args.out:
         catalog.save_family(fam, args.out)
     if args.solution:
         cyclic.write_solution_csv(spec, args.solution)
     if args.export:
         flow.write_obj(mesh, args.export)
+    return summary
 
 
 def _cmd_invert(args):
@@ -333,7 +338,7 @@ def _cmd_invert(args):
             catalog.FamilySpec(kind="inverted", params={"inner": fam}), args.out)
     if args.export:
         flow.write_obj(mesh, args.export)
-    print(f"inverted patch {patch.label!r}")
+    return f"inverted patch {patch.label!r}"
 
 
 def _cmd_verify_shift(args):
@@ -343,16 +348,20 @@ def _cmd_verify_shift(args):
     nu, nv = args.grid
     before, after = inversion.verify_shift(patch, args.alpha, nu, nv)
     a2 = inversion.shifted_alpha(args.alpha)
-    _summary(f"source sup|residual| = {before.sup_abs:.3g} at alpha={args.alpha}; "
-             f"image sup|residual| = {after.sup_abs:.3g} at alpha={a2}",
-             before.sup_abs, after.sup_abs)
+    summary = _summary(f"source sup|residual| = {before.sup_abs:.3g} at "
+                       f"alpha={args.alpha}; image sup|residual| = "
+                       f"{after.sup_abs:.3g} at alpha={a2}",
+                       before.sup_abs, after.sup_abs)
     if args.out:
         output.write_json(args.out, {"alpha": args.alpha, "shifted_alpha": a2,
                                      "source": before.to_json_dict(),
                                      "image": after.to_json_dict()})
+    return summary
 
 
 def _cmd_flow(args):
+    if args.seed < 0:
+        raise ValidationError("--seed must not be negative")
     _, patch = _patch_from_args(args)
     nu, nv = args.grid
     mesh = flow.sample_mesh(patch, nu, nv)
@@ -365,13 +374,14 @@ def _cmd_flow(args):
     final, trace = flow.descend(mesh, args.alpha, args.steps,
                                 step_rule=args.step_rule, dt=args.dt)
     first, last = trace.rows[0], trace.rows[-1]
-    _summary(f"energy {first[1]:.9g} -> {last[1]:.9g}; "
-             f"grad_max {first[2]:.3g} -> {last[2]:.3g} in {args.steps} steps",
-             first[1], last[1], first[2], last[2])
+    summary = _summary(f"energy {first[1]:.9g} -> {last[1]:.9g}; "
+                       f"grad_max {first[2]:.3g} -> {last[2]:.3g} in {args.steps} steps",
+                       first[1], last[1], first[2], last[2])
     if args.trace:
         trace.write_csv(args.trace)
     if args.export:
         flow.write_obj(final, args.export)
+    return summary
 
 
 def _cmd_export(args):
@@ -379,8 +389,8 @@ def _cmd_export(args):
     nu, nv = args.grid
     mesh = flow.sample_mesh(patch, nu, nv)
     flow.write_obj(mesh, args.export)
-    print(f"wrote {len(mesh.vertices)} vertices, {len(mesh.triangles)} "
-          f"triangles to {args.export}")
+    return (f"wrote {len(mesh.vertices)} vertices, {len(mesh.triangles)} "
+            f"triangles to {args.export}")
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +486,8 @@ def main(argv=None):
         output.check_writable(*(getattr(args, k, None) for k in _OUTPUTS))
         # a non-finite result is refused once, not warned about on the way
         with np.errstate(all="ignore"):
-            args.func(args)
+            summary = args.func(args)
+        print(summary)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -385,10 +385,14 @@ def _neg2_profile(kappa, y0, u0, u1, max_step):
         if not (k > 0.0):
             raise FrameUndefinedError(f"kappa({u}) = {k} <= 0")
         # both equations are affine in (rpp, app): probe to build the system
-        (e0, g0), (e1, g1), (e2, g2) = (
-            (neg2_eq21(a, ap, app, r, rp, rpp, k, kp),
-             neg2_eq23(a, ap, app, r, rp, k, kp))
-            for rpp, app in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+        try:
+            (e0, g0), (e1, g1), (e2, g2) = (
+                (neg2_eq21(a, ap, app, r, rp, rpp, k, kp),
+                 neg2_eq23(a, ap, app, r, rp, k, kp))
+                for rpp, app in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+        except OverflowError:   # a float ** past the float range
+            raise DegenerateFamilyError(
+                f"system for (r'', a'') overflows at u={u:.6g}") from None
         f0 = np.array([e0, g0])
         M = np.array([[e1 - e0, e2 - e0], [g1 - g0, g2 - g0]])
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]

@@ -21,7 +21,8 @@ class SpecValidationError(ValidationError):
 
 
 def reads_spec(fn):
-    """Decorate a reader of spec dicts: a missing field is bad input."""
+    """Decorate a reader of spec dicts: a missing field is bad input, and so
+    is nesting deeper than the reader can recurse."""
 
     @functools.wraps(fn)
     def reader(*args, **kwargs):
@@ -30,6 +31,8 @@ def reads_spec(fn):
         except KeyError as exc:
             raise SpecValidationError(
                 f"spec is missing field {exc.args[0]!r}") from None
+        except RecursionError:
+            raise SpecValidationError("spec is nested too deep") from None
 
     return reader
 

@@ -22,7 +22,7 @@ from .errors import (
     SpecValidationError,
     ValidationError,
 )
-from .surface_kernel import ParametricPatch, eval_jet2
+from .surface_kernel import ParametricPatch, _dot, eval_jet2
 
 MIN_TRIANGLE_AREA = 1e-14
 
@@ -74,14 +74,14 @@ def _cross(a, b, out):
 def _geometry(verts, tris):
     """(centroids, area vectors, areas, |centroid|^2) of every triangle, with
     the bits of ``v.mean(axis=1)``, ``0.5 * np.cross`` and ``np.linalg.norm``
-    (a written-out |centroid|^2 would not match its ``einsum``)."""
+    (a written-out |centroid|^2 would not match ``_dot``)."""
     v0, v1, v2 = (verts.take(tris[:, k], axis=0) for k in range(3))
     cent = (v0 + v1 + v2) / 3.0
     avec = _cross(v1 - v0, v2 - v0, np.empty_like(cent))
     avec *= 0.5
     s = avec * avec
     area = np.sqrt(s[:, 0] + s[:, 1] + s[:, 2])
-    return cent, avec, area, np.einsum("ij,ij->i", cent, cent)
+    return cent, avec, area, _dot(cent, cent)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
         if step_rule == "fixed":
             cand = cur.vertices - dt * g
             geom = _, _, area, _ = _geometry(cand, tris)
-            if np.min(area) <= MIN_TRIANGLE_AREA:
+            if not (np.min(area) > MIN_TRIANGLE_AREA):   # NaN too
                 raise FlowSingularityError(
                     f"triangle degenerated at step {step}", step=step)
             cur.vertices = cand

@@ -21,6 +21,10 @@ import numpy as np
 from .errors import ValidationError
 from .surface_kernel import _dot
 
+# Most RK4 steps in one integration: far above the 6.3k of a 2*pi range at
+# max_step 1e-3; a neg2 family at the limit takes 25 s and 250 MB on 2 vCPUs.
+MAX_STEPS = 100_000
+
 
 def _rk4(rhs, u0, y0, length, max_step, project=None, slopes=None):
     """Classical RK4 for y' = rhs(u, y): n = max(1, ceil(|length|/max_step))
@@ -54,8 +58,12 @@ def stage_grid(u0, length, max_step):
     """Step and abscissae of an ``_rk4`` run: [u_0, u_0 + h/2, u_1, ...,
     u_n], with u_(i+1) = u_i + h accumulated step by step.  The loop reads
     its abscissae from this list, so a table of coefficients keyed by them
-    is exact."""
-    n = max(1, int(math.ceil(np.max(np.abs(length)) / max_step)))
+    is exact.  More than ``MAX_STEPS`` steps is bad input."""
+    steps = float(np.max(np.abs(length))) / max_step   # inf, not a warning
+    if not steps <= MAX_STEPS:
+        raise ValidationError(f"integration needs {steps:.3g} steps, "
+                              f"more than {MAX_STEPS}")
+    n = max(1, int(math.ceil(steps)))
     h = length / n
     u, grid = u0, [u0]
     for _ in range(n):
@@ -228,7 +236,7 @@ class _ArclenMap:
         spd_q = np.linalg.norm(curve.eval2(sq.ravel())[1], axis=-1).reshape(sq.shape)
         seg = half * (spd_q @ gw)
         ell = np.concatenate([[0.0], np.cumsum(seg)])
-        ddl = np.einsum("ij,ij->i", dp, ddp) / speed
+        ddl = _dot(dp, ddp) / speed
         self._curve = curve
         self._ell_of_s = QuinticHermite(nodes, ell, speed, ddl)
         self.total_length = float(ell[-1])

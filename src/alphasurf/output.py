@@ -42,6 +42,8 @@ def _umask_mode():
 
 
 def _temp_beside(path):
+    if not path:
+        raise ValidationError("cannot write to an empty path")
     if os.path.isdir(path):
         raise ValidationError(f"cannot write {path!r}: Is a directory")
     try:

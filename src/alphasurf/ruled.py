@@ -209,7 +209,7 @@ class PlanarCurve:
         t = t / speed[:, None]
         nrm = np.cross(zhat, t)
         acc = np.gradient(t, s, axis=0, edge_order=2)
-        kappa = np.einsum("ij,ij->i", acc, nrm)
+        kappa = _dot(acc, nrm)
         return PlanarCurve(s=s, gamma=gamma, t=t, n=nrm, kappa=kappa,
                            plane_normal=zhat)
 
@@ -222,8 +222,8 @@ def cylinder_check(curve: PlanarCurve, alpha: float):
     which forces a straight directrix through the origin.
     """
     C2 = curve.kappa.copy()
-    C0 = (curve.kappa * np.einsum("ij,ij->i", curve.gamma, curve.gamma)
-          - alpha * np.einsum("ij,ij->i", curve.n, curve.gamma))
+    C0 = (curve.kappa * _dot(curve.gamma, curve.gamma)
+          - alpha * _dot(curve.n, curve.gamma))
     return C2, C0
 
 

@@ -1,7 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from alphasurf.catalog import (
+    FAMILIES,
+    NUMBER_PARAMS,
     FamilySpec,
     euler_planar_curve,
     family_from_dict,
@@ -29,6 +33,41 @@ def test_family_kind_validation():
         FamilySpec(kind="moebius")
     with pytest.raises(SpecValidationError):
         make_patch(FamilySpec("sphere", {"radius": -1.0}))
+
+
+def test_family_spec_refuses_a_param_its_kind_does_not_take():
+    with pytest.raises(SpecValidationError, match="takes no param 'pitch'"):
+        FamilySpec("sphere", {"pitch": 1.0})
+    with pytest.raises(SpecValidationError, match="takes no param 'offset'"):
+        FamilySpec("vector_plane", {"offset": 3.0})
+    with pytest.raises(SpecValidationError, match="unknown family kind"):
+        FamilySpec(["sphere"])
+
+
+def test_family_table_fits_its_builders_and_number_forms():
+    for kind, (build, takes) in FAMILIES.items():
+        inspect.signature(build).bind(**takes)
+        for key, val in takes.items():
+            if not callable(val) and val is not None:
+                assert np.size(val) == NUMBER_PARAMS[key], (kind, key)
+
+
+def test_family_from_dict_checks_number_forms_and_nested_fields():
+    for params in ({"center": [1, 2]}, {"center": "abc"}, {"radius": True},
+                   {"radius": [1.0]}, {"center": [0, 0, None]}):
+        with pytest.raises(SpecValidationError, match="must be"):
+            family_from_dict({"kind": "sphere", "params": params})
+    back = family_from_dict({"kind": "sphere", "params": {"center": [0, 1, 2],
+                                                          "radius": 2}})
+    assert back.params == {"center": [0, 1, 2], "radius": 2}
+    for directrix in (5, {"type": "circle", "center": "ab", "radius": 1},
+                      {"type": "line", "point": [0, 0], "direction": [1]},
+                      {"type": "euler", "alpha": 1, "r0": 1, "kappa0_sign": "+"}):
+        with pytest.raises(SpecValidationError, match="must be"):
+            family_from_dict({"kind": "cylinder_over_curve",
+                              "params": {"directrix": directrix}})
+    with pytest.raises(SpecValidationError, match="spec is missing field"):
+        make_patch(FamilySpec("inverted"))
 
 
 def test_vector_plane_stationary_for_all_alpha():

@@ -435,6 +435,24 @@ def test_spec_files_run_alone(tmp_path, monkeypatch, capsys):
     *(["verify", "--spec", f"{name}.json", "--alpha", "0", "--grid", "4x4"]
       for name in ("inner-int", "radius-str", "radius-list", "frenet-list",
                    "ruled-str")),
+    # spec params of the wrong form or not the family's, directrix fields
+    # of the wrong form, and shape flags the family does not read
+    *(["verify", "--spec", f"{name}.json", "--alpha", "0", "--grid", "4x4",
+       "--out", "r.json"]
+      for name in ("center-short", "center-str", "t-range-short",
+                   "u-range-long", "bogus", "directrix-int",
+                   "directrix-center-str", "directrix-radius-str")),
+    ["verify", "--family", "sphere", "--pitch", "1"],
+    ["verify", "--family", "vector-plane", "--offset", "3"],
+    # an integration range with more steps than interp.MAX_STEPS
+    ["generate", "--family", "neg2-ode", "--kappa", "1/u", "--u=1:1e308",
+     "--r0", "1", "--out", "g.json"],
+    ["generate", "--family", "riemann", "--r0", "1", "--span", "1e6"],
+    # an empty output path, and a seed numpy refuses
+    ["export", "--family", "sphere", "--grid", "4x8", "--export="],
+    ["verify", "--family", "sphere", "--grid", "4x4", "--out="],
+    ["flow", "--family", "sphere", "--grid", "4x8", "--steps", "1",
+     "--perturb", "0.01", "--seed=-1"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
                                                capsys):
@@ -457,6 +475,20 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
                                ("radius-list", "sphere", '{"radius": [1]}'),
                                ("frenet-list", "frenet_cyclic", '{"spec": [1]}'),
                                ("ruled-str", "ruled_generic", '{"spec": "x"}')):
+        (tmp_path / f"{name}.json").write_text(
+            '{"kind": "%s", "params": %s}' % (kind, params))
+    circle = '{"type": "circle", "center": %s, "radius": %s}'
+    for name, kind, params in (
+            ("center-short", "sphere", '{"center": [1, 2]}'),
+            ("center-str", "sphere", '{"center": "abc"}'),
+            ("t-range-short", "helicoid", '{"t_range": [1]}'),
+            ("u-range-long", "catenoid", '{"u_range": [1, 2, 3]}'),
+            ("bogus", "sphere", '{"bogus": "x"}'),
+            ("directrix-int", "cylinder_over_curve", '{"directrix": 5}'),
+            ("directrix-center-str", "cylinder_over_curve",
+             '{"directrix": %s}' % (circle % ('"ab"', "1"))),
+            ("directrix-radius-str", "cylinder_over_curve",
+             '{"directrix": %s}' % (circle % ("[2, 0]", '"x"')))):
         (tmp_path / f"{name}.json").write_text(
             '{"kind": "%s", "params": %s}' % (kind, params))
     monkeypatch.chdir(tmp_path)
@@ -545,6 +577,53 @@ def test_non_finite_summary_exits_3(argv, tmp_path, monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith(
         "numerical failure: refusing to print non-finite values")
     assert os.listdir() == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    # dt 1e200 sends the first candidate to NaN; the area test refuses it
+    (["flow", "--family", "sphere", "--alpha", "-2", "--grid", "8x8",
+      "--steps", "3", "--step-rule", "fixed", "--dt", "1e200", "--perturb",
+      "0.01", "--trace", "t.csv"],
+     "numerical failure: triangle degenerated at step 0"),
+    # kappa**3 past the float range in the neg2 system
+    (["generate", "--family", "neg2-ode", "--kappa", "1e308", "--u", "1:1.1",
+      "--r0", "1", "--out", "g.json"],
+     "numerical failure: system for (r'', a'') overflows at u=1"),
+    # a finite summary over report rows that the writer refuses: the
+    # summary is printed only once every file is written
+    (["verify", "--family", "affine-plane", "--grid", "4x4", "--alpha=1e308",
+      "--out", "r.json"],
+     "numerical failure: refusing to write r.json: Out of range float values "
+     "are not JSON compliant: inf"),
+])
+def test_numerical_failure_prints_one_line_only(argv, message, tmp_path,
+                                                monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+    assert os.listdir() == []
+
+
+def _nested_inversions(depth):
+    text = '{"kind": "sphere", "params": {"center": [3, 0, 0]}}'
+    for _ in range(depth):
+        text = '{"kind": "inverted", "params": {"inner": %s}}' % text
+    return text
+
+
+def test_spec_nested_past_the_recursion_limit_exits_2(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.json").write_text(_nested_inversions(100))
+    (tmp_path / "deep.json").write_text(_nested_inversions(450))
+    assert main(["verify", "--spec", "ok.json", "--grid", "4x4"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--spec", "deep.json", "--grid", "4x4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: spec is nested too deep"]
 
 
 def test_nan_curvature_is_a_numerical_failure(tmp_path, monkeypatch, capsys):

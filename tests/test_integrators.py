@@ -25,8 +25,8 @@ from alphasurf.cyclic import (
     neg2_eq21,
     neg2_eq23,
 )
-from alphasurf.errors import FoliationCollapseError
-from alphasurf.interp import QuinticHermite, ScalarFunc, _rk4, stage_grid
+from alphasurf.errors import FoliationCollapseError, ValidationError
+from alphasurf.interp import MAX_STEPS, QuinticHermite, ScalarFunc, _rk4, stage_grid
 from alphasurf.stationary import _defect_from_jet
 from alphasurf.surface_kernel import Jet2
 from test_interp import _count_calls
@@ -148,6 +148,16 @@ def test_stage_grid_holds_every_rhs_abscissa():
     assert us == grid[::2]
     assert seen == [w for i in range(0, 16, 2)
                     for w in (grid[i], grid[i + 1], grid[i + 1], grid[i + 2])]
+
+
+def test_stage_grid_refuses_a_step_count_past_the_bound():
+    # 0.5 is exact, so the count at the bound is exactly MAX_STEPS
+    h, grid = stage_grid(0.0, MAX_STEPS * 0.5, 0.5)
+    assert h == 0.5 and len(grid) == 2 * MAX_STEPS + 1
+    for length in ((MAX_STEPS + 1) * 0.5, 1e308, math.inf, -math.inf, math.nan,
+                   np.array([1.0, 1e308])):
+        with pytest.raises(ValidationError, match="steps, more than"):
+            stage_grid(0.0, length, 0.5)
 
 
 def test_rk4_batch_equals_separate_runs():
