@@ -9,8 +9,10 @@ minimal cyclic surfaces (Riemann's family).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +42,12 @@ class FamilySpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in FAMILIES:
             raise SpecValidationError(f"unknown family kind {self.kind!r}")
-        for key in self.params:
-            if key not in FAMILIES[self.kind][1]:
-                raise SpecValidationError(f"family {self.kind} takes no param {key!r}")
+        # a nested param holds what its reader made, so it need only be there
+        takes = FAMILIES[self.kind][1]
+        forms = {key: None if callable(val) else NUMBER_PARAMS[key]
+                 for key, val in takes.items()}
+        _checked(self.params, forms, f"family {self.kind}",
+                 [key for key, val in takes.items() if not callable(val)], noun="param")
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +92,7 @@ def sphere_patch(center, radius) -> ParametricPatch:
     """Sphere in colatitude/longitude coordinates; u-endpoints are poles."""
     c = np.asarray(center, dtype=float)
     R = float(radius)
-    if R <= 0:
+    if not (R > 0):
         raise SpecValidationError("sphere radius must be positive")
 
     def ev(u, v):
@@ -135,7 +140,7 @@ def catenoid_patch(waist=1.0, u_range=(-1.5, 1.5),
                    center=(0.0, 0.0, 0.0)) -> ParametricPatch:
     """(c cosh(u/c) cos v, c cosh(u/c) sin v, u), axis through ``center``."""
     c = float(waist)
-    if c <= 0:
+    if not (c > 0):
         raise SpecValidationError("catenoid waist must be positive")
     off = np.asarray(center, dtype=float)
 
@@ -173,7 +178,7 @@ def euler_planar_curve(alpha, r0, theta0, kappa0_sign, length,
     solution).  The in-plane normal is n = z_hat x t, so curvature is signed.
     """
     r0 = float(r0)
-    if r0 <= 0:
+    if not (r0 > 0):
         raise ValidationError("r0 must be positive")
     alpha = float(alpha)
     theta0 = float(theta0)
@@ -255,7 +260,7 @@ def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec
     circles, integrated by ``interp._rk4`` from the waist to u = +span and
     u = -span as one batch of two runs."""
     r0 = float(r0)
-    if r0 <= 0:
+    if not (r0 > 0):
         raise ValidationError("r0 must be positive")
     span = float(span)
     if span <= 0:
@@ -310,17 +315,9 @@ def riemann_minimal(c_drift, r0, span, max_step=2e-3) -> ParametricPatch:
 
 
 def _directrix_from_params(p) -> _ruled.PlanarCurve:
-    kind = p.get("type")
-    if kind == "circle":
-        return _ruled.PlanarCurve.circle(p["center"], p["radius"])
-    if kind == "line":
-        return _ruled.PlanarCurve.line(p["point"], p["direction"],
-                                       length=p.get("length", 4.0))
-    if kind == "euler":
-        return euler_planar_curve(p["alpha"], p["r0"], p.get("theta0", 0.0),
-                                  p.get("kappa0_sign", 1), p.get("length", 2.0),
-                                  tangent_angle=p.get("tangent_angle"))
-    raise SpecValidationError(f"unknown directrix type {kind!r}")
+    p = dict(p)
+    build, takes = DIRECTRICES[p.pop("type")]
+    return build(**{**takes, **p})
 
 
 def _cyclic_patch(spec, mode):
@@ -331,10 +328,9 @@ def _cyclic_patch(spec, mode):
 
 @reads_spec
 def make_patch(spec: FamilySpec) -> ParametricPatch:
-    """Build the patch for any catalog family; a nested param must be given."""
+    """Build the patch for any catalog family."""
     build, takes = FAMILIES[spec.kind]
-    return build(**{key: spec.params[key] if callable(val) else spec.params.get(key, val)
-                    for key, val in takes.items()})
+    return build(**{**takes, **spec.params})
 
 
 # ---------------------------------------------------------------------------
@@ -348,63 +344,128 @@ def ruled_spec_to_dict(spec: _ruled.RuledSpec) -> dict:
             "beta": write_table(spec.beta, spec.s_range)}
 
 
-@reads_spec
 def ruled_spec_from_dict(d) -> _ruled.RuledSpec:
+    d = _checked(d, RULED_SPEC, "ruled spec")
     return _ruled.RuledSpec(gamma=read_table(Curve3, d["gamma"]),
                             beta=read_table(Curve3, d["beta"]),
-                            s_range=tuple(d["s_range"]),
-                            cylindrical=bool(d.get("cylindrical", False)))
+                            s_range=d["s_range"], cylindrical=d["cylindrical"])
+
+
+def _cyclic_spec_from_dict(d) -> _cyclic.CyclicSpec:
+    forms = _tagged(d, "mode", CYCLIC_SPECS, "cyclic spec")
+    return _cyclic.cyclic_spec_from_dict(_checked(d, forms, "cyclic spec"))
+
+
+def _checked_directrix(d) -> dict:
+    takes = _tagged(d, "type", DIRECTRICES, "directrix")[1]
+    return _checked(d, {"type": str, **{key: _CURVE_NUMBERS[key] for key in takes}},
+                    "directrix", [key for key, val in takes.items() if val is not ...])
 
 
 def family_to_dict(spec: FamilySpec) -> dict:
-    params = {}
-    for key, val in spec.params.items():
-        if isinstance(val, FamilySpec):
-            params[key] = family_to_dict(val)
-        elif isinstance(val, _cyclic.CyclicSpec):
-            params[key] = _cyclic.cyclic_spec_to_dict(val)
-        elif isinstance(val, _ruled.RuledSpec):
-            params[key] = ruled_spec_to_dict(val)
-        elif isinstance(val, np.ndarray):
-            params[key] = val.tolist()
-        elif isinstance(val, tuple):
-            params[key] = list(val)
-        else:
-            params[key] = val
-    return {"kind": spec.kind, "params": params}
+    # the writer of each nested type; numbers, lists and directrix dicts go as they are
+    writers = {FamilySpec: family_to_dict, _cyclic.CyclicSpec: _cyclic.cyclic_spec_to_dict,
+               _ruled.RuledSpec: ruled_spec_to_dict, tuple: list}
+    return {"kind": spec.kind, "params": {key: writers.get(type(val), lambda v: v)(val)
+                                          for key, val in spec.params.items()}}
 
 
-def _checked(fields, counts, readers, what="spec param"):
-    """Copy of the JSON object ``fields``: a field counted in ``counts`` holds that
-    many numbers (no bool), and one with a reader is an object it reads."""
+def _is_numbers(val, shape):
+    """Whether ``val`` nests lists (or tuples) of finite real numbers, no
+    bool, in ``shape``, where "n" is any length."""
+    items = [val]
+    for n in shape:
+        if not all(type(x) in (list, tuple) and n in ("n", len(x)) for x in items):
+            return False
+        items = list(itertools.chain.from_iterable(items))
+    try:   # math.isfinite raises on an int past the float range
+        return (all(issubclass(t, numbers.Real) and t is not bool
+                    for t in set(map(type, items))) and all(map(math.isfinite, items)))
+    except OverflowError:
+        return False
+
+
+def _checked(fields, forms, what, optional=(), noun="field"):
+    """Copy of the JSON object ``fields`` whose every field has a form in
+    ``forms`` and every form but the ``optional`` ones a field.  A form is a
+    count of numbers (one is a bare number) or an array shape of numbers; a
+    type; None for any value; the forms of a nested object; or the reader
+    of a nested object, whose result the copy holds."""
+    if not isinstance(fields, dict):
+        raise SpecValidationError(f"{what} must be a JSON object")
+    for key in forms:
+        if key not in fields and key not in optional:
+            raise SpecValidationError(f"spec is missing field {key!r}")
     out = {}
     for key, val in fields.items():
-        if callable(readers.get(key)):
-            if not isinstance(val, dict):
-                raise SpecValidationError(f"{what} {key!r} must be a JSON object")
-            val = readers[key](val)
-        elif key in counts:
-            n, nums = counts[key], [val] if counts[key] == 1 else val
-            if not (type(nums) is list and len(nums) == n
-                    and all(type(x) in (int, float) for x in nums)):
-                raise SpecValidationError(f"{what} {key!r} must be {n} number(s)")
+        if key not in forms:
+            raise SpecValidationError(f"{what} takes no {noun} {key!r}")
+        form, name = forms[key], f"{what} {noun} {key!r}"
+        if isinstance(form, type):
+            if type(val) is not form:
+                raise SpecValidationError(f"{name} must be a {form.__name__}")
+        elif isinstance(form, dict):
+            val = _checked(val, form, f"{what} {key}")
+        elif callable(form):
+            val = form(val)
+        elif form is not None:
+            shape = () if form == 1 else (form,) if isinstance(form, int) else form
+            if not _is_numbers(val, shape):
+                raise SpecValidationError(f"{name} must be "
+                                          f"{' x '.join(map(str, shape)) or 1} "
+                                          "finite number(s)")
         out[key] = val
     return out
 
 
+def _tagged(d, key, table, what):
+    """The entry of ``table`` that field ``key`` of the JSON object ``d``
+    names; every reader of a nested object starts here or in ``_checked``."""
+    if not isinstance(d, dict):
+        raise SpecValidationError(f"{what} must be a JSON object")
+    if not (type(d.get(key)) is str and d[key] in table):
+        raise SpecValidationError(f"unknown {what} {key} {d.get(key)!r}")
+    return table[d[key]]
+
+
 def family_from_dict(d) -> FamilySpec:
-    kind, params = FamilySpec(d.get("kind")).kind, d.get("params", {})
-    if not isinstance(params, dict):
-        raise SpecValidationError("spec params must be a JSON object")
-    return FamilySpec(kind, _checked(params, NUMBER_PARAMS, FAMILIES[kind][1]))
+    """The FamilySpec of a spec object: its nested params read here, and the
+    others checked by FamilySpec."""
+    takes = _tagged(d, "kind", FAMILIES, "family")[1]
+    d = _checked(d, {"kind": str, "params": dict}, "spec", ["params"])
+    return FamilySpec(d["kind"], {key: takes[key](val) if callable(takes.get(key)) else val
+                                  for key, val in d.get("params", {}).items()})
 
 
-# How many numbers each number param holds, in every kind that takes it.
+# The spec schema: how many numbers each number param holds, in every kind
+# that takes it, and below, field -> form (see ``_checked``) of each nested
+# spec object.
 NUMBER_PARAMS = {"center": 3, "normal": 3, "u_range": 2, "t_range": 2,
                  **dict.fromkeys(("radius", "offset", "pitch", "waist", "extent",
                                   "turns", "c_drift", "r0", "span"), 1)}
 _CURVE_NUMBERS = {"center": 2, "point": 2, "direction": 2, "radius": 1, "length": 1,
                   "alpha": 1, "r0": 1, "theta0": 1, "kappa0_sign": 1, "tangent_angle": 1}
+# a spec table: abscissae, values and two derivatives, one node per entry
+SCALAR_TABLE = dict.fromkeys(ScalarFunc.TABLE_KEYS + ("d1", "d2"), ("n",))
+CURVE_TABLE = {**dict.fromkeys(Curve3.TABLE_KEYS + ("d1", "d2"), ("n", 3)),
+               Curve3.TABLE_KEYS[0]: ("n",)}
+RULED_SPEC = {"s_range": 2, "cylindrical": bool, "gamma": CURVE_TABLE,
+              "beta": CURVE_TABLE}
+# cyclic spec mode -> its fields; the tables are those of _cyclic.TABLE_NAMES
+_PARALLEL = {"mode": str, "u_range": 2, "u_periodic": bool, "label": str,
+             **dict.fromkeys(_cyclic.TABLE_NAMES[:3], SCALAR_TABLE)}
+CYCLIC_SPECS = {"parallel": _PARALLEL,
+                "frenet": {**_PARALLEL, **dict.fromkeys(_cyclic.TABLE_NAMES[3:], SCALAR_TABLE),
+                           "init_frame": (4, 3)}}
+
+# directrix type -> (planar curve builder, {param: default}), ... for a param
+# that must be given.
+DIRECTRICES = {
+    "circle": (_ruled.PlanarCurve.circle, {"center": ..., "radius": ...}),
+    "line": (_ruled.PlanarCurve.line, {"point": ..., "direction": ..., "length": 4.0}),
+    "euler": (euler_planar_curve, {"alpha": ..., "r0": ..., "theta0": 0.0, "kappa0_sign": 1,
+                                   "length": 2.0, "tangent_angle": None}),
+}
 
 # kind -> (patch builder, {param: default}), a nested param with its reader in
 # place of a default; other modules' functions are looked up at each call.
@@ -416,8 +477,7 @@ FAMILIES = {
     "cylinder_over_curve": (
         lambda directrix, t_range: _ruled.build_cylinder_patch(
             _directrix_from_params(directrix), t_range),
-        {"directrix": lambda d: _checked(d, _CURVE_NUMBERS, {}, "directrix field"),
-         "t_range": (-1.0, 1.0)}),
+        {"directrix": _checked_directrix, "t_range": (-1.0, 1.0)}),
     "helicoid": (helicoid_patch, {"pitch": 1.0, "t_range": (-2.0, 2.0),
                                   "turns": 1.0, "center": None}),
     "catenoid": (catenoid_patch, {"waist": 1.0, "u_range": (-1.5, 1.5),
@@ -425,9 +485,9 @@ FAMILIES = {
     "ruled_generic": (lambda spec, t_range: _ruled.build_ruled_patch(spec, t_range),
                       {"spec": ruled_spec_from_dict, "t_range": (-1.0, 1.0)}),
     "parallel_cyclic": (lambda spec: _cyclic_patch(spec, "parallel"),
-                        {"spec": lambda d: _cyclic.cyclic_spec_from_dict(d)}),
+                        {"spec": _cyclic_spec_from_dict}),
     "frenet_cyclic": (lambda spec: _cyclic_patch(spec, "frenet"),
-                      {"spec": lambda d: _cyclic.cyclic_spec_from_dict(d)}),
+                      {"spec": _cyclic_spec_from_dict}),
     "inverted": (lambda inner: _inversion.invert_patch(make_patch(inner)),
                  {"inner": family_from_dict}),
     "log_spiral_neg2": (lambda u_range: _cyclic.log_spiral_example(u_range),
@@ -436,26 +496,14 @@ FAMILIES = {
 }
 
 
-def _finite_json_number(text, kind=float):
-    """``kind(text)`` of a JSON number; NaN, Infinity and overflow refused."""
-    if not math.isfinite(float(text)):
-        raise ValueError(f"non-finite number {text}")
-    return kind(text)
-
-
-def read_spec(path) -> dict:
-    """JSON object of a spec file; unreadable or malformed files, non-finite
-    numbers and nesting too deep for the decoder are bad input."""
+def read_spec(path):
+    """JSON value of a spec file; unreadable or malformed files and nesting
+    too deep for the decoder are bad input.  Its readers check its form."""
     try:
         with open(path) as fh:
-            d = json.load(fh, parse_float=_finite_json_number,
-                          parse_int=lambda text: _finite_json_number(text, int),
-                          parse_constant=_finite_json_number)
+            return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read spec file: {exc}") from None
-    if not isinstance(d, dict):
-        raise ValidationError(f"spec file {path!r} is not a JSON object")
-    return d
 
 
 @reads_spec

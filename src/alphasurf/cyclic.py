@@ -22,7 +22,6 @@ from .errors import (
     FrameUndefinedError,
     SpecValidationError,
     ValidationError,
-    reads_spec,
 )
 from .interp import (QuinticHermite, ScalarFunc, _rk4, read_table, stage_grid,
                      stage_table, write_table)
@@ -360,7 +359,7 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
     """
     kappa = as_scalar_func(kappa)
     u0, u1 = float(u_range[0]), float(u_range[1])
-    if r0 <= 0.0:
+    if not (r0 > 0.0):
         raise SpecValidationError("r0 must be positive")
     y0 = np.array([float(a0), float(a0p), float(r0), float(r0p)])
     us, ys, acc = _neg2_profile(kappa, y0, u0, u1, max_step)
@@ -447,7 +446,7 @@ def log_spiral_example(u_range) -> ParametricPatch:
 # serialization
 
 # the spec tables of a cyclic spec; the last three only in frenet mode
-_TABLE_NAMES = ("a", "b", "r", "c", "kappa", "tau")
+TABLE_NAMES = ("a", "b", "r", "c", "kappa", "tau")
 
 
 def cyclic_spec_to_dict(spec: CyclicSpec) -> dict:
@@ -456,27 +455,23 @@ def cyclic_spec_to_dict(spec: CyclicSpec) -> dict:
     funcs = [spec.a, spec.b, spec.r]
     if spec.mode == "frenet":
         funcs += [spec.c, spec.frame.kappa, spec.frame.tau]
-    out.update(zip(_TABLE_NAMES, (write_table(f, spec.u_range) for f in funcs)))
+    out.update(zip(TABLE_NAMES, (write_table(f, spec.u_range) for f in funcs)))
     if spec.mode == "frenet":
         fr = spec.frame
         out["init_frame"] = [x[0].tolist() for x in (fr.gamma, fr.t, fr.n, fr.b)]
     return out
 
 
-@reads_spec
 def cyclic_spec_from_dict(d) -> CyclicSpec:
-    # any mode but "parallel" reads as frenet; make_patch checks it on the kind
-    mode = d["mode"] if d["mode"] == "parallel" else "frenet"
-    u_range = tuple(d["u_range"])
-    names = _TABLE_NAMES[:3] if mode == "parallel" else _TABLE_NAMES
+    """The CyclicSpec of a spec object in the form ``catalog.CYCLIC_SPECS``
+    gives its mode."""
+    names = TABLE_NAMES[:3] if d["mode"] == "parallel" else TABLE_NAMES
     f = {key: read_table(ScalarFunc, d[key]) for key in names}
-    if mode == "frenet":
-        init = tuple(np.asarray(x, dtype=float) for x in d["init_frame"])
+    if d["mode"] == "frenet":
         f["frame"] = frame_from_curvature(f.pop("kappa"), f.pop("tau"),
-                                          u_range, init)
-    return CyclicSpec(mode=mode, u_range=u_range,
-                      u_periodic=bool(d.get("u_periodic", False)),
-                      label=d.get("label", ""), **f)
+                                          d["u_range"], d["init_frame"])
+    return CyclicSpec(mode=d["mode"], u_range=d["u_range"],
+                      u_periodic=d["u_periodic"], label=d["label"], **f)
 
 
 def write_solution_csv(spec: CyclicSpec, path):

@@ -21,16 +21,13 @@ class SpecValidationError(ValidationError):
 
 
 def reads_spec(fn):
-    """Decorate a reader of spec dicts: a missing field is bad input, and so
-    is nesting deeper than the reader can recurse."""
+    """Decorate a reader of spec dicts: nesting deeper than the reader can
+    recurse is bad input."""
 
     @functools.wraps(fn)
     def reader(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except KeyError as exc:
-            raise SpecValidationError(
-                f"spec is missing field {exc.args[0]!r}") from None
         except RecursionError:
             raise SpecValidationError("spec is nested too deep") from None
 

@@ -202,8 +202,7 @@ def write_table(func, x_range):
 
 def read_table(cls, d):
     """The ``cls`` (ScalarFunc or Curve3) interpolating a spec table."""
-    return cls.from_table(*(np.asarray(d[k])
-                            for k in cls.TABLE_KEYS + ("d1", "d2")))
+    return cls.from_table(*(d[k] for k in cls.TABLE_KEYS + ("d1", "d2")))
 
 
 def compose_reparam(curve: Curve3, smap: ScalarFunc) -> Curve3:

@@ -164,7 +164,7 @@ class PlanarCurve:
     def circle(center, radius):
         """CCW circle of given radius about (cx, cy) in the z = 0 plane."""
         cx, cy = float(center[0]), float(center[1])
-        if radius <= 0:
+        if not (radius > 0):
             raise ValidationError("circle radius must be positive")
         s = np.linspace(0.0, 2.0 * math.pi * radius, 257)
         ph = s / radius
@@ -180,7 +180,10 @@ class PlanarCurve:
     def line(point, direction, length=4.0):
         px, py = float(point[0]), float(point[1])
         d = np.array([float(direction[0]), float(direction[1]), 0.0])
-        d /= np.linalg.norm(d)
+        norm = np.linalg.norm(d)
+        if not (norm > 0):
+            raise ValidationError("line direction must be nonzero")
+        d /= norm
         s = np.linspace(-length / 2, length / 2, 65)
         gamma = np.array([px, py, 0.0]) + s[:, None] * d
         t = np.broadcast_to(d, gamma.shape).copy()

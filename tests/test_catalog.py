@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from alphasurf.catalog import (
     FAMILIES,
     NUMBER_PARAMS,
     FamilySpec,
+    catenoid_patch,
     euler_planar_curve,
     family_from_dict,
     family_to_dict,
@@ -18,8 +20,9 @@ from alphasurf.catalog import (
     save_family,
     sphere_patch,
 )
+from alphasurf.cyclic import integrate_neg2_family
 from alphasurf.errors import SpecValidationError, ValidationError
-from alphasurf.ruled import build_cylinder_patch
+from alphasurf.ruled import PlanarCurve, build_cylinder_patch
 from alphasurf.stationary import residual_grid
 from alphasurf.surface_kernel import eval_jet2
 
@@ -68,6 +71,31 @@ def test_family_from_dict_checks_number_forms_and_nested_fields():
                               "params": {"directrix": directrix}})
     with pytest.raises(SpecValidationError, match="spec is missing field"):
         make_patch(FamilySpec("inverted"))
+
+
+def test_family_spec_checks_number_forms_and_nested_params():
+    # a library caller gets the check a spec file gets, before any evaluation
+    for params in ({"center": (1, 2)}, {"center": (0, 0, True)}, {"radius": "1"},
+                   {"center": np.zeros(3)}, {"radius": math.nan}, {"radius": 10**400}):
+        with pytest.raises(SpecValidationError, match="must be"):
+            FamilySpec("sphere", params)
+    with pytest.raises(SpecValidationError, match="spec is missing field 'inner'"):
+        FamilySpec("inverted")
+    center = (0, 1, 2.5)
+    assert FamilySpec("sphere", {"center": center}).params["center"] is center
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sphere_patch((0.0, 0.0, 0.0), math.nan),
+    lambda: catenoid_patch(waist=math.nan),
+    lambda: PlanarCurve.circle((0.0, 0.0), math.nan),
+    lambda: euler_planar_curve(-1.0, math.nan, 0.0, 1, 1.0),
+    lambda: riemann_minimal_spec(0.0, math.nan, 0.3),
+    lambda: integrate_neg2_family(1.0, 0.0, 0.0, math.nan, 0.0, (1.0, 1.1)),
+], ids=["sphere", "catenoid", "circle", "euler", "riemann", "neg2"])
+def test_positivity_guards_refuse_nan(build):
+    with pytest.raises(ValidationError, match="must be positive"):
+        build()
 
 
 def test_vector_plane_stationary_for_all_alpha():

@@ -453,6 +453,8 @@ def test_spec_files_run_alone(tmp_path, monkeypatch, capsys):
     ["verify", "--family", "sphere", "--grid", "4x4", "--out="],
     ["flow", "--family", "sphere", "--grid", "4x8", "--steps", "1",
      "--perturb", "0.01", "--seed=-1"],
+    # a line directrix with a zero direction
+    ["verify", "--spec", "line-zero.json", "--alpha", "0", "--grid", "4x4"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
                                                capsys):
@@ -488,7 +490,9 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
             ("directrix-center-str", "cylinder_over_curve",
              '{"directrix": %s}' % (circle % ('"ab"', "1"))),
             ("directrix-radius-str", "cylinder_over_curve",
-             '{"directrix": %s}' % (circle % ("[2, 0]", '"x"')))):
+             '{"directrix": %s}' % (circle % ("[2, 0]", '"x"'))),
+            ("line-zero", "cylinder_over_curve", '{"directrix": {"type": "line", '
+             '"point": [1, 0], "direction": [0, 0]}}')):
         (tmp_path / f"{name}.json").write_text(
             '{"kind": "%s", "params": %s}' % (kind, params))
     monkeypatch.chdir(tmp_path)
