@@ -57,8 +57,8 @@ class FamilySpec:
 def _plane_basis(normal):
     n = np.asarray(normal, dtype=float)
     norm = np.linalg.norm(n)
-    if norm <= 0:
-        raise SpecValidationError("plane normal must be nonzero")
+    if not 0 < norm < math.inf:
+        raise SpecValidationError("plane normal must be finite and nonzero")
     n = n / norm
     # any vector not parallel to n seeds the in-plane frame
     seed = np.array([1.0, 0.0, 0.0])
@@ -115,8 +115,8 @@ def helicoid_patch(pitch=1.0, t_range=(-2.0, 2.0), turns=1.0,
                    center=None) -> ParametricPatch:
     """Psi(s, t) = (t cos s, t sin s, pitch * s), moved by ``center``."""
     p = float(pitch)
-    if p == 0.0:
-        raise SpecValidationError("helicoid pitch must be nonzero")
+    if p == 0.0 or not math.isfinite(p):
+        raise SpecValidationError("helicoid pitch must be finite and nonzero")
 
     def ev(u, v):
         cs, sn = np.cos(u), np.sin(u)
@@ -186,6 +186,8 @@ def euler_planar_curve(alpha, r0, theta0, kappa0_sign, length,
         raise ValidationError("kappa0_sign must be +1 or -1")
     phi = (theta0 + kappa0_sign * math.pi / 2.0
            if tangent_angle is None else float(tangent_angle))
+    if not math.isfinite(float(length)):
+        raise ValidationError("length must be finite")
 
     def rhs(_, y):
         x, yy, ph = y
@@ -263,8 +265,8 @@ def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec
     if not (r0 > 0):
         raise ValidationError("r0 must be positive")
     span = float(span)
-    if span <= 0:
-        raise ValidationError("span must be positive")
+    if not 0 < span < math.inf:
+        raise ValidationError("span must be finite and positive")
 
     # Failures surface in the order of two runs made one after the other:
     # the +span run's first failure at once, the -span run's first failure

@@ -22,7 +22,7 @@ from .errors import (
     SpecValidationError,
     ValidationError,
 )
-from .surface_kernel import ParametricPatch, _dot, eval_jet2
+from .surface_kernel import ParametricPatch, _dot, _tiles, eval_jet2
 
 MIN_TRIANGLE_AREA = 1e-14
 
@@ -94,6 +94,8 @@ def sample_mesh(patch: ParametricPatch, nu: int, nv: int) -> TriMesh:
     The v direction must be periodic.  In u, periodic patches wrap around
     and collapse-flagged endpoints (sphere poles) are closed with vertex
     fans; otherwise the mesh is open (flow refuses it, but export works).
+    Both arrays are filled in place at their final size, the vertices one
+    ``_tiles`` slice of u-rows at a time, so no full-grid jet is ever held.
     """
     if not patch.v_periodic:
         raise SpecValidationError("meshing requires a v-periodic patch")
@@ -110,23 +112,29 @@ def sample_mesh(patch: ParametricPatch, nu: int, nv: int) -> TriMesh:
     else:
         u_rows = np.linspace(u0, u1, nu + 1)[int(lo_fan):nu + 1 - int(hi_fan)]
 
-    uu, vv = np.meshgrid(u_rows, v, indexing="ij")
-    verts = [eval_jet2(patch, uu, vv).P.reshape(-1, 3)]
     # quad (a, b, c, d) joins columns j, j+1 of rows i, i+1 (row 0 after the
     # last one when u wraps); it splits into (a, b, c) and (a, c, d)
     idx = np.arange(len(u_rows) * nv).reshape(-1, nv)
     a = idx if patch.u_periodic else idx[:-1]
     b = np.roll(idx, -1, axis=0)[:len(a)]
     c, d = np.roll(b, -1, axis=1), np.roll(a, -1, axis=1)
-    tris = [np.stack([a, b, c, a, c, d], -1).reshape(-1, 3)]
+    verts = np.empty((idx.size + lo_fan + hi_fan, 3))
+    tris = np.empty((2 * a.size + nv * (lo_fan + hi_fan), 3), dtype=np.int64)
+    grid = verts[:idx.size].reshape(-1, nv, 3)
+    for sl in _tiles(len(u_rows), nv):
+        grid[sl] = eval_jet2(patch, u_rows[sl, None], v).P
+    quads = tris[:2 * a.size].reshape(*a.shape, 6)
+    for k, corner in enumerate((a, b, c, a, c, d)):
+        quads[..., k] = corner
     # each pole fan joins its apex to the nearest ring, wound outwards
+    apex, fan_tris = idx.size, tris[2 * a.size:]
     for fan, u_end, left, right in ((lo_fan, u0, idx[0], np.roll(idx[0], -1)),
                                     (hi_fan, u1, np.roll(idx[-1], -1), idx[-1])):
         if fan:
-            tris.append(np.column_stack([np.full(nv, sum(map(len, verts))),
-                                         left, right]))
-            verts.append(eval_jet2(patch, np.array([u_end]), np.array([v0])).P)
-    return TriMesh(np.concatenate(verts, axis=0), np.concatenate(tris))
+            verts[apex] = eval_jet2(patch, np.array([u_end]), np.array([v0])).P
+            fan_tris[:nv, 0], fan_tris[:nv, 1], fan_tris[:nv, 2] = apex, left, right
+            apex, fan_tris = apex + 1, fan_tris[nv:]
+    return TriMesh(verts, tris)
 
 
 # ---------------------------------------------------------------------------

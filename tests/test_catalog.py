@@ -15,6 +15,7 @@ from alphasurf.catalog import (
     helicoid_patch,
     load_family,
     make_patch,
+    plane_patch,
     riemann_minimal,
     riemann_minimal_spec,
     save_family,
@@ -95,6 +96,33 @@ def test_family_spec_checks_number_forms_and_nested_params():
 ], ids=["sphere", "catenoid", "circle", "euler", "riemann", "neg2"])
 def test_positivity_guards_refuse_nan(build):
     with pytest.raises(ValidationError, match="must be positive"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: plane_patch((math.nan, 0.0, 1.0)),
+    lambda: plane_patch((math.inf, 0.0, 1.0)),
+    lambda: helicoid_patch(pitch=math.nan),
+    lambda: helicoid_patch(pitch=math.inf),
+], ids=["plane-normal-nan", "plane-normal-inf", "helicoid-pitch-nan",
+        "helicoid-pitch-inf"])
+def test_nonzero_guards_refuse_non_finite(build):
+    # a `<= 0` or `== 0` test is false for nan, and an infinite norm or pitch
+    # gives nan downstream
+    with pytest.raises(SpecValidationError, match="must be finite and nonzero"):
+        build()
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: riemann_minimal_spec(0.0, 1.0, math.nan), "span"),
+    (lambda: riemann_minimal_spec(0.0, 1.0, math.inf), "span"),
+    (lambda: euler_planar_curve(1.0, 1.0, 0.0, 1, math.nan), "length"),
+    (lambda: euler_planar_curve(1.0, 1.0, 0.0, 1, -math.inf), "length"),
+], ids=["riemann-span-nan", "riemann-span-inf", "euler-length-nan",
+        "euler-length-inf"])
+def test_non_finite_lengths_are_refused_by_name(build, name):
+    # not reported as a step count ("integration needs nan steps")
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
         build()
 
 

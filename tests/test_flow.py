@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from alphasurf import surface_kernel
 from alphasurf.catalog import catenoid_patch, helicoid_patch, sphere_patch
 from alphasurf.cyclic import PLANAR_INIT, build_cyclic, frame_from_curvature, frenet_spec
 from alphasurf.inversion import invert_patch
@@ -93,19 +94,33 @@ def torus_patch():
 @pytest.mark.parametrize("nu, nv", [(2, 3), (3, 4), (5, 7), (16, 32), (96, 192)])
 @pytest.mark.parametrize("family", ["sphere", "catenoid", "inverted-sphere",
                                     "torus"])
-def test_sample_mesh_matches_loop_triangulation(family, nu, nv, torus_patch):
+def test_sample_mesh_matches_loop_triangulation(family, nu, nv, torus_patch,
+                                                monkeypatch):
     patch = {"sphere": sphere_patch((0.1, 0, 0), 1.5),
              "catenoid": catenoid_patch(1.0),
              "inverted-sphere": invert_patch(sphere_patch((0, 0, 2), 1.0)),
              "torus": torus_patch}[family]
-    mesh = sample_mesh(patch, nu, nv)
     verts, tris = loop_triangulation(patch, nu, nv)
-    assert np.array_equal(mesh.vertices, verts)
-    assert np.array_equal(mesh.triangles, tris)
-    assert mesh.triangles.dtype == tris.dtype == np.int64
+    n_rows = len(verts) // nv   # the pole fans add fewer than nv apexes
+    # one row per tile, tiles that leave a shorter last one, the whole grid
+    for rows in (1, n_rows // 2 + 1, n_rows):
+        monkeypatch.setattr(surface_kernel, "TILE_POINTS", rows * nv)
+        mesh = sample_mesh(patch, nu, nv)
+        assert np.array_equal(mesh.vertices, verts)
+        assert np.array_equal(mesh.triangles, tris)
+        assert mesh.triangles.dtype == tris.dtype == np.int64
     # two rows of a u-periodic mesh join twice, along the same edges
     assert mesh.is_closed() == (family != "catenoid"
                                 and (nu > 2 or family != "torus"))
+
+
+def test_export_peak_memory_grows_with_the_mesh_only(tmp_path, peak_rss_mb):
+    # the 256x384 catenoid's vertices and triangles take 7.1 MB; the six
+    # fields of a whole-grid jet would add 14 MB more
+    peaks = [peak_rss_mb(["export", "--family", "catenoid", "--grid", grid,
+                          "--export", f"{grid}.obj"], tmp_path)
+             for grid in ("256x384", "8x8")]
+    assert peaks[0] - peaks[1] <= 14.0
 
 
 def test_topology_sphere_and_torus():

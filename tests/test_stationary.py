@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -309,33 +306,12 @@ def test_guards_fire_in_a_later_tile(rows, monkeypatch):
             energy(_flat_patch(_infinite), 1.0, nu, nv)
 
 
-def _peak_rss_mb(argv, cwd):
-    """Peak RSS in MB of ``alphasurf ARGV`` run in a child interpreter."""
-    # an intermediate interpreter, so RUSAGE_CHILDREN sees that one child
-    probe = (
-        "import resource, subprocess, sys\n"
-        f"subprocess.run([sys.executable, '-m', 'alphasurf.cli', *{argv!r}],"
-        " check=True, stdout=subprocess.DEVNULL)\n"
-        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
-                         check=True, capture_output=True, text=True).stdout
-    return int(out) / 1024
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in kilobytes on Linux only")
-def test_verify_1024_grid_peak_memory(tmp_path):
+def test_verify_1024_grid_peak_memory(tmp_path, peak_rss_mb):
     argv = ["verify", "--family", "catenoid", "--grid", "1024x1024"]
-    assert _peak_rss_mb(argv, tmp_path) <= 160.0
+    assert peak_rss_mb(argv, tmp_path) <= 160.0
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in kilobytes on Linux only")
-def test_coeffs_million_samples_peak_memory(tmp_path):
+def test_coeffs_million_samples_peak_memory(tmp_path, peak_rss_mb):
     # the 40 MB result is held once: max|A| builds no second array
     argv = ["coeffs", "--family", "helicoid", "--samples", "1000000"]
-    assert _peak_rss_mb(argv, tmp_path) <= 100.0
+    assert peak_rss_mb(argv, tmp_path) <= 100.0
