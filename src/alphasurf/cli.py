@@ -31,6 +31,9 @@ from .interp import Curve3, ScalarFunc
 MAX_EXPR_DEPTH = 50
 
 _BINOPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div"}
+# the ufuncs that the operators call on arrays, so the values are bit-equal
+_UFUNCS = {"neg": np.negative, "add": np.add, "sub": np.subtract,
+           "mul": np.multiply, "div": np.divide}
 
 
 def _number(node, text):
@@ -89,23 +92,14 @@ def _ast_eval(node, u):
         return np.full(np.shape(u), node[1])
     if kind == "var":
         return np.asarray(u, dtype=float)
-    if kind == "neg":
-        return -_ast_eval(node[1], u)
     if kind == "pow":
         return np.power(_ast_eval(node[1], u), node[2])
-    a, b = _ast_eval(node[1], u), _ast_eval(node[2], u)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    return a / b
+    return _UFUNCS[kind](*(_ast_eval(arg, u) for arg in node[1:]))
 
 
 def _ast_diff(node):
     kind = node[0]
-    if kind in ("num",):
+    if kind == "num":
         return ("num", 0.0)
     if kind == "var":
         return ("num", 1.0)
@@ -117,10 +111,8 @@ def _ast_diff(node):
                 _ast_diff(base))
     a, b = node[1], node[2]
     da, db = _ast_diff(a), _ast_diff(b)
-    if kind == "add":
-        return ("add", da, db)
-    if kind == "sub":
-        return ("sub", da, db)
+    if kind in ("add", "sub"):
+        return (kind, da, db)
     if kind == "mul":
         return ("add", ("mul", da, b), ("mul", a, db))
     # quotient rule
@@ -160,18 +152,20 @@ def _finite_float(text):
     return value
 
 
-def _triple_arg(text):
-    parts = [_finite_float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise ValidationError(f"expected x,y,z triple, got {text!r}")
-    return tuple(parts)
+def _numbers_arg(sep, count, form):
+    """A flag type reading ``count`` finite numbers split by ``sep``."""
+
+    def parse(text):
+        parts = [_finite_float(x) for x in text.split(sep)]
+        if len(parts) != count:
+            raise ValidationError(f"expected {form}, got {text!r}")
+        return tuple(parts)
+
+    return parse
 
 
-def _range_arg(text):
-    parts = [_finite_float(x) for x in text.split(":")]
-    if len(parts) != 2:
-        raise ValidationError(f"expected lo:hi range, got {text!r}")
-    return tuple(parts)
+_triple_arg = _numbers_arg(",", 3, "x,y,z triple")
+_range_arg = _numbers_arg(":", 2, "lo:hi range")
 
 
 def _grid_arg(text):
@@ -491,6 +485,9 @@ def main(argv=None):
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -106,17 +106,17 @@ class OriginInFaceError(NumericalError):
     """A triangle centroid coincides with the origin."""
 
 
-class FlowSingularityError(NumericalError):
+class FlowError(NumericalError):
+    """Gradient descent failed at step ``step``."""
+
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
+
+
+class FlowSingularityError(FlowError):
     """A triangle degenerated during gradient descent."""
 
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
 
-
-class FlowStallError(NumericalError):
+class FlowStallError(FlowError):
     """Backtracking rejected too many consecutive steps."""
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step

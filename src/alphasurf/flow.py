@@ -204,6 +204,8 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
         raise ValidationError(f"unknown step rule {step_rule!r}")
     if steps < 0:
         raise ValidationError(f"step count must be non-negative, got {steps}")
+    if not (dt > 0):   # NaN too
+        raise ValidationError(f"time step must be positive, got {dt}")
     if not mesh.is_closed():
         raise OpenMeshError("flow requires a closed oriented mesh")
     geom = _, _, area, _ = _geometry(mesh.vertices, mesh.triangles)

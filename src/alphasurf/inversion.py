@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SingularPointError
 from .stationary import residual_grid
-from .surface_kernel import Jet2, ParametricPatch, _dot
+from .surface_kernel import Jet2, ParametricPatch, _dot, _mapped
 
 #: minimum distance from the origin for points being inverted
 DELTA_INV = 1e-6
@@ -25,13 +25,19 @@ def shifted_alpha(alpha: float) -> float:
     return -float(alpha) - 4.0
 
 
+def _norm2(p):
+    """|p|^2, refused within DELTA_INV of the origin."""
+    q = _dot(p, p)
+    if np.any(np.sqrt(q) < DELTA_INV):
+        raise SingularPointError(
+            f"surface point within {DELTA_INV} of the origin during inversion")
+    return q
+
+
 def invert_point(p):
     """Phi(p) = p / |p|^2; involutive, defined away from the origin."""
     p = np.asarray(p, dtype=float)
-    q = _dot(p, p)
-    if np.any(np.sqrt(q) < DELTA_INV):
-        raise SingularPointError("inversion evaluated too close to the origin")
-    return p / q[..., None]
+    return p / _norm2(p)[..., None]
 
 
 def _dphi(p, q, h):
@@ -54,10 +60,7 @@ def _d2phi(p, q, h, k):
 
 def invert_jet(jet: Jet2) -> Jet2:
     p = jet.P
-    q = _dot(p, p)
-    if np.any(np.sqrt(q) < DELTA_INV):
-        raise SingularPointError(
-            f"surface point within {DELTA_INV} of the origin during inversion")
+    q = _norm2(p)
     return Jet2(
         P=p / q[..., None],
         Pu=_dphi(p, q, jet.Pu),
@@ -70,19 +73,7 @@ def invert_jet(jet: Jet2) -> Jet2:
 
 def invert_patch(patch: ParametricPatch) -> ParametricPatch:
     """Transport a patch through Phi with exact chain-rule jets."""
-
-    def ev(u, v):
-        return invert_jet(patch.evaluator(u, v))
-
-    return ParametricPatch(
-        evaluator=ev,
-        u_range=patch.u_range,
-        v_range=patch.v_range,
-        v_periodic=patch.v_periodic,
-        u_periodic=patch.u_periodic,
-        u_collapse=patch.u_collapse,
-        label=f"inverted*{patch.label}",
-    )
+    return _mapped(patch, invert_jet, f"inverted*{patch.label}")
 
 
 def verify_shift(patch: ParametricPatch, alpha: float, nu: int, nv: int):

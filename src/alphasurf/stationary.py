@@ -23,6 +23,7 @@ from .errors import (
 )
 from .surface_kernel import (
     ParametricPatch,
+    _axis_samples,
     _dot,
     _tiles,
     eval_jet2,
@@ -126,8 +127,7 @@ def energy(patch: ParametricPatch, alpha: float, nu: int, nv: int) -> float:
 def _axis_rule(rng, n, periodic):
     lo, hi = float(rng[0]), float(rng[1])
     if periodic:
-        step = (hi - lo) / n
-        return lo + (np.arange(n) + 0.5) * step, np.full(n, step)
+        return _axis_samples(rng, n, True, 0.0), np.full(n, (hi - lo) / n)
     x, w = np.polynomial.legendre.leggauss(n)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + half * x, half * w

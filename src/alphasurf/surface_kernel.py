@@ -89,24 +89,20 @@ def _axis_samples(rng, n, periodic, margin):
     return np.linspace(lo + m, hi - m, n)
 
 
-def _check_domain(patch: ParametricPatch, u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u0, u1 = patch.u_range
-    v0, v1 = patch.v_range
-    if patch.u_periodic:
-        u = u0 + np.mod(u - u0, u1 - u0)
-    elif np.any(u < u0 - _DOMAIN_SLACK) or np.any(u > u1 + _DOMAIN_SLACK):
-        bad = float(np.asarray(u).ravel()[np.argmax((u < u0) | (u > u1))])
+def _check_axis(patch, name, x, rng, periodic, reach=0.0):
+    """``x`` wrapped onto a periodic axis; on any other, ``x`` checked to
+    stay in ``rng`` even when moved by ``reach`` either way."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = rng
+    if periodic:
+        return lo + np.mod(x - lo, hi - lo)
+    out = (x - reach < lo - _DOMAIN_SLACK) | (x + reach > hi + _DOMAIN_SLACK)
+    if np.any(out):
         raise ParameterRangeError(
-            f"u={bad!r} outside [{u0}, {u1}] for patch {patch.label!r}")
-    if patch.v_periodic:
-        v = v0 + np.mod(v - v0, v1 - v0)
-    elif np.any(v < v0 - _DOMAIN_SLACK) or np.any(v > v1 + _DOMAIN_SLACK):
-        bad = float(np.asarray(v).ravel()[np.argmax((v < v0) | (v > v1))])
-        raise ParameterRangeError(
-            f"v={bad!r} outside [{v0}, {v1}] for patch {patch.label!r}")
-    return u, v
+            f"finite-difference stencil leaves the {name}-domain" if reach else
+            f"{name}={float(x.ravel()[np.argmax(out)])!r} outside [{lo}, {hi}] "
+            f"for patch {patch.label!r}")
+    return x
 
 
 def _tiles(n, width=1):
@@ -117,7 +113,8 @@ def _tiles(n, width=1):
 
 def eval_jet2(patch: ParametricPatch, u, v) -> Jet2:
     """Analytic second-order jet of ``patch`` at (u, v) (broadcastable)."""
-    u, v = _check_domain(patch, u, v)
+    u = _check_axis(patch, "u", u, patch.u_range, patch.u_periodic)
+    v = _check_axis(patch, "v", v, patch.v_range, patch.v_periodic)
     # axes passed broadcastable are checked as such, then evaluated in full
     return patch.evaluator(*(np.asarray(x, order="C")
                              for x in np.broadcast_arrays(u, v)))
@@ -166,16 +163,9 @@ def _dot(a, b):
 
 def fd_jet2(patch: ParametricPatch, u, v, h) -> Jet2:
     """Central-difference jet, an O(h^2) cross-check of the analytic path."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u0, u1 = patch.u_range
-    v0, v1 = patch.v_range
-    if not patch.u_periodic and (np.any(u - 2 * h < u0 - _DOMAIN_SLACK)
-                                 or np.any(u + 2 * h > u1 + _DOMAIN_SLACK)):
-        raise ParameterRangeError("finite-difference stencil leaves the u-domain")
-    if not patch.v_periodic and (np.any(v - 2 * h < v0 - _DOMAIN_SLACK)
-                                 or np.any(v + 2 * h > v1 + _DOMAIN_SLACK)):
-        raise ParameterRangeError("finite-difference stencil leaves the v-domain")
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    _check_axis(patch, "u", u, patch.u_range, patch.u_periodic, 2 * h)
+    _check_axis(patch, "v", v, patch.v_range, patch.v_periodic, 2 * h)
 
     def pos(uu, vv):
         return eval_jet2(patch, uu, vv).P
@@ -198,33 +188,27 @@ def fd_jet2(patch: ParametricPatch, u, v, h) -> Jet2:
 # ---------------------------------------------------------------------------
 # patch transforms (pure wrappers; used by invariance tests and inversion)
 
+def _mapped(patch: ParametricPatch, jet_map, label) -> ParametricPatch:
+    """``patch`` with ``jet_map`` applied to every jet it evaluates."""
+    return replace(patch, evaluator=lambda u, v: jet_map(patch.evaluator(u, v)),
+                   label=label)
+
+
 def scaled(patch: ParametricPatch, lam: float) -> ParametricPatch:
     lam = float(lam)
-
-    def ev(u, v):
-        j = patch.evaluator(u, v)
-        return Jet2(*(lam * x for x in (j.P, j.Pu, j.Pv, j.Puu, j.Puv, j.Pvv)))
-
-    return replace(patch, evaluator=ev, label=f"scaled({lam})*{patch.label}")
+    return _mapped(patch, lambda j: Jet2(*(lam * x for x in vars(j).values())),
+                   f"scaled({lam})*{patch.label}")
 
 
 def rotated(patch: ParametricPatch, R) -> ParametricPatch:
     R = np.asarray(R, dtype=float)
-
-    def ev(u, v):
-        return patch.evaluator(u, v).map_linear(R)
-
-    return replace(patch, evaluator=ev, label=f"rotated*{patch.label}")
+    return _mapped(patch, lambda j: j.map_linear(R), f"rotated*{patch.label}")
 
 
 def translated(patch: ParametricPatch, vec) -> ParametricPatch:
     vec = np.asarray(vec, dtype=float)
-
-    def ev(u, v):
-        j = patch.evaluator(u, v)
-        return Jet2(j.P + vec, j.Pu, j.Pv, j.Puu, j.Puv, j.Pvv)
-
-    return replace(patch, evaluator=ev, label=f"translated*{patch.label}")
+    return _mapped(patch, lambda j: replace(j, P=j.P + vec),
+                   f"translated*{patch.label}")
 
 
 def swapped_uv(patch: ParametricPatch) -> ParametricPatch:

@@ -526,6 +526,44 @@ def test_unwritable_later_output_leaves_no_file(argv, tmp_path, monkeypatch,
     assert os.listdir() == []
 
 
+# each size is past the 128 TiB address space, so its allocation fails at once
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "sphere", "--grid", "8000000x8000000",
+     "--out", "r.json", "--csv", "r.csv"],
+    ["energy", "--family", "sphere", "--grid", "8000000x8000000", "--out", "e.json"],
+    ["export", "--family", "sphere", "--grid", "8000000x8000000", "--export", "m.obj"],
+    ["coeffs", "--family", "helicoid", "--samples", "100000000000000",
+     "--out", "c.csv"],
+    ["fourier", "--family", "sphere", "--alpha", "-2", "--u", "1",
+     "--nv", "1125899906842624", "--nmax", "1", "--out", "f.json"],
+])
+def test_unallocatable_size_exits_2_without_files(argv, tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: not enough memory: ")
+    assert "Traceback" not in captured.err
+    assert os.listdir() == []
+
+
+@pytest.mark.parametrize("step_rule", ["backtracking", "fixed"])
+@pytest.mark.parametrize("dt", ["0", "-1e-3"])
+def test_flow_refuses_a_non_positive_dt(step_rule, dt, tmp_path, monkeypatch,
+                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["flow", "--family", "sphere", "--alpha", "-2", "--grid", "8x16",
+                 "--steps", "3", "--perturb", "0.01", "--step-rule", step_rule,
+                 f"--dt={dt}", "--trace", "t.csv", "--export", "m.obj"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: time step must be positive, got {float(dt)}"]
+    assert os.listdir() == []
+
+
 @pytest.mark.parametrize("c_drift, r0, span, where", [
     ("3", "0.2", "3", "u=0.105"),
     ("0.3", "0.05", "3", "u=0"),

@@ -159,6 +159,13 @@ def test_descend_rejects_negative_step_count():
         descend(sphere_mesh(), -2.0, -3)
 
 
+@pytest.mark.parametrize("step_rule", ["backtracking", "fixed"])
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+def test_descend_rejects_a_non_positive_dt(step_rule, dt):
+    with pytest.raises(ValidationError, match="time step must be positive"):
+        descend(sphere_mesh(8, 16), -2.0, 3, step_rule=step_rule, dt=dt)
+
+
 def test_meshing_requires_periodic_v():
     with pytest.raises(SpecValidationError):
         sample_mesh(helicoid_patch(1.0), 8, 8)

@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from alphasurf.catalog import catenoid_patch, helicoid_patch, plane_patch, sphere_patch
+from alphasurf.cyclic import PLANAR_INIT, build_cyclic, frame_from_curvature, frenet_spec
 from alphasurf.errors import DegenerateParametrizationError, ParameterRangeError
+from alphasurf.inversion import invert_jet, invert_patch
 from alphasurf.surface_kernel import (
     Jet2,
     ParametricPatch,
@@ -67,6 +71,22 @@ def test_domain_check_raises_outside():
     assert np.allclose(a, b)
 
 
+def test_domain_errors_name_the_axis_and_the_offender():
+    patch = catenoid_patch(1.0)
+    # -1.5 - 1e-12 is inside the slack; -3.0 is the value outside it
+    with pytest.raises(ParameterRangeError) as err:
+        eval_jet2(patch, [-1.5 - 1e-12, -3.0], [0.1, 0.1])
+    assert str(err.value) == "u=-3.0 outside [-1.5, 1.5] for patch 'catenoid(waist=1.0)'"
+    with pytest.raises(ParameterRangeError) as err:
+        eval_jet2(helicoid_patch(0.7), [1.0], [2.5])
+    assert str(err.value).startswith("v=2.5 outside [-2.0, 2.0] for patch ")
+    for stencil_patch, u, v, axis in ((patch, 1.4999, 0.1, "u"),
+                                      (helicoid_patch(0.7), 1.0, 1.9999, "v")):
+        with pytest.raises(ParameterRangeError) as err:
+            fd_jet2(stencil_patch, u, v, 1e-3)
+        assert str(err.value) == f"finite-difference stencil leaves the {axis}-domain"
+
+
 def test_degenerate_parametrization_detected():
     def ev(u, v):
         # Pu and Pv parallel: rank-1 map
@@ -103,6 +123,53 @@ def test_transforms_behave():
     swf = fundamental_data(eval_jet2(sw, vv, uu))
     # orientation flip negates H
     assert np.allclose(swf.H, -base.H)
+
+
+def _closure_transforms(patch, lam, R, vec):
+    """The hand-written evaluator closures of each transform, as the oracle
+    of the jet map that replaced them: (transform, closure, label)."""
+
+    def sc(u, v):
+        j = patch.evaluator(u, v)
+        return Jet2(*(lam * x for x in (j.P, j.Pu, j.Pv, j.Puu, j.Puv, j.Pvv)))
+
+    def ro(u, v):
+        return patch.evaluator(u, v).map_linear(R)
+
+    def tr(u, v):
+        j = patch.evaluator(u, v)
+        return Jet2(j.P + vec, j.Pu, j.Pv, j.Puu, j.Puv, j.Pvv)
+
+    def inv(u, v):
+        return invert_jet(patch.evaluator(u, v))
+
+    return [(scaled(patch, lam), sc, f"scaled({lam})*{patch.label}"),
+            (rotated(patch, R), ro, f"rotated*{patch.label}"),
+            (translated(patch, vec), tr, f"translated*{patch.label}"),
+            (invert_patch(patch), inv, f"inverted*{patch.label}")]
+
+
+def test_transforms_equal_their_closures_and_keep_the_patch_fields():
+    frame = frame_from_curvature(0.5, 0.0, (0.0, 4 * np.pi), PLANAR_INIT,
+                                 max_step=2e-3)
+    torus = build_cyclic(frenet_spec(frame, 0.0, -2.0, 0.0, 0.7, u_periodic=True))
+    th = 0.7
+    R = np.array([[np.cos(th), -np.sin(th), 0],
+                  [np.sin(th), np.cos(th), 0], [0, 0, 1.0]])
+    for patch in (sphere_patch((0.3, 0, 0), 1.5), torus):
+        assert patch.u_collapse == (True, True) or patch.u_periodic
+        uu, vv = grid(patch)
+        for new, closure, label in _closure_transforms(
+                patch, 2.5, R, np.array([1.0, 2.0, 3.0])):
+            assert new.label == label
+            got, want = new.evaluator(uu, vv), closure(uu, vv)
+            for f in fields(Jet2):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), \
+                    (label, f.name)
+            for f in fields(ParametricPatch):
+                if f.name not in ("evaluator", "label"):
+                    assert getattr(new, f.name) == getattr(patch, f.name), \
+                        (label, f.name)
 
 
 def test_domain_grid_periodic_uses_midpoints():
