@@ -223,7 +223,8 @@ def _summary(text, *numbers):
 def _cmd_verify(args):
     _, patch = _patch_from_args(args)
     nu, nv = args.grid
-    report = stationary.residual_grid(patch, args.alpha, nu, nv)
+    report = stationary.residual_grid(patch, args.alpha, nu, nv,
+                                      rows=bool(args.out or args.csv))
     summary = _summary(f"sup|residual| = {report.sup_abs:.3g} over "
                        f"{report.sample_count} samples", report.sup_abs)
     if args.out:
@@ -263,9 +264,10 @@ def _cmd_coeffs(args):
     else:
         raise ValidationError("coeffs needs --spec or --family helicoid")
     s = np.linspace(*rs.s_range, args.samples)
-    A = ruled.ruled_coeffs(rs, args.alpha, s)
+    A = ruled.ruled_coeffs(rs, args.alpha, s) if args.out else None
     # max|A| without a second array of |A|; abs() drops the sign of a zero
-    top = abs(max(A.max(), -A.min()))
+    top = (abs(max(A.max(), -A.min())) if args.out
+           else ruled.coeffs_absmax(rs, args.alpha, s))
     summary = _summary(f"max|A_n| = {top:.3g} over {args.samples} samples", top)
     if args.out:
         output.write_csv(args.out, ["s", "A0", "A1", "A2", "A3", "A4"],
@@ -309,7 +311,7 @@ def _cmd_generate(args):
         fam = catalog.FamilySpec(kind="parallel_cyclic", params={"spec": spec})
     patch = catalog.make_patch(fam)
     nu, nv = args.grid
-    report = stationary.residual_grid(patch, args.alpha, nu, nv)
+    report = stationary.residual_grid(patch, args.alpha, nu, nv, rows=False)
     mesh = flow.sample_mesh(patch, nu, nv) if args.export else None
     summary = _summary(f"generated; sup|residual| = {report.sup_abs:.3g} at "
                        f"alpha={args.alpha}", report.sup_abs)
@@ -340,7 +342,8 @@ def _cmd_verify_shift(args):
     if args.direction == "inverse":
         patch = inversion.invert_patch(patch)
     nu, nv = args.grid
-    before, after = inversion.verify_shift(patch, args.alpha, nu, nv)
+    before, after = inversion.verify_shift(patch, args.alpha, nu, nv,
+                                           rows=bool(args.out))
     a2 = inversion.shifted_alpha(args.alpha)
     summary = _summary(f"source sup|residual| = {before.sup_abs:.3g} at "
                        f"alpha={args.alpha}; image sup|residual| = "

@@ -217,7 +217,8 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
     tris = cur.triangles
     energy = discrete_energy(cur, alpha, _geom=geom)
     trace = []
-    dt = float(dt)
+    # backtracking never tries a step above 1.0, the first one included
+    dt = float(dt) if step_rule == "fixed" else min(float(dt), 1.0)
     for step in range(int(steps)):
         g = discrete_gradient(cur, alpha, _geom=geom)
         geom = None   # each candidate builds its own

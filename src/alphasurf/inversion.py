@@ -76,14 +76,15 @@ def invert_patch(patch: ParametricPatch) -> ParametricPatch:
     return _mapped(patch, invert_jet, f"inverted*{patch.label}")
 
 
-def verify_shift(patch: ParametricPatch, alpha: float, nu: int, nv: int):
+def verify_shift(patch: ParametricPatch, alpha: float, nu: int, nv: int, *,
+                 rows=True):
     """Residual reports for (patch, alpha) and (Phi(patch), shifted alpha).
 
     The shift theorem predicts the second sup-residual is small whenever the
     first one is.
     """
-    before = residual_grid(patch, alpha, nu, nv)
-    after = residual_grid(invert_patch(patch), shifted_alpha(alpha), nu, nv)
+    before = residual_grid(patch, alpha, nu, nv, rows=rows)
+    after = residual_grid(invert_patch(patch), shifted_alpha(alpha), nu, nv, rows=rows)
     return before, after
 
 

@@ -372,19 +372,11 @@ def _rotation_to_e3(axis):
 # quartic coefficients
 
 
-def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
-    """Coefficients [A0..A4] of the degree-4 defect polynomial in t.
-
-    Requires an arc-length striction directrix (checked at the evaluation
-    points unless ``check`` is False).  Vectorized: returns shape
-    s.shape + (5,).
-    """
-    s = np.asarray(s, dtype=float)
-    coeffs = np.empty(s.shape + (5,))
-    flat_s, flat_coeffs = s.reshape(-1), coeffs.reshape(-1, 5)
+def _coeff_tiles(spec: RuledSpec, alpha: float, s, check):
+    """(slice, (A0, A1, A2, A3, A4)) for each tile of the flat samples ``s``."""
     for sl in _tiles(s.size):
-        g, gp, gpp = spec.gamma.eval2(flat_s[sl])
-        b, bp, bpp = spec.beta.eval2(flat_s[sl])
+        g, gp, gpp = spec.gamma.eval2(s[sl])
+        b, bp, bpp = spec.beta.eval2(s[sl])
         if check:
             if np.max(np.abs(_dot(gp, bp))) > 1e-6:
                 raise SpecValidationError("directrix violates the striction condition")
@@ -404,8 +396,32 @@ def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
         A1 = q1 * R0 + q0 * R1 - alpha * T1 * S0
         A2 = R0 + q1 * R1 + q0 * R2 - alpha * T0 * S2
         A3 = R1 + q1 * R2 - alpha * T1 * S2
-        np.stack([A0, A1, A2, A3, R2], axis=-1, out=flat_coeffs[sl])
+        yield sl, (A0, A1, A2, A3, R2)
+
+
+def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
+    """Coefficients [A0..A4] of the degree-4 defect polynomial in t.
+
+    Requires an arc-length striction directrix (checked at the evaluation
+    points unless ``check`` is False).  Vectorized: returns shape
+    s.shape + (5,).
+    """
+    s = np.asarray(s, dtype=float)
+    coeffs = np.empty(s.shape + (5,))
+    for sl, cols in _coeff_tiles(spec, alpha, s.reshape(-1), check):
+        np.stack(cols, axis=-1, out=coeffs.reshape(-1, 5)[sl])
     return coeffs
+
+
+def coeffs_absmax(spec: RuledSpec, alpha: float, s, check=True):
+    """max |A_n| of ``ruled_coeffs``, its tiles stacked in one reused buffer."""
+    s = np.asarray(s, dtype=float).reshape(-1)
+    tile = np.empty((0, 5))   # the first tile is the largest; the rest reuse it
+    top, bottom = -np.inf, np.inf   # np.maximum keeps a NaN, as max() would
+    for _, cols in _coeff_tiles(spec, alpha, s, check):
+        tile = np.stack(cols, axis=-1, out=tile[:cols[0].size] if tile.size else None)
+        top, bottom = np.maximum(top, tile.max()), np.minimum(bottom, tile.min())
+    return abs(max(top, -bottom))   # abs() drops the sign of a zero
 
 
 # ---------------------------------------------------------------------------

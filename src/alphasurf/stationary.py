@@ -41,10 +41,12 @@ class ResidualReport:
     sample_count: int
     sup_abs: float
     rms: float
-    rows: np.ndarray  # (n, 8) columns u, v, x, y, z, H, rhs, residual
+    rows: np.ndarray | None  # (n, 8) u, v, x, y, z, H, rhs, residual, or None
     label: str = ""
 
     def to_json_dict(self):
+        if self.rows is None:
+            raise ValueError("a report built with rows=False has no rows to write")
         return {
             "alpha": self.alpha,
             "label": self.label,
@@ -58,7 +60,7 @@ class ResidualReport:
         output.write_json(path, self.to_json_dict())
 
     def write_csv(self, path):
-        output.write_csv(path, REPORT_CSV_HEADER, self.rows,
+        output.write_csv(path, REPORT_CSV_HEADER, self.to_json_dict()["rows"],
                          ["%.17g"] * len(REPORT_CSV_HEADER))
 
 
@@ -77,28 +79,31 @@ def residual(patch: ParametricPatch, alpha: float, u, v):
     return fd.H - rhs
 
 
-def residual_grid(patch: ParametricPatch, alpha: float, nu: int,
-                  nv: int) -> ResidualReport:
-    """Residual on a uniform interior grid (u-major row order)."""
+def residual_grid(patch: ParametricPatch, alpha: float, nu: int, nv: int, *,
+                  rows=True) -> ResidualReport:
+    """Residual on a uniform interior grid (u-major row order); with
+    ``rows=False`` only the residual is kept, and the report's rows are None."""
     if nu < 2 or nv < 2:
         raise ValidationError("residual grid needs nu, nv >= 2")
     u, v = patch.domain_grid(nu, nv)
-    rows = np.empty((nu, nv, 8))
-    rows[..., 0], rows[..., 1] = u[:, None], v
+    table = np.empty((nu, nv, 8 if rows else 1))
+    if rows:
+        table[..., 0], table[..., 1] = u[:, None], v
     # pointwise work tile by tile; the reductions below see the whole grid
     for sl in _tiles(nu, nv):
         jet = eval_jet2(patch, u[sl, None], v)
         fd, rhs = _residual_fields(jet, alpha)
-        rows[sl, :, 2:5] = jet.P
-        rows[sl, :, 5], rows[sl, :, 6], rows[sl, :, 7] = fd.H, rhs, fd.H - rhs
-    rows = rows.reshape(nu * nv, 8)
-    flat = rows[:, 7]
+        if rows:
+            table[sl, :, 2:5] = jet.P
+            table[sl, :, 5], table[sl, :, 6] = fd.H, rhs
+        table[sl, :, -1] = fd.H - rhs
+    flat = table[..., -1].reshape(-1)
     return ResidualReport(
         alpha=float(alpha),
         sample_count=flat.size,
         sup_abs=float(np.max(np.abs(flat))),
         rms=float(np.sqrt(np.mean(flat * flat))),
-        rows=rows,
+        rows=table.reshape(nu * nv, 8) if rows else None,
         label=patch.label,
     )
 
@@ -213,12 +218,16 @@ def fourier_defect(patch: ParametricPatch, alpha: float, u: float,
     ang = 2.0 * math.pi * np.arange(nv) / nv
     n_half = nv // 2
     ns = np.arange(n_half + 1)
-    # one (n_half+1, nv) buffer holds the cosine, then the sine matrix;
-    # the products stay whole, since splitting them moves the last bits
-    x = np.outer(ns, ang)
-    A_all = np.multiply(np.cos(x, out=x), 2.0 / nv, out=x) @ d
-    np.outer(ns, ang, out=x)
-    B_all = np.multiply(np.sin(x, out=x), 2.0 / nv, out=x) @ d
+    # 256 harmonic rows of the cosine, then the sine matrix, at a time in one
+    # buffer: edges at multiples of 4 rows keep BLAS's gemv row groups, so the
+    # returned harmonics have the whole single-thread product's bits at any thread count
+    A_all, B_all = np.empty(n_half + 1), np.empty(n_half + 1)
+    x = np.empty((min(n_half + 1, 256), nv))
+    for block in np.split(ns, range(256, n_half + 1, 256)):
+        m = x[:block.size]
+        for trig, coeffs in ((np.cos, A_all), (np.sin, B_all)):
+            np.outer(block, ang, out=m)
+            coeffs[block] = np.multiply(trig(m, out=m), 2.0 / nv, out=m) @ d
     A_all[0] *= 0.5
     if n_half * 2 == nv:
         A_all[n_half] *= 0.5

@@ -3,6 +3,7 @@ import pytest
 
 from alphasurf import surface_kernel
 from alphasurf.catalog import catenoid_patch, helicoid_patch, sphere_patch
+from alphasurf.cli import main
 from alphasurf.cyclic import PLANAR_INIT, build_cyclic, frame_from_curvature, frenet_spec
 from alphasurf.inversion import invert_patch
 from alphasurf.surface_kernel import eval_jet2
@@ -325,6 +326,8 @@ def oracle_descend(mesh, alpha, steps, step_rule="backtracking", dt=1e-3):
     cur = mesh.copy()
     energy = oracle_energy(cur, alpha)
     trace = []
+    if step_rule == "backtracking":
+        dt = min(dt, 1.0)
     for step in range(steps):
         g = oracle_gradient(cur, alpha)
         trace.append((step, energy, float(np.max(np.linalg.norm(g, axis=-1))), dt))
@@ -398,6 +401,26 @@ def test_backtracking_with_rejections_matches_the_oracle(torus_patch):
     # an accepted step grows dt by 1.5 (up to 1), a rejected one halves it
     dts = [row[3] for row in trace.rows]
     assert sum(b < min(1.5 * a, 1.0) for a, b in zip(dts, dts[1:])) >= 2
+
+
+@pytest.mark.parametrize("dt", [1.5, 1e200])
+def test_backtracking_starts_at_most_at_a_unit_step(dt, torus_patch):
+    # a first dt above 1 is the dt of 1 that every accepted step is capped at
+    mesh = perturbed_mesh("sphere", torus_patch)
+    final, trace = descend(mesh, -2.0, 20, dt=dt)
+    ref_final, ref_trace = descend(mesh, -2.0, 20, dt=1.0)
+    assert trace.rows[0][3] == 1.0
+    assert same_bits(trace.rows, ref_trace.rows)
+    assert same_bits(final.vertices, ref_final.vertices)
+
+
+def test_flow_command_runs_from_a_huge_first_step(capsys):
+    argv = ["flow", "--family", "sphere", "--alpha", "-2", "--grid", "8x16",
+            "--perturb", "0.01", "--steps", "3"]
+    assert main(argv + ["--dt", "1e200"]) == 0
+    huge = capsys.readouterr().out
+    assert main(argv + ["--dt", "1"]) == 0
+    assert huge == capsys.readouterr().out
 
 
 def shrunk_sphere(excess):

@@ -1,10 +1,14 @@
+import filecmp
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from alphasurf import surface_kernel
-from alphasurf.cli import _helicoid_ruled_spec
+from alphasurf.cli import _helicoid_ruled_spec, main
 from alphasurf.catalog import (
     FamilySpec,
     catenoid_patch,
@@ -27,8 +31,8 @@ from alphasurf.errors import (
     ValidationError,
 )
 from alphasurf.interp import ScalarFunc
-from alphasurf.inversion import invert_patch
-from alphasurf.ruled import random_ruled_spec, ruled_coeffs
+from alphasurf.inversion import invert_patch, verify_shift
+from alphasurf.ruled import coeffs_absmax, random_ruled_spec, ruled_coeffs
 from alphasurf.stationary import (
     energy,
     fourier_defect,
@@ -210,6 +214,45 @@ def test_grid_results_do_not_depend_on_tile_size(family, nu, nv, grid_patches,
     assert len({e.hex() for e in energies}) == 1, energies
 
 
+@pytest.mark.parametrize("family", ["catenoid", "sphere", "inverted-catenoid"])
+@pytest.mark.parametrize("nu, nv", GRIDS)
+def test_rows_free_grid_gives_the_same_reductions(family, nu, nv, grid_patches,
+                                                  monkeypatch):
+    patch, alpha = grid_patches[family]
+    for rows in TILE_ROWS:
+        _tile_points(monkeypatch, rows, nv, nu * nv)
+        full = residual_grid(patch, alpha, nu, nv)
+        bare = residual_grid(patch, alpha, nu, nv, rows=False)
+        assert bare.rows is None
+        assert bare.sup_abs.hex() == full.sup_abs.hex()
+        assert bare.rms.hex() == full.rms.hex()
+        assert bare.sample_count == full.sample_count == nu * nv
+    shift_full = verify_shift(patch, alpha, 33, 17)
+    shift_bare = verify_shift(patch, alpha, 33, 17, rows=False)
+    for a, b in zip(shift_full, shift_bare):
+        assert b.rows is None and (a.sup_abs, a.rms) == (b.sup_abs, b.rms)
+
+
+def test_rows_free_report_is_refused_by_its_writers(tmp_path):
+    rep = residual_grid(sphere_patch((0, 0, 0), 1.0), -2.0, 4, 6, rows=False)
+    for write in (rep.write_json, rep.write_csv, lambda path: rep.to_json_dict()):
+        with pytest.raises(ValueError, match="rows=False"):
+            write(tmp_path / "rep")
+    assert not (tmp_path / "rep").exists()
+
+
+def test_verify_prints_the_same_line_with_and_without_files(tmp_path, capsys):
+    argv = ["verify", "--family", "catenoid", "--waist", "1.1", "--alpha", "0.7",
+            "--grid", "40x24"]
+    lines = []
+    for extra in ([], ["--out", str(tmp_path / "r.json")],
+                  ["--csv", str(tmp_path / "r.csv")]):
+        assert main(argv + extra) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1] == lines[2]
+    assert lines[0].startswith("sup|residual| = ")
+
+
 @pytest.fixture(scope="module")
 def ruled_table_spec():
     # table-backed (pointwise Hermite evaluation); not striction-exact after
@@ -235,28 +278,102 @@ def test_ruled_coeffs_do_not_depend_on_tile_size(n, ruled_table_spec,
         assert _same_bits(got2.reshape(n, 5), got[0])
 
 
-@pytest.mark.parametrize("family", ["catenoid", "sphere", "log-spiral",
-                                    "inverted-catenoid", "riemann-reloaded"])
-@pytest.mark.parametrize("nv", [64, 256, 1024])
-def test_fourier_matches_two_matrix_formula(family, nv, grid_patches):
-    patch, alpha = grid_patches[family]
+@pytest.mark.parametrize("n", [1, 561, 4096, 20000])
+def test_coeffs_absmax_equals_the_whole_array_max(n, ruled_table_spec,
+                                                  monkeypatch):
+    # the helicoid's largest |A_n| is its max at alpha 0.4 and -min at -1
+    for spec, alpha, check in ((_helicoid_ruled_spec(), 0.4, True),
+                               (_helicoid_ruled_spec(), -1.0, True),
+                               (ruled_table_spec, -0.6, False)):
+        s = np.linspace(*spec.s_range, n)
+        A = ruled_coeffs(spec, alpha, s, check=check)
+        want = abs(max(A.max(), -A.min()))
+        for rows in ([1, 7, 16, None] if n < 1000 else [16, None]):
+            _tile_points(monkeypatch, rows, 1, n)
+            got = coeffs_absmax(spec, alpha, s, check=check)
+            assert got.hex() == want.hex(), (n, rows)
+
+
+FOURIER_FAMILIES = ["catenoid", "sphere", "log-spiral", "inverted-catenoid",
+                    "riemann-reloaded"]
+FOURIER_NV = [64, 256, 1024]
+
+# The whole cosine and sine products of each case, in a child with one BLAS
+# thread: the bytes the unsplit products gave, at any thread count of the
+# test process.  A threaded product splits its rows off the kernel's row
+# groups and moves last bits, so it cannot serve as the oracle.
+_WHOLE_PRODUCTS = """
+import sys
+import numpy as np
+cases = np.load(sys.argv[1])
+out = {}
+for key in cases.files:
+    d = cases[key]
+    nv = d.size
+    ang = 2.0 * np.pi * np.arange(nv) / nv
+    ns = np.arange(nv // 2 + 1)
+    out[key + "_A"] = 2.0 / nv * np.cos(np.outer(ns, ang)) @ d
+    out[key + "_B"] = 2.0 / nv * np.sin(np.outer(ns, ang)) @ d
+np.savez(sys.argv[2], **out)
+"""
+
+
+def _fourier_case(patch, alpha, nv):
+    """The circle parameter and the weighted defect of one oracle case."""
     u = float(np.mean(patch.u_range)) + 0.1
+    v0, v1 = patch.v_range
+    v = v0 + (v1 - v0) * np.arange(nv) / nv
+    return u, weighted_defect(patch, alpha + 0.3, np.full(nv, u), v)
+
+
+@pytest.fixture(scope="module")
+def whole_products(grid_patches, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fourier")
+    np.savez(tmp / "d.npz", **{
+        f"{family}_{nv}": _fourier_case(*grid_patches[family], nv)[1]
+        for family in FOURIER_FAMILIES for nv in FOURIER_NV})
+    subprocess.run([sys.executable, "-c", _WHOLE_PRODUCTS, str(tmp / "d.npz"),
+                    str(tmp / "ab.npz")],
+                   env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), check=True)
+    with np.load(tmp / "ab.npz") as products:
+        return dict(products)
+
+
+@pytest.mark.parametrize("family", FOURIER_FAMILIES)
+@pytest.mark.parametrize("nv", FOURIER_NV)
+def test_fourier_matches_two_matrix_formula(family, nv, grid_patches,
+                                            whole_products):
+    patch, alpha = grid_patches[family]
+    u, _ = _fourier_case(patch, alpha, nv)
     n_max = nv // 4
     # a guard that never fires, so every returned harmonic is compared
     fc = fourier_defect(patch, alpha + 0.3, u, n_max=n_max, nv=nv,
                         guard=np.inf)
-    v0, v1 = patch.v_range
-    v = v0 + (v1 - v0) * np.arange(nv) / nv
-    d = weighted_defect(patch, alpha + 0.3, np.full(nv, u), v)
-    ang = 2.0 * np.pi * np.arange(nv) / nv
-    ns = np.arange(nv // 2 + 1)
-    A_all = 2.0 / nv * np.cos(np.outer(ns, ang)) @ d
-    B_all = 2.0 / nv * np.sin(np.outer(ns, ang)) @ d
-    A_all[0] *= 0.5
-    A_all[nv // 2] *= 0.5
-    B_all[0] = 0.0
-    assert _same_bits(fc.A, A_all[:n_max + 1])
-    assert _same_bits(fc.B, B_all[:n_max + 1])
+    A = whole_products[f"{family}_{nv}_A"][:n_max + 1].copy()
+    B = whole_products[f"{family}_{nv}_B"][:n_max + 1].copy()
+    A[0] *= 0.5
+    B[0] = 0.0
+    assert _same_bits(fc.A, A)
+    assert _same_bits(fc.B, B)
+
+
+def _cli_child(argv, cwd, threads):
+    """Run ``alphasurf ARGV`` in a child with ``threads`` BLAS threads."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    subprocess.run([sys.executable, "-m", "alphasurf.cli", *argv], env=env,
+                   cwd=cwd, check=True, stdout=subprocess.DEVNULL)
+
+
+@pytest.mark.parametrize("nv", [1024, 4096])
+def test_fourier_file_does_not_depend_on_blas_threads(nv, tmp_path):
+    argv = ["fourier", "--family", "catenoid", "--waist", "1", "--alpha", "0.3",
+            "--u", "0.1", "--nv", str(nv), "--nmax", "256"]
+    for threads in (1, 2):
+        _cli_child(argv + ["--out", f"f{threads}.json"], tmp_path, threads)
+    assert filecmp.cmp(tmp_path / "f1.json", tmp_path / "f2.json", shallow=False)
 
 
 def _flat_patch(bad):
@@ -307,11 +424,24 @@ def test_guards_fire_in_a_later_tile(rows, monkeypatch):
 
 
 def test_verify_1024_grid_peak_memory(tmp_path, peak_rss_mb):
+    # no (n, 8) rows without --out or --csv: the 8 MB residual is the grid array
     argv = ["verify", "--family", "catenoid", "--grid", "1024x1024"]
-    assert peak_rss_mb(argv, tmp_path) <= 160.0
+    assert peak_rss_mb(argv, tmp_path) <= 70.0
 
 
 def test_coeffs_million_samples_peak_memory(tmp_path, peak_rss_mb):
-    # the 40 MB result is held once: max|A| builds no second array
+    # without --out, max|A| is taken tile by tile: no (n, 5) result at all
     argv = ["coeffs", "--family", "helicoid", "--samples", "1000000"]
-    assert peak_rss_mb(argv, tmp_path) <= 100.0
+    assert peak_rss_mb(argv, tmp_path) <= 60.0
+
+
+def test_fourier_4096_peak_memory(tmp_path, peak_rss_mb):
+    # 256 harmonic rows at a time, not the whole (2049, 4096) matrix
+    argv = ["fourier", "--family", "sphere", "--alpha", "-2", "--u", "1",
+            "--nv", "4096"]
+    assert peak_rss_mb(argv, tmp_path) <= 60.0
+
+
+def test_verify_shift_512_grid_peak_memory(tmp_path, peak_rss_mb):
+    argv = ["verify-shift", "--family", "catenoid", "--grid", "512x512"]
+    assert peak_rss_mb(argv, tmp_path) <= 55.0
