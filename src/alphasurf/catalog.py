@@ -270,14 +270,12 @@ def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec
 
     # Failures surface in the order of two runs made one after the other:
     # the +span run's first failure at once, the -span run's first failure
-    # once the +span run has ended.  Until then the failed -span run goes
-    # on from y0, so that its arithmetic stays finite.
+    # once the +span run has ended.  The rows are independent, so a failed
+    # -span row only carries on until then.
     y0 = np.array([[0.0, float(c_drift), r0, 0.0]] * 2)
     failed = [None, None]
 
     def rhs(u, y):
-        if failed[1] is not None:
-            y = np.array([y[0], y0[1]])
         a, ap, r, rp = y.T
         app, rpp, degenerate = _riemann_accels(u, a, ap, r, rp)
         for i in (0, 1):
@@ -317,7 +315,7 @@ def riemann_minimal(c_drift, r0, span, max_step=2e-3) -> ParametricPatch:
 
 
 def _directrix_from_params(p) -> _ruled.PlanarCurve:
-    p = dict(p)
+    p = _checked_directrix(p)
     build, takes = DIRECTRICES[p.pop("type")]
     return build(**{**takes, **p})
 
@@ -391,8 +389,7 @@ def _checked(fields, forms, what, optional=(), noun="field"):
     """Copy of the JSON object ``fields`` whose every field has a form in
     ``forms`` and every form but the ``optional`` ones a field.  A form is a
     count of numbers (one is a bare number) or an array shape of numbers; a
-    type; None for any value; the forms of a nested object; or the reader
-    of a nested object, whose result the copy holds."""
+    type; None for any value; or the forms of a nested object."""
     if not isinstance(fields, dict):
         raise SpecValidationError(f"{what} must be a JSON object")
     for key in forms:
@@ -408,8 +405,6 @@ def _checked(fields, forms, what, optional=(), noun="field"):
                 raise SpecValidationError(f"{name} must be a {form.__name__}")
         elif isinstance(form, dict):
             val = _checked(val, form, f"{what} {key}")
-        elif callable(form):
-            val = form(val)
         elif form is not None:
             shape = () if form == 1 else (form,) if isinstance(form, int) else form
             if not _is_numbers(val, shape):

@@ -21,6 +21,7 @@ import numpy as np
 from . import catalog, cyclic, flow, inversion, output, ruled, stationary
 from .errors import NonFiniteOutputError, NumericalError, ValidationError
 from .interp import Curve3, ScalarFunc
+from .surface_kernel import _tiles
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +265,17 @@ def _cmd_coeffs(args):
     else:
         raise ValidationError("coeffs needs --spec or --family helicoid")
     s = np.linspace(*rs.s_range, args.samples)
-    A = ruled.ruled_coeffs(rs, args.alpha, s) if args.out else None
+    if args.out:   # s beside A in one array, A filled a tile at a time
+        rows = np.empty((s.size, 6))
+        rows[:, 0], A = s, rows[:, 1:]
+        for sl in _tiles(s.size):
+            A[sl] = ruled.ruled_coeffs(rs, args.alpha, s[sl])
     # max|A| without a second array of |A|; abs() drops the sign of a zero
     top = (abs(max(A.max(), -A.min())) if args.out
            else ruled.coeffs_absmax(rs, args.alpha, s))
     summary = _summary(f"max|A_n| = {top:.3g} over {args.samples} samples", top)
     if args.out:
-        output.write_csv(args.out, ["s", "A0", "A1", "A2", "A3", "A4"],
-                         np.column_stack([s, A]), ["%.17g"] * 6)
+        output.write_csv(args.out, ["s", "A0", "A1", "A2", "A3", "A4"], rows)
     return summary
 
 

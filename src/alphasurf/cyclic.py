@@ -72,7 +72,6 @@ class CurveFrame:
     kappa: ScalarFunc
     tau: ScalarFunc
     _tnb_interp: QuinticHermite = field(init=False, repr=False, compare=False)
-    _gamma_interp: QuinticHermite = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = self.u_nodes
@@ -83,14 +82,14 @@ class CurveFrame:
         # (t, n, b) side by side as nine columns: one table lookup for all
         object.__setattr__(self, "_tnb_interp", QuinticHermite(
             u, np.hstack([T, N, B]), np.hstack(d1), np.hstack(d2)))
-        object.__setattr__(self, "_gamma_interp", QuinticHermite(u, self.gamma, T, d1[0]))
 
     @property
     def u_range(self):
         return float(self.u_nodes[0]), float(self.u_nodes[-1])
 
     def gamma_at(self, u):
-        return self._gamma_interp.eval2(u)[0]
+        k = self.kappa.eval2(self.u_nodes)[0][:, None]   # gamma'' = kappa n
+        return QuinticHermite(self.u_nodes, self.gamma, self.t, k * self.n).eval2(u)[0]
 
     def frame_jets(self, u):
         """Frame vectors with first and second u-derivatives via Frenet."""
@@ -480,5 +479,4 @@ def write_solution_csv(spec: CyclicSpec, path):
     a = spec.a(u)
     r = spec.r(u)
     k = spec.frame.kappa(u) if spec.mode == "frenet" else np.zeros_like(u)
-    output.write_csv(path, ["u", "a", "r", "kappa"],
-                     np.column_stack([u, a, r, k]), ["%.17g"] * 4)
+    output.write_csv(path, ["u", "a", "r", "kappa"], np.column_stack([u, a, r, k]))

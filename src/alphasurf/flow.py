@@ -188,8 +188,7 @@ class FlowTrace:
     rows: list  # (step, energy, grad_max, dt)
 
     def write_csv(self, path):
-        output.write_csv(path, ["step", "energy", "grad_max", "dt"], self.rows,
-                         ["%d", "%.17g", "%.17g", "%.17g"])
+        output.write_csv(path, ["step", "energy", "grad_max", "dt"], self.rows)
 
 
 def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",

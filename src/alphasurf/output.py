@@ -162,17 +162,15 @@ def _write_lines(fh, line, rows, offset=0):
         fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_csv(path, header, rows, formats):
-    """What ``csv.writer`` writes for ``header`` and ``rows``, cells ``formats``.
-
-    ``formats`` holds one %-format per column, such as ``"%.17g"``, which
-    gives the same text as ``f"{x:.17g}"``; lines end in ``"\\r\\n"``.
-    """
+def write_csv(path, header, rows):
+    """What ``csv.writer`` writes for ``header`` and ``rows`` with
+    ``f"{x:.17g}"`` cells, so an integer-valued cell reads as an integer;
+    lines end in ``"\\r\\n"``."""
     rows = np.asarray(rows, dtype=float)
     _require_finite(rows, path)
     with atomic_open(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        _write_lines(fh, ",".join(formats) + "\r\n", rows)
+        _write_lines(fh, ",".join(["%.17g"] * len(header)) + "\r\n", rows)
 
 
 def write_obj(path, vertices, triangles):

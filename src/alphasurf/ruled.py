@@ -338,9 +338,6 @@ def normalize_beta(spec: RuledSpec) -> RuledSpec:
     if phi[-1] < phi[0]:
         phi, phi1, phi2 = phi[::-1], phi1[::-1], phi2[::-1]
         dense = dense[::-1]
-        order = np.argsort(phi)
-        phi, dense = phi[order], dense[order]
-        phi1, phi2 = phi1[order], phi2[order]
     # s as a function of phi by the inverse function theorem
     smap = ScalarFunc.from_table(phi, dense, 1.0 / phi1, -phi2 / phi1**3)
     new_range = (float(phi[0]), float(phi[-1]))

@@ -60,8 +60,7 @@ class ResidualReport:
         output.write_json(path, self.to_json_dict())
 
     def write_csv(self, path):
-        output.write_csv(path, REPORT_CSV_HEADER, self.to_json_dict()["rows"],
-                         ["%.17g"] * len(REPORT_CSV_HEADER))
+        output.write_csv(path, REPORT_CSV_HEADER, self.to_json_dict()["rows"])
 
 
 def _residual_fields(jet, alpha):

@@ -86,6 +86,21 @@ def test_family_spec_checks_number_forms_and_nested_params():
     assert FamilySpec("sphere", {"center": center}).params["center"] is center
 
 
+@pytest.mark.parametrize("directrix", [
+    {"type": "bogus"},
+    {"type": "circle", "center": (2.0, 0.0)},
+    5,
+], ids=["unknown-type", "circle-without-radius", "not-an-object"])
+def test_family_spec_directrix_is_checked_as_in_a_spec_file(directrix):
+    # a directrix given in Python fails with the message a spec file gets
+    with pytest.raises(SpecValidationError) as from_file:
+        family_from_dict({"kind": "cylinder_over_curve",
+                          "params": {"directrix": directrix}})
+    with pytest.raises(SpecValidationError) as from_python:
+        make_patch(FamilySpec("cylinder_over_curve", {"directrix": directrix}))
+    assert str(from_python.value) == str(from_file.value)
+
+
 @pytest.mark.parametrize("build", [
     lambda: sphere_patch((0.0, 0.0, 0.0), math.nan),
     lambda: catenoid_patch(waist=math.nan),

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import warnings
 
 import numpy as np
@@ -29,6 +30,14 @@ def test_expression_parser_values_and_derivatives():
     v, d1, _ = h.eval2(u)
     assert np.allclose(v, (u + 1) / (u - 3))
     assert np.allclose(d1, -4 / (u - 3) ** 2)
+
+
+def test_expression_parser_differentiates_a_unary_minus():
+    u = np.linspace(0.5, 2.0, 9)
+    v, d1, d2 = parse_scalar_expr("-u^3").eval2(u)
+    assert np.allclose(v, -u**3, rtol=1e-15, atol=0)
+    assert np.allclose(d1, -3 * u**2, rtol=1e-15, atol=0)
+    assert np.allclose(d2, -6 * u, rtol=1e-15, atol=0)
 
 
 def test_expression_parser_rejects_garbage():
@@ -298,6 +307,16 @@ def test_verify_shift_command(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "alpha=-4" in out
+
+
+def test_verify_shift_inverts_the_catenoid_to_alpha_minus_4(capsys):
+    # the catenoid is minimal, and its inversion is stationary for alpha = -4
+    assert main(["verify-shift", "--family", "catenoid", "--direction", "inverse",
+                 "--alpha", "-4"]) == 0
+    out = capsys.readouterr().out
+    sups = re.findall(r"sup\|residual\| = (\S+) at alpha=(\S+?)[;\n]", out)
+    assert [alpha for _, alpha in sups] == ["-4.0", "0.0"]
+    assert all(float(sup) <= 1e-8 for sup, _ in sups)
 
 
 def test_flow_and_export_commands(tmp_path, capsys):
@@ -637,6 +656,10 @@ def test_non_finite_summary_exits_3(argv, tmp_path, monkeypatch, capsys):
       "--out", "r.json"],
      "numerical failure: refusing to write r.json: Out of range float values "
      "are not JSON compliant: inf"),
+    # a start radius small enough that the neg2 system is singular at once
+    (["generate", "--family", "neg2-ode", "--kappa", "1", "--u", "1:1.1",
+      "--r0", "1e-5", "--a0", "1", "--out", "g.json"],
+     "numerical failure: singular system for (r'', a'') at u=1"),
 ])
 def test_numerical_failure_prints_one_line_only(argv, message, tmp_path,
                                                 monkeypatch, capsys):
@@ -646,6 +669,24 @@ def test_numerical_failure_prints_one_line_only(argv, message, tmp_path,
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
     assert os.listdir() == []
+
+
+def test_frenet_spec_file_holding_a_parallel_spec_exits_2(tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--family", "riemann", "--r0", "1", "--span", "0.1",
+                 "--out", "r.json"]) == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert (doc["kind"], doc["params"]["spec"]["mode"]) == ("parallel_cyclic", "parallel")
+    doc["kind"] = "frenet_cyclic"
+    (tmp_path / "f.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--spec", "f.json", "--grid", "4x4", "--out", "v.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: cyclic spec mode 'parallel' is not 'frenet'"]
+    assert sorted(os.listdir()) == ["f.json", "r.json"]
 
 
 def _nested_inversions(depth):

@@ -207,6 +207,19 @@ def test_normalize_beta_tilted_circle():
     assert np.max(np.abs(bv - ref)) < 1e-10
 
 
+def test_normalize_beta_decreasing_range_matches_the_increasing_one():
+    # the phase then runs downwards and is reversed before the inverse map
+    specs = [normalize_beta(RuledSpec(gamma=vertical_line_curve(),
+                                      beta=tilted_great_circle(np.pi / 6), s_range=r))
+             for r in ((0.0, 2 * np.pi), (2 * np.pi, 0.0))]
+    width = [spec.s_range[1] - spec.s_range[0] for spec in specs]
+    assert width[1] > 0 and abs(width[0] - width[1]) < 1e-12
+    for curve in ("gamma", "beta"):
+        jets = [getattr(spec, curve).eval2(spec.samples(65))[:2] for spec in specs]
+        for a, b in zip(*jets):
+            assert np.max(np.abs(a - b)) < 1e-12
+
+
 def test_normalize_beta_rejects_latitude():
     spec = RuledSpec(gamma=vertical_line_curve(), beta=latitude_beta(0.4),
                      s_range=(0.0, 2 * np.pi))

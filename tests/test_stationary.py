@@ -435,6 +435,13 @@ def test_coeffs_million_samples_peak_memory(tmp_path, peak_rss_mb):
     assert peak_rss_mb(argv, tmp_path) <= 60.0
 
 
+def test_coeffs_million_samples_file_peak_memory(tmp_path, peak_rss_mb):
+    # s and A share one (n, 6) array, A filled a tile at a time: no (n, 5)
+    # result beside it, and no np.column_stack copy of both
+    argv = ["coeffs", "--family", "helicoid", "--samples", "1000000", "--out", "c.csv"]
+    assert peak_rss_mb(argv, tmp_path) <= 95.0
+
+
 def test_fourier_4096_peak_memory(tmp_path, peak_rss_mb):
     # 256 harmonic rows at a time, not the whole (2049, 4096) matrix
     argv = ["fourier", "--family", "sphere", "--alpha", "-2", "--u", "1",
