@@ -29,8 +29,8 @@ from .errors import (
     reads_spec,
 )
 from .interp import Curve3, ScalarFunc, _rk4, read_table, write_table
-from .stationary import _defect_with_puu, _puu_free_terms
-from .surface_kernel import Jet2, ParametricPatch, translated
+from .stationary import _defect_from_jet
+from .surface_kernel import Jet2, ParametricPatch, _cross, translated
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -66,7 +66,7 @@ def _plane_basis(normal):
         seed = np.array([0.0, 1.0, 0.0])
     e1 = seed - np.dot(seed, n) * n
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    e2 = _cross(n, e1)
     return n, e1, e2
 
 
@@ -228,9 +228,10 @@ def _riemann_accels(u, a, ap, r, rp):
     """Solve for (a'', r'') from the n=0 and n=1 cosine coefficients of the
     zero-exponent defect on the horizontal circles at heights u (centres
     (a, 0, u)); every argument is an array over a batch of circles.  The
-    defect is affine in the second derivatives, which only enter Puu, so
-    the other terms are shared by the three probes.  Returns a'', r'' and
-    the mask of degenerate systems, whose entries are NaN."""
+    defect is affine in the second derivatives, which only enter Puu: the
+    three probes are a leading axis of Puu, and the other terms are computed
+    once for all of them.  Returns a'', r'' and the mask of degenerate
+    systems, whose entries are NaN."""
     cv, sv = _RIEMANN_CV, _RIEMANN_SV
     u, a, ap, r, rp = (np.asarray(x, dtype=float)[:, None] for x in (u, a, ap, r, rp))
     # P, Pu, Pv, Puv and Pvv of every circle at the sample angles
@@ -240,8 +241,8 @@ def _riemann_accels(u, a, ap, r, rp):
     J[2, ..., 0], J[2, ..., 1] = -r * sv, r * cv
     J[3, ..., 0], J[3, ..., 1] = -rp * sv, rp * cv
     J[4, ..., 0], J[4, ..., 1] = -r * cv, -r * sv
-    jet = Jet2(P=J[0], Pu=J[1], Pv=J[2], Puu=None, Puv=J[3], Pvv=J[4])
-    d = _defect_with_puu(_puu_free_terms(jet, 0.0), _RIEMANN_PUU)
+    jet = Jet2(P=J[0], Pu=J[1], Pv=J[2], Puu=_RIEMANN_PUU, Puv=J[3], Pvv=J[4])
+    d = _defect_from_jet(jet, 0.0)
     # f[probe, circle] = (A0, A1); M[circle] has one column per unit probe
     f = np.stack([np.mean(d, axis=-1), 2.0 * np.mean(d * cv, axis=-1)], axis=-1)
     M = np.moveaxis(f[1:] - f[0], 0, -1)

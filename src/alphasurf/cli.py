@@ -187,9 +187,10 @@ _SHAPE_FLAGS = {key: _NUMBER_ARGS[catalog.NUMBER_PARAMS[key]] for key in (
 _OUTPUTS = ("out", "csv", "solution", "trace", "export")
 
 
-# The generate flags that each family refuses: those of the other one.
-_GENERATE_REFUSES = {"neg2-ode": ("c_drift", "span"),
-                     "riemann": ("kappa", "u", "a0", "da0", "dr0")}
+# Each generated family's exponent, the default of generate --alpha, and the
+# flags that it refuses: those of the other one.
+_GENERATE = {"neg2-ode": (-2.0, ("c_drift", "span")),
+             "riemann": (0.0, ("kappa", "u", "a0", "da0", "dr0"))}
 
 
 def _family_from_args(args) -> catalog.FamilySpec:
@@ -293,9 +294,10 @@ def _cmd_fourier(args):
 
 def _cmd_generate(args):
     family = "neg2-ode" if args.family == "neg2_ode" else args.family
-    if family not in _GENERATE_REFUSES:
+    if family not in _GENERATE:
         raise ValidationError("generate supports --family neg2-ode or riemann")
-    for key in _GENERATE_REFUSES[family]:
+    alpha = _GENERATE[family][0] if args.alpha is None else args.alpha
+    for key in _GENERATE[family][1]:
         if getattr(args, key) is not None:
             raise ValidationError(f"generate {family} does not take --"
                                   + key.replace("_", "-"))
@@ -315,10 +317,10 @@ def _cmd_generate(args):
         fam = catalog.FamilySpec(kind="parallel_cyclic", params={"spec": spec})
     patch = catalog.make_patch(fam)
     nu, nv = args.grid
-    report = stationary.residual_grid(patch, args.alpha, nu, nv, rows=False)
+    report = stationary.residual_grid(patch, alpha, nu, nv, rows=False)
     mesh = flow.sample_mesh(patch, nu, nv) if args.export else None
     summary = _summary(f"generated; sup|residual| = {report.sup_abs:.3g} at "
-                       f"alpha={args.alpha}", report.sup_abs)
+                       f"alpha={alpha}", report.sup_abs)
     if args.out:
         catalog.save_family(fam, args.out)
     if args.solution:
@@ -442,7 +444,8 @@ def build_parser():
 
     sp = command("generate", "integrate an ODE-defined surface family",
                  _cmd_generate, shapes=("c_drift", "r0", "span"), spec=False,
-                 alpha=-2.0)
+                 alpha=None)
+    sp.add_argument("--alpha", type=_finite_float, help="default: the family's exponent")
     sp.add_argument("--kappa", help="curvature expression in u, e.g. 1/u")
     sp.add_argument("--u", type=_range_arg, help="integration range lo:hi")
     sp.add_argument("--a0", type=_finite_float)

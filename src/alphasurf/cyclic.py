@@ -358,6 +358,8 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
     """
     kappa = as_scalar_func(kappa)
     u0, u1 = float(u_range[0]), float(u_range[1])
+    if not (u0 < u1):
+        raise SpecValidationError(f"u_range [{u0}, {u1}] is not increasing")
     if not (r0 > 0.0):
         raise SpecValidationError("r0 must be positive")
     y0 = np.array([float(a0), float(a0p), float(r0), float(r0p)])

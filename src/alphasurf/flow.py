@@ -22,7 +22,7 @@ from .errors import (
     SpecValidationError,
     ValidationError,
 )
-from .surface_kernel import ParametricPatch, _dot, _tiles, eval_jet2
+from .surface_kernel import ParametricPatch, _cross, _dot, _tiles, eval_jet2
 
 MIN_TRIANGLE_AREA = 1e-14
 
@@ -64,16 +64,9 @@ class TriMesh:
         return np.array_equal(fwd, np.sort(d[:, 1] * n + d[:, 0]))
 
 
-def _cross(a, b, out):
-    """``np.cross`` of (m, 3) rows into ``out``, in its order: same bits."""
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        out[:, i] = a[:, j] * b[:, k] - a[:, k] * b[:, j]
-    return out
-
-
 def _geometry(verts, tris):
     """(centroids, area vectors, areas, |centroid|^2) of every triangle, with
-    the bits of ``v.mean(axis=1)``, ``0.5 * np.cross`` and ``np.linalg.norm``
+    the bits of ``v.mean(axis=1)``, half numpy's ``cross`` and ``np.linalg.norm``
     (a written-out |centroid|^2 would not match ``_dot``)."""
     v0, v1, v2 = (verts.take(tris[:, k], axis=0) for k in range(3))
     cent = (v0 + v1 + v2) / 3.0

@@ -24,11 +24,11 @@ from .errors import (
     ValidationError,
 )
 from .interp import Curve3, ScalarFunc, compose_reparam, reparametrize_arclength
-from .surface_kernel import Jet2, ParametricPatch, _dot, _tiles
+from .surface_kernel import Jet2, ParametricPatch, _cross, _dot, _tiles
 
 
 def _triple(a, b, c):
-    return _dot(np.cross(a, b), c)
+    return _dot(_cross(a, b), c)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ class PlanarCurve:
         s = np.linspace(-length / 2, length / 2, 65)
         gamma = np.array([px, py, 0.0]) + s[:, None] * d
         t = np.broadcast_to(d, gamma.shape).copy()
-        nrm = np.cross([0.0, 0.0, 1.0], d)
+        nrm = _cross([0.0, 0.0, 1.0], d)
         return PlanarCurve(s=s, gamma=gamma, t=t,
                            n=np.broadcast_to(nrm, gamma.shape).copy(),
                            kappa=np.zeros_like(s),
@@ -210,7 +210,7 @@ class PlanarCurve:
         if np.max(np.abs(speed - 1.0)) > 1e-6:
             raise ValidationError("samples are not arc-length parametrized")
         t = t / speed[:, None]
-        nrm = np.cross(zhat, t)
+        nrm = _cross(zhat, t)
         acc = np.gradient(t, s, axis=0, edge_order=2)
         kappa = _dot(acc, nrm)
         return PlanarCurve(s=s, gamma=gamma, t=t, n=nrm, kappa=kappa,
@@ -312,7 +312,7 @@ def normalize_beta(spec: RuledSpec) -> RuledSpec:
     bv, bp, bpp = spec.beta.eval2(s)
     if np.max(np.abs(_triple(bp, bv, bpp))) > 1e-8:
         raise NormalizationError("ruling direction is not a great circle")
-    axes = np.cross(bv, bp)
+    axes = _cross(bv, bp)
     axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
     axis = axes[0]
     if np.max(np.linalg.norm(axes - axis, axis=-1)) > 1e-8:
@@ -356,7 +356,7 @@ def _rotation_to_e3(axis):
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
     e3 = np.array([0.0, 0.0, 1.0])
-    v = np.cross(axis, e3)
+    v = _cross(axis, e3)
     c = float(np.dot(axis, e3))
     s = float(np.linalg.norm(v))
     if s < 1e-14:

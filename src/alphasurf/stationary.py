@@ -24,6 +24,7 @@ from .errors import (
 from .surface_kernel import (
     ParametricPatch,
     _axis_samples,
+    _cross,
     _dot,
     _tiles,
     eval_jet2,
@@ -141,33 +142,21 @@ def _defect_from_jet(jet, alpha, with_scale=False):
     """Denominator-cleared residual residual * W^(3/2) * |p|^2 of a jet.
 
     Assembled polynomially from the raw jet (no normalization, no division),
-    so it stays finite even where the chart degenerates.  With
-    ``with_scale`` also returns the magnitude of the terms before
-    cancellation, which bounds the roundoff floor of the defect (the sum
-    ``hw`` itself cancels to about zero on a minimal surface).
+    so it stays finite even where the chart degenerates.  ``jet.Puu`` may
+    carry a leading axis of its own, which broadcasts through the same
+    arithmetic to one defect per entry.  With ``with_scale`` also returns
+    the magnitude of the terms before cancellation, which bounds the
+    roundoff floor of the defect (the curvature sum itself cancels to about
+    zero on a minimal surface).
     """
-    return _defect_with_puu(_puu_free_terms(jet, alpha), jet.Puu, with_scale)
-
-
-def _puu_free_terms(jet, alpha):
-    """The parts of the defect that do not involve ``jet.Puu``, which the
-    defect is affine in: computed once, they serve any number of Puu."""
-    cross = np.cross(jet.Pu, jet.Pv)
+    cross = _cross(jet.Pu, jet.Pv)
     E, F, G = _dot(jet.Pu, jet.Pu), _dot(jet.Pu, jet.Pv), _dot(jet.Pv, jet.Pv)
     W = E * G - F * F
+    huu = G * _dot(jet.Puu, cross)
     huv, hvv = 2.0 * F * _dot(jet.Puv, cross), E * _dot(jet.Pvv, cross)
     p2 = _dot(jet.P, jet.P)
     nw = alpha * _dot(cross, jet.P) * W
-    return cross, G, huv, hvv, p2, nw
-
-
-def _defect_with_puu(terms, Puu, with_scale=False):
-    """The defect from ``_puu_free_terms`` and a Puu that broadcasts
-    against the jet (a leading axis of Puu gives one defect per entry)."""
-    cross, G, huv, hvv, p2, nw = terms
-    huu = G * _dot(Puu, cross)
-    hw = huu - huv + hvv
-    d = hw * p2 - nw
+    d = (huu - huv + hvv) * p2 - nw
     if not with_scale:
         return d
     return d, float(np.max((np.abs(huu) + np.abs(huv) + np.abs(hvv)) * p2 + np.abs(nw)))

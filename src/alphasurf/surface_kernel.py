@@ -147,7 +147,7 @@ def fundamental_data(jet: Jet2) -> FundamentalData:
     if np.any(W <= 0.0):
         raise DegenerateParametrizationError(
             f"EG - F^2 = {float(np.min(W)):.3e} <= 0 at a sampled point")
-    cross = np.cross(jet.Pu, jet.Pv)
+    cross = _cross(jet.Pu, jet.Pv)
     normal = cross / np.sqrt(W)[..., None]
     L = _dot(jet.Puu, normal)
     M = _dot(jet.Puv, normal)
@@ -159,6 +159,16 @@ def fundamental_data(jet: Jet2) -> FundamentalData:
 
 def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
+
+
+def _cross(a, b, out=None):
+    """Cross product of float 3-vectors along the last axis of arrays that
+    broadcast, each term in the order numpy's ``cross`` uses: the same bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape)) if out is None else out
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        out[..., i] = a[..., j] * b[..., k] - a[..., k] * b[..., j]
+    return out
 
 
 def fd_jet2(patch: ParametricPatch, u, v, h) -> Jet2:

@@ -769,3 +769,25 @@ def test_ignored_flag_is_refused(sub, flag, value, tmp_path, monkeypatch,
     assert captured.err.splitlines() == [
         f"error: unrecognized arguments: {flag} {value}"]
     assert os.listdir() == []
+
+
+def test_generate_riemann_checks_the_minimal_exponent_by_default(capsys):
+    # a neg2-ode family keeps its own -2 (the generate-neg2 golden stdout)
+    assert main(["generate", "--family", "riemann", "--r0", "1", "--span", "0.1"]) == 0
+    head, at = capsys.readouterr().out.strip().rsplit(" at ", 1)
+    assert at == "alpha=0.0"
+    assert float(head.rsplit("= ", 1)[1]) <= 1e-6
+
+
+@pytest.mark.parametrize("u_range", ["2:1", "1:1"])
+def test_generate_neg2_refuses_a_range_that_is_not_increasing(
+        u_range, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--family", "neg2-ode", "--kappa", "1/u", "--u",
+                 u_range, "--r0", "1", "--out", "g.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lo, hi = (float(x) for x in u_range.split(":"))
+    assert captured.err.splitlines() == [
+        f"error: u_range [{lo}, {hi}] is not increasing"]
+    assert os.listdir() == []

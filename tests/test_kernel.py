@@ -10,6 +10,7 @@ from alphasurf.inversion import invert_jet, invert_patch
 from alphasurf.surface_kernel import (
     Jet2,
     ParametricPatch,
+    _cross,
     eval_jet2,
     fd_jet2,
     fundamental_data,
@@ -179,3 +180,21 @@ def test_domain_grid_periodic_uses_midpoints():
     # midpoint samples never hit the seam
     assert np.min(v) > 0.0 and np.max(v) < 2 * np.pi
     assert u[0] > 0.0 and u[-1] < np.pi
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3,), (3,)), ((40, 3), (40, 3)), ((5, 8, 3), (5, 8, 3)),
+    ((3,), (40, 3)), ((3, 1, 16, 3), (2, 16, 3)),
+])
+def test_cross_has_the_bits_of_numpy_cross(a_shape, b_shape):
+    rng = np.random.default_rng(7)
+    # half the entries are signed zeros, infinities or NaN
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    scales = [1e-300, 1e-3, 1.0, 1e3, 1e300]
+    pool = np.concatenate([special, rng.standard_normal(5) * scales])
+    a, b = (rng.choice(pool, shape) for shape in (a_shape, b_shape))
+    with np.errstate(all="ignore"):
+        want = np.cross(a, b)
+        assert _cross(a, b).tobytes() == want.tobytes()
+        out = np.empty_like(want)
+        assert _cross(a, b, out) is out and out.tobytes() == want.tobytes()
