@@ -8,11 +8,7 @@ machinery, sphere-inversion transport, ODE-generated families, and a
 discrete gradient flow.
 """
 
-from .errors import (
-    AlphaSurfError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import AlphaSurfError, NumericalError, ValidationError
 from .interp import Curve3, QuinticHermite, ScalarFunc
 from .surface_kernel import (
     FundamentalData,

@@ -21,13 +21,7 @@ from . import cyclic as _cyclic
 from . import inversion as _inversion
 from . import output
 from . import ruled as _ruled
-from .errors import (
-    FoliationCollapseError,
-    OriginCollisionError,
-    SpecValidationError,
-    ValidationError,
-    reads_spec,
-)
+from .errors import NumericalError, ValidationError, reads_spec
 from .interp import Curve3, ScalarFunc, _rk4, read_table, write_table
 from .stationary import _defect_from_jet
 from .surface_kernel import Jet2, ParametricPatch, _cross, translated
@@ -41,7 +35,7 @@ class FamilySpec:
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in FAMILIES:
-            raise SpecValidationError(f"unknown family kind {self.kind!r}")
+            raise ValidationError(f"unknown family kind {self.kind!r}")
         # a nested param holds what its reader made, so it need only be there
         takes = FAMILIES[self.kind][1]
         forms = {key: None if callable(val) else NUMBER_PARAMS[key]
@@ -58,7 +52,7 @@ def _plane_basis(normal):
     n = np.asarray(normal, dtype=float)
     norm = np.linalg.norm(n)
     if not 0 < norm < math.inf:
-        raise SpecValidationError("plane normal must be finite and nonzero")
+        raise ValidationError("plane normal must be finite and nonzero")
     n = n / norm
     # any vector not parallel to n seeds the in-plane frame
     seed = np.array([1.0, 0.0, 0.0])
@@ -93,7 +87,7 @@ def sphere_patch(center, radius) -> ParametricPatch:
     c = np.asarray(center, dtype=float)
     R = float(radius)
     if not (R > 0):
-        raise SpecValidationError("sphere radius must be positive")
+        raise ValidationError("sphere radius must be positive")
 
     def ev(u, v):
         su, cu = np.sin(u), np.cos(u)
@@ -116,7 +110,7 @@ def helicoid_patch(pitch=1.0, t_range=(-2.0, 2.0), turns=1.0,
     """Psi(s, t) = (t cos s, t sin s, pitch * s), moved by ``center``."""
     p = float(pitch)
     if p == 0.0 or not math.isfinite(p):
-        raise SpecValidationError("helicoid pitch must be finite and nonzero")
+        raise ValidationError("helicoid pitch must be finite and nonzero")
 
     def ev(u, v):
         cs, sn = np.cos(u), np.sin(u)
@@ -141,7 +135,7 @@ def catenoid_patch(waist=1.0, u_range=(-1.5, 1.5),
     """(c cosh(u/c) cos v, c cosh(u/c) sin v, u), axis through ``center``."""
     c = float(waist)
     if not (c > 0):
-        raise SpecValidationError("catenoid waist must be positive")
+        raise ValidationError("catenoid waist must be positive")
     off = np.asarray(center, dtype=float)
 
     def ev(u, v):
@@ -193,7 +187,7 @@ def euler_planar_curve(alpha, r0, theta0, kappa0_sign, length,
         x, yy, ph = y
         rr = x * x + yy * yy
         if rr < 1e-12:
-            raise OriginCollisionError("curve reached the origin")
+            raise NumericalError("curve reached the origin")
         nx, ny = -math.sin(ph), math.cos(ph)
         return np.array([math.cos(ph), math.sin(ph), alpha * (nx * x + ny * yy) / rr])
 
@@ -285,12 +279,12 @@ def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec
             elif failed[i] is None and degenerate[i]:
                 failed[i] = f"degenerate minimality system at u={u[i]:.6g}"
         if failed[0] is not None:
-            raise FoliationCollapseError(failed[0])
+            raise NumericalError(failed[0])
         return np.stack([ap, app, rp, rpp], axis=-1)
 
     nodes, ys = _rk4(rhs, np.zeros(2), y0, np.array([span, -span]), max_step)
     if failed[1] is not None:
-        raise FoliationCollapseError(failed[1])
+        raise NumericalError(failed[1])
     # node abscissae rounded as Python floats, from -span to +span
     nodes = np.array(nodes).tolist()
     us = np.array([round(u, 12) for _, u in nodes[::-1]]
@@ -298,7 +292,7 @@ def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec
     data = np.concatenate([ys[::-1, 1], ys[1:, 0]])
     app, rpp, degenerate = _riemann_accels(us, *data.T)
     if degenerate.any():
-        raise FoliationCollapseError(
+        raise NumericalError(
             f"degenerate minimality system at u={us[np.argmax(degenerate)]:.6g}")
     a_func = ScalarFunc.from_table(us, data[:, 0], data[:, 1], app)
     r_func = ScalarFunc.from_table(us, data[:, 2], data[:, 3], rpp)
@@ -324,7 +318,7 @@ def _directrix_from_params(p) -> _ruled.PlanarCurve:
 def _cyclic_patch(spec, mode):
     if spec.mode == mode:
         return _cyclic.build_cyclic(spec)
-    raise SpecValidationError(f"cyclic spec mode {spec.mode!r} is not {mode!r}")
+    raise ValidationError(f"cyclic spec mode {spec.mode!r} is not {mode!r}")
 
 
 @reads_spec
@@ -392,26 +386,26 @@ def _checked(fields, forms, what, optional=(), noun="field"):
     count of numbers (one is a bare number) or an array shape of numbers; a
     type; None for any value; or the forms of a nested object."""
     if not isinstance(fields, dict):
-        raise SpecValidationError(f"{what} must be a JSON object")
+        raise ValidationError(f"{what} must be a JSON object")
     for key in forms:
         if key not in fields and key not in optional:
-            raise SpecValidationError(f"spec is missing field {key!r}")
+            raise ValidationError(f"spec is missing field {key!r}")
     out = {}
     for key, val in fields.items():
         if key not in forms:
-            raise SpecValidationError(f"{what} takes no {noun} {key!r}")
+            raise ValidationError(f"{what} takes no {noun} {key!r}")
         form, name = forms[key], f"{what} {noun} {key!r}"
         if isinstance(form, type):
             if type(val) is not form:
-                raise SpecValidationError(f"{name} must be a {form.__name__}")
+                raise ValidationError(f"{name} must be a {form.__name__}")
         elif isinstance(form, dict):
             val = _checked(val, form, f"{what} {key}")
         elif form is not None:
             shape = () if form == 1 else (form,) if isinstance(form, int) else form
             if not _is_numbers(val, shape):
-                raise SpecValidationError(f"{name} must be "
-                                          f"{' x '.join(map(str, shape)) or 1} "
-                                          "finite number(s)")
+                raise ValidationError(f"{name} must be "
+                                      f"{' x '.join(map(str, shape)) or 1} "
+                                      "finite number(s)")
         out[key] = val
     return out
 
@@ -420,9 +414,9 @@ def _tagged(d, key, table, what):
     """The entry of ``table`` that field ``key`` of the JSON object ``d``
     names; every reader of a nested object starts here or in ``_checked``."""
     if not isinstance(d, dict):
-        raise SpecValidationError(f"{what} must be a JSON object")
+        raise ValidationError(f"{what} must be a JSON object")
     if not (type(d.get(key)) is str and d[key] in table):
-        raise SpecValidationError(f"unknown {what} {key} {d.get(key)!r}")
+        raise ValidationError(f"unknown {what} {key} {d.get(key)!r}")
     return table[d[key]]
 
 

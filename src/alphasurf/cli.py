@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import catalog, cyclic, flow, inversion, output, ruled, stationary
-from .errors import NonFiniteOutputError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .interp import Curve3, ScalarFunc
 from .surface_kernel import _tiles
 
@@ -218,7 +218,7 @@ def _summary(text, *numbers):
     """A command's summary line, which ``main`` prints once every file is
     written; like a result file, it refuses a number that is not finite."""
     if not np.isfinite(numbers).all():
-        raise NonFiniteOutputError(f"refusing to print non-finite values: {text}")
+        raise NumericalError(f"refusing to print non-finite values: {text}")
     return text
 
 
@@ -266,14 +266,14 @@ def _cmd_coeffs(args):
     else:
         raise ValidationError("coeffs needs --spec or --family helicoid")
     s = np.linspace(*rs.s_range, args.samples)
-    if args.out:   # s beside A in one array, A filled a tile at a time
-        rows = np.empty((s.size, 6))
-        rows[:, 0], A = s, rows[:, 1:]
-        for sl in _tiles(s.size):
-            A[sl] = ruled.ruled_coeffs(rs, args.alpha, s[sl])
-    # max|A| without a second array of |A|; abs() drops the sign of a zero
-    top = (abs(max(A.max(), -A.min())) if args.out
-           else ruled.coeffs_absmax(rs, args.alpha, s))
+    rows = np.empty((s.size, 6)) if args.out else None   # s beside A
+    top, bottom = -np.inf, np.inf   # np.maximum keeps a NaN, as max() would
+    for sl in _tiles(s.size):
+        A = ruled.ruled_coeffs(rs, args.alpha, s[sl])
+        if args.out:
+            rows[sl, 0], rows[sl, 1:] = s[sl], A
+        top, bottom = np.maximum(top, A.max()), np.minimum(bottom, A.min())
+    top = abs(max(top, -bottom))   # abs() drops the sign of a zero
     summary = _summary(f"max|A_n| = {top:.3g} over {args.samples} samples", top)
     if args.out:
         output.write_csv(args.out, ["s", "A0", "A1", "A2", "A3", "A4"], rows)

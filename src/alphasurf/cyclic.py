@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import output
-from .errors import (
-    DegenerateFamilyError,
-    FoliationCollapseError,
-    FrameUndefinedError,
-    SpecValidationError,
-    ValidationError,
-)
+from .errors import NumericalError, ValidationError
 from .interp import (QuinticHermite, ScalarFunc, _rk4, read_table, stage_grid,
                      stage_table, write_table)
 from .surface_kernel import Jet2, ParametricPatch
@@ -137,7 +131,7 @@ def frame_from_curvature(kappa, tau, u_range, init, max_step=1e-3) -> CurveFrame
         t, n, b = y[3:6], y[6:9], y[9:12]
         k, tv = at[u]
         if not (k > 0.0):
-            raise FrameUndefinedError(f"kappa({u}) = {k} <= 0")
+            raise NumericalError(f"kappa({u}) = {k} <= 0")
         return np.concatenate([t, k * n, -k * t + tv * b, -tv * n])
 
     def orthonormalize(y):
@@ -181,9 +175,9 @@ class CyclicSpec:
 
     def __post_init__(self):
         if self.mode not in ("parallel", "frenet"):
-            raise SpecValidationError(f"unknown cyclic mode {self.mode!r}")
+            raise ValidationError(f"unknown cyclic mode {self.mode!r}")
         if self.mode == "frenet" and self.frame is None:
-            raise SpecValidationError("frenet mode requires a CurveFrame")
+            raise ValidationError("frenet mode requires a CurveFrame")
 
 
 def parallel_spec(a, b, r, u_range, label="parallel-cyclic") -> CyclicSpec:
@@ -202,15 +196,24 @@ def frenet_spec(frame, a, b, c, r, u_range=None, u_periodic=False,
                       label=label)
 
 
+def _increasing(u_range):
+    """The floats (u0, u1) of a cyclic spec's ``u_range``, which must have
+    u0 < u1; checked before any table or frame is built on it."""
+    u0, u1 = float(u_range[0]), float(u_range[1])
+    if not (u0 < u1):
+        raise ValidationError(f"u_range [{u0}, {u1}] is not increasing")
+    return u0, u1
+
+
 def _validate_cyclic(spec: CyclicSpec):
     u = np.linspace(*spec.u_range, 101)
     r = spec.r(u)
     if not np.all(r > 0.0):
-        raise SpecValidationError("radius function must stay positive on the domain")
+        raise ValidationError("radius function must stay positive on the domain")
     if spec.mode == "frenet":
         k = spec.frame.kappa(u)
         if not np.all(k > 0.0):
-            raise SpecValidationError("frenet mode requires kappa > 0 on the domain")
+            raise ValidationError("frenet mode requires kappa > 0 on the domain")
 
 
 def build_cyclic(spec: CyclicSpec) -> ParametricPatch:
@@ -357,11 +360,9 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
     frenet-mode CyclicSpec with the planar frame integrated from kappa.
     """
     kappa = as_scalar_func(kappa)
-    u0, u1 = float(u_range[0]), float(u_range[1])
-    if not (u0 < u1):
-        raise SpecValidationError(f"u_range [{u0}, {u1}] is not increasing")
+    u0, u1 = _increasing(u_range)
     if not (r0 > 0.0):
-        raise SpecValidationError("r0 must be positive")
+        raise ValidationError("r0 must be positive")
     y0 = np.array([float(a0), float(a0p), float(r0), float(r0p)])
     us, ys, acc = _neg2_profile(kappa, y0, u0, u1, max_step)
     a_func = ScalarFunc.from_table(us, ys[:, 0], ys[:, 1], acc[:, 0])
@@ -380,10 +381,10 @@ def _neg2_profile(kappa, y0, u0, u1, max_step):
 
     def second_derivs(u, a, ap, r, rp):
         if not (r > 0.0):
-            raise FoliationCollapseError(f"radius collapsed at u={u:.6g}")
+            raise NumericalError(f"radius collapsed at u={u:.6g}")
         k, kp = at[u]
         if not (k > 0.0):
-            raise FrameUndefinedError(f"kappa({u}) = {k} <= 0")
+            raise NumericalError(f"kappa({u}) = {k} <= 0")
         # both equations are affine in (rpp, app): probe to build the system
         try:
             (e0, g0), (e1, g1), (e2, g2) = (
@@ -391,14 +392,13 @@ def _neg2_profile(kappa, y0, u0, u1, max_step):
                  neg2_eq23(a, ap, app, r, rp, k, kp))
                 for rpp, app in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
         except OverflowError:   # a float ** past the float range
-            raise DegenerateFamilyError(
+            raise NumericalError(
                 f"system for (r'', a'') overflows at u={u:.6g}") from None
         f0 = np.array([e0, g0])
         M = np.array([[e1 - e0, e2 - e0], [g1 - g0, g2 - g0]])
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
         if abs(det) < 1e-14 * max(1.0, abs(M).max()) ** 2:
-            raise DegenerateFamilyError(
-                f"singular system for (r'', a'') at u={u:.6g}")
+            raise NumericalError(f"singular system for (r'', a'') at u={u:.6g}")
         rpp, app = np.linalg.solve(M, -f0)
         return float(app), float(rpp)
 
@@ -466,6 +466,7 @@ def cyclic_spec_to_dict(spec: CyclicSpec) -> dict:
 def cyclic_spec_from_dict(d) -> CyclicSpec:
     """The CyclicSpec of a spec object in the form ``catalog.CYCLIC_SPECS``
     gives its mode."""
+    _increasing(d["u_range"])
     names = TABLE_NAMES[:3] if d["mode"] == "parallel" else TABLE_NAMES
     f = {key: read_table(ScalarFunc, d[key]) for key in names}
     if d["mode"] == "frenet":

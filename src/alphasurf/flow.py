@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import output
-from .errors import (
-    FlowSingularityError,
-    FlowStallError,
-    OpenMeshError,
-    OriginInFaceError,
-    SpecValidationError,
-    ValidationError,
-)
+from .errors import FlowError, OriginInFaceError, ValidationError
 from .surface_kernel import ParametricPatch, _cross, _dot, _tiles, eval_jet2
 
 MIN_TRIANGLE_AREA = 1e-14
@@ -91,7 +84,7 @@ def sample_mesh(patch: ParametricPatch, nu: int, nv: int) -> TriMesh:
     ``_tiles`` slice of u-rows at a time, so no full-grid jet is ever held.
     """
     if not patch.v_periodic:
-        raise SpecValidationError("meshing requires a v-periodic patch")
+        raise ValidationError("meshing requires a v-periodic patch")
     if nu < 2 or nv < 3:
         raise ValidationError("need nu >= 2 and nv >= 3")
     u0, u1 = patch.u_range
@@ -148,8 +141,7 @@ def discrete_gradient(mesh: TriMesh, alpha: float, *, _geom=None) -> np.ndarray:
     cent, avec, area, c2 = _geometry(verts, tri) if _geom is None else _geom
     bad = area <= MIN_TRIANGLE_AREA
     if np.any(bad):
-        raise FlowSingularityError(
-            f"{int(bad.sum())} degenerate triangle(s) in gradient evaluation")
+        raise FlowError(f"{int(bad.sum())} degenerate triangle(s) in gradient evaluation")
     if np.any(c2 <= 0.0):
         raise OriginInFaceError("triangle centroid at the origin")
     w = c2 ** (alpha / 2.0)
@@ -199,7 +191,7 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
     if not (dt > 0):   # NaN too
         raise ValidationError(f"time step must be positive, got {dt}")
     if not mesh.is_closed():
-        raise OpenMeshError("flow requires a closed oriented mesh")
+        raise ValidationError("flow requires a closed oriented mesh")
     geom = _, _, area, _ = _geometry(mesh.vertices, mesh.triangles)
     if np.any(area <= MIN_TRIANGLE_AREA):
         raise ValidationError("mesh contains a degenerate triangle")
@@ -220,8 +212,7 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
             cand = cur.vertices - dt * g
             geom = _, _, area, _ = _geometry(cand, tris)
             if not (np.min(area) > MIN_TRIANGLE_AREA):   # NaN too
-                raise FlowSingularityError(
-                    f"triangle degenerated at step {step}", step=step)
+                raise FlowError(f"triangle degenerated at step {step}", step=step)
             cur.vertices = cand
             energy = discrete_energy(cur, alpha, _geom=geom)
             continue
@@ -244,7 +235,7 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
             dt *= 0.5
             rejects += 1
             if rejects > MAX_REJECTS:
-                raise FlowStallError(
+                raise FlowError(
                     f"step {step}: {rejects} consecutive rejections", step=step)
     g = discrete_gradient(cur, alpha, _geom=geom)
     trace.append((int(steps), energy, float(np.max(np.linalg.norm(g, axis=-1))), dt))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularPointError
+from .errors import NumericalError
 from .stationary import residual_grid
 from .surface_kernel import Jet2, ParametricPatch, _dot, _mapped
 
@@ -29,7 +29,7 @@ def _norm2(p):
     """|p|^2, refused within DELTA_INV of the origin."""
     q = _dot(p, p)
     if np.any(np.sqrt(q) < DELTA_INV):
-        raise SingularPointError(
+        raise NumericalError(
             f"surface point within {DELTA_INV} of the origin during inversion")
     return q
 

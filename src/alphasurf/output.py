@@ -24,7 +24,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import NonFiniteOutputError, ValidationError
+from .errors import NumericalError, ValidationError
 
 # Rows formatted per call.  Bounds the size of the formatted text held at
 # once; a whole file formatted as one string costs tens of MB of memory.
@@ -82,7 +82,7 @@ def atomic_open(path, newline=None):
 
 def _require_finite(arr, what):
     if not np.isfinite(arr).all():
-        raise NonFiniteOutputError(f"refusing to write non-finite values to {what}")
+        raise NumericalError(f"refusing to write non-finite values to {what}")
 
 
 def _blocks(arr):
@@ -117,7 +117,7 @@ def write_json(path, doc):
     try:
         text = json.dumps(doc, indent=1, allow_nan=False, default=hold)
     except ValueError as exc:
-        raise NonFiniteOutputError(f"refusing to write {path}: {exc}") from None
+        raise NumericalError(f"refusing to write {path}: {exc}") from None
     pieces = text.split(json.dumps(_ARRAY_MARK))
     with atomic_open(path) as fh:
         fh.write(pieces[0])

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CylindricalInputError,
-    FrameError,
-    NormalizationError,
-    PlanarityError,
-    SpecValidationError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .interp import Curve3, ScalarFunc, compose_reparam, reparametrize_arclength
 from .surface_kernel import Jet2, ParametricPatch, _cross, _dot, _tiles
 
@@ -53,11 +46,11 @@ def validate_ruled(spec: RuledSpec):
     _, gp, _ = spec.gamma.eval2(s)
     bv, bp, _ = spec.beta.eval2(s)
     if np.max(np.abs(np.linalg.norm(gp, axis=-1) - 1.0)) > 1e-8:
-        raise SpecValidationError("directrix is not arc-length parametrized")
+        raise ValidationError("directrix is not arc-length parametrized")
     if np.max(np.abs(np.linalg.norm(bv, axis=-1) - 1.0)) > 1e-10:
-        raise SpecValidationError("ruling direction is not unit-norm")
+        raise ValidationError("ruling direction is not unit-norm")
     if not spec.cylindrical and np.min(np.linalg.norm(bp, axis=-1)) <= 0.0:
-        raise SpecValidationError("non-cylindrical spec has a stationary ruling direction")
+        raise ValidationError("non-cylindrical spec has a stationary ruling direction")
 
 
 def build_ruled_patch(spec: RuledSpec, t_range) -> ParametricPatch:
@@ -93,7 +86,7 @@ def _mu_funcs(spec: RuledSpec):
         _, bp, bpp = spec.beta.eval2(sv)
         w = _dot(bp, bp)
         if np.any(w <= 0.0):
-            raise CylindricalInputError("ruling direction has a stationary point")
+            raise ValidationError("ruling direction has a stationary point")
         g = _dot(gp, bp)
         gp1 = _dot(gpp, bp) + _dot(gp, bpp)
         w1 = 2.0 * _dot(bpp, bp)
@@ -121,7 +114,7 @@ def striction_line(spec: RuledSpec) -> RuledSpec:
     direction is composed with the same parameter change.
     """
     if spec.cylindrical:
-        raise CylindricalInputError("striction line undefined for cylindrical surfaces")
+        raise ValidationError("striction line undefined for cylindrical surfaces")
     mu = _mu_funcs(spec)
 
     def jet(s):
@@ -203,8 +196,7 @@ class PlanarCurve:
         zhat = vt[2]
         dev = np.abs((gamma - centroid) @ zhat)
         if np.max(dev) > 1e-8 * max(1.0, np.max(sv)):
-            raise PlanarityError(
-                f"curve deviates from a plane by {np.max(dev):.3e}")
+            raise ValidationError(f"curve deviates from a plane by {np.max(dev):.3e}")
         t = np.gradient(gamma, s, axis=0, edge_order=2)
         speed = np.linalg.norm(t, axis=-1)
         if np.max(np.abs(speed - 1.0)) > 1e-6:
@@ -275,7 +267,7 @@ def adapted_coords(spec: RuledSpec) -> AdaptedCoords:
     equator = equator_beta()
     s_check = spec.samples(64)
     if np.max(np.abs(spec.beta(s_check) - equator(s_check))) > 1e-10:
-        raise FrameError("ruling direction is not the horizontal equator")
+        raise ValidationError("ruling direction is not the horizontal equator")
 
     def make(coord):
         # coord: callable s -> basis vector (beta, beta' or e3) and its derivs
@@ -311,12 +303,12 @@ def normalize_beta(spec: RuledSpec) -> RuledSpec:
     s = spec.samples(129)
     bv, bp, bpp = spec.beta.eval2(s)
     if np.max(np.abs(_triple(bp, bv, bpp))) > 1e-8:
-        raise NormalizationError("ruling direction is not a great circle")
+        raise ValidationError("ruling direction is not a great circle")
     axes = _cross(bv, bp)
     axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
     axis = axes[0]
     if np.max(np.linalg.norm(axes - axis, axis=-1)) > 1e-8:
-        raise NormalizationError("ruling plane is not constant")
+        raise ValidationError("ruling plane is not constant")
     R = _rotation_to_e3(axis)
 
     gam = _apply_linear(spec.gamma, R)
@@ -334,7 +326,7 @@ def normalize_beta(spec: RuledSpec) -> RuledSpec:
     num = x * ypp - y * xpp
     phi2 = num / r2 - (x * yp - y * xp) * 2.0 * (x * xp + y * yp) / r2**2
     if np.min(phi1) <= 0.0 and np.max(phi1) >= 0.0:
-        raise NormalizationError("ruling phase is not monotone")
+        raise ValidationError("ruling phase is not monotone")
     if phi[-1] < phi[0]:
         phi, phi1, phi2 = phi[::-1], phi1[::-1], phi2[::-1]
         dense = dense[::-1]
@@ -369,16 +361,23 @@ def _rotation_to_e3(axis):
 # quartic coefficients
 
 
-def _coeff_tiles(spec: RuledSpec, alpha: float, s, check):
-    """(slice, (A0, A1, A2, A3, A4)) for each tile of the flat samples ``s``."""
-    for sl in _tiles(s.size):
-        g, gp, gpp = spec.gamma.eval2(s[sl])
-        b, bp, bpp = spec.beta.eval2(s[sl])
+def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
+    """Coefficients [A0..A4] of the degree-4 defect polynomial in t.
+
+    Requires an arc-length striction directrix (checked at the evaluation
+    points unless ``check`` is False).  Vectorized, a tile of samples at a
+    time: returns shape s.shape + (5,).
+    """
+    s = np.asarray(s, dtype=float)
+    flat, coeffs = s.reshape(-1), None
+    for sl in _tiles(flat.size):
+        g, gp, gpp = spec.gamma.eval2(flat[sl])
+        b, bp, bpp = spec.beta.eval2(flat[sl])
         if check:
             if np.max(np.abs(_dot(gp, bp))) > 1e-6:
-                raise SpecValidationError("directrix violates the striction condition")
+                raise ValidationError("directrix violates the striction condition")
             if np.max(np.abs(_dot(gp, gp) - 1.0)) > 1e-6:
-                raise SpecValidationError("directrix is not arc-length parametrized")
+                raise ValidationError("directrix is not arc-length parametrized")
 
         R0 = _triple(gp, b, gpp) - 2.0 * _dot(gp, b) * _triple(gp, b, bp)
         R1 = _triple(gp, b, bpp) + _triple(bp, b, gpp)
@@ -393,32 +392,13 @@ def _coeff_tiles(spec: RuledSpec, alpha: float, s, check):
         A1 = q1 * R0 + q0 * R1 - alpha * T1 * S0
         A2 = R0 + q1 * R1 + q0 * R2 - alpha * T0 * S2
         A3 = R1 + q1 * R2 - alpha * T1 * S2
-        yield sl, (A0, A1, A2, A3, R2)
-
-
-def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
-    """Coefficients [A0..A4] of the degree-4 defect polynomial in t.
-
-    Requires an arc-length striction directrix (checked at the evaluation
-    points unless ``check`` is False).  Vectorized: returns shape
-    s.shape + (5,).
-    """
-    s = np.asarray(s, dtype=float)
-    coeffs = np.empty(s.shape + (5,))
-    for sl, cols in _coeff_tiles(spec, alpha, s.reshape(-1), check):
-        np.stack(cols, axis=-1, out=coeffs.reshape(-1, 5)[sl])
-    return coeffs
-
-
-def coeffs_absmax(spec: RuledSpec, alpha: float, s, check=True):
-    """max |A_n| of ``ruled_coeffs``, its tiles stacked in one reused buffer."""
-    s = np.asarray(s, dtype=float).reshape(-1)
-    tile = np.empty((0, 5))   # the first tile is the largest; the rest reuse it
-    top, bottom = -np.inf, np.inf   # np.maximum keeps a NaN, as max() would
-    for _, cols in _coeff_tiles(spec, alpha, s, check):
-        tile = np.stack(cols, axis=-1, out=tile[:cols[0].size] if tile.size else None)
-        top, bottom = np.maximum(top, tile.max()), np.minimum(bottom, tile.min())
-    return abs(max(top, -bottom))   # abs() drops the sign of a zero
+        if coeffs is None:
+            # made above the first tile's temporaries, so that freeing them
+            # does not hand the heap top back to the system: a caller that
+            # passes one tile at a time would page-fault them in every call
+            coeffs = np.empty(s.shape + (5,))
+        np.stack((A0, A1, A2, A3, R2), axis=-1, out=coeffs.reshape(-1, 5)[sl])
+    return np.empty(s.shape + (5,)) if coeffs is None else coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import output
-from .errors import (
-    BandLimitError,
-    OriginOnSurfaceError,
-    SingularIntegrandError,
-    ValidationError,
-)
+from .errors import NumericalError, ValidationError
 from .surface_kernel import (
     ParametricPatch,
     _axis_samples,
-    _cross,
     _dot,
+    _first_form,
     _tiles,
     eval_jet2,
     fundamental_data,
@@ -68,7 +63,7 @@ def _residual_fields(jet, alpha):
     fd = fundamental_data(jet)
     p2 = _dot(jet.P, jet.P)
     if np.any(p2 <= 0.0):
-        raise OriginOnSurfaceError("surface touches the origin at a sampled point")
+        raise NumericalError("surface touches the origin at a sampled point")
     rhs = alpha * _dot(fd.normal, jet.P) / p2
     return fd, rhs
 
@@ -125,7 +120,7 @@ def energy(patch: ParametricPatch, alpha: float, nu: int, nv: int) -> float:
         W = fundamental_data(jet).W
         integrand[sl] = _dot(jet.P, jet.P) ** (alpha / 2.0) * np.sqrt(W)
     if not np.all(np.isfinite(integrand)):
-        raise SingularIntegrandError("non-finite integrand sample in energy quadrature")
+        raise NumericalError("non-finite integrand sample in energy quadrature")
     return float(np.einsum("i,j,ij->", uw, vw, integrand))
 
 
@@ -149,9 +144,7 @@ def _defect_from_jet(jet, alpha, with_scale=False):
     roundoff floor of the defect (the curvature sum itself cancels to about
     zero on a minimal surface).
     """
-    cross = _cross(jet.Pu, jet.Pv)
-    E, F, G = _dot(jet.Pu, jet.Pu), _dot(jet.Pu, jet.Pv), _dot(jet.Pv, jet.Pv)
-    W = E * G - F * F
+    cross, E, F, G, W = _first_form(jet)
     huu = G * _dot(jet.Puu, cross)
     huv, hvv = 2.0 * F * _dot(jet.Puv, cross), E * _dot(jet.Pvv, cross)
     p2 = _dot(jet.P, jet.P)
@@ -187,7 +180,7 @@ def fourier_defect(patch: ParametricPatch, alpha: float, u: float,
 
     The defect of the cyclic parametrizations is a trigonometric polynomial
     in v; coefficients above ``n_max`` beyond ``guard`` times the defect
-    magnitude raise ``BandLimitError`` (aliasing guard).
+    magnitude raise ``NumericalError`` (aliasing guard).
     """
     if not patch.v_periodic:
         raise ValidationError("fourier_defect requires a v-periodic patch")
@@ -221,7 +214,7 @@ def fourier_defect(patch: ParametricPatch, alpha: float, u: float,
         A_all[n_half] *= 0.5
     hi = np.concatenate([A_all[n_max + 1:], B_all[n_max + 1:]])
     if hi.size and np.max(np.abs(hi)) > max(guard * scale, floor):
-        raise BandLimitError(
+        raise NumericalError(
             f"defect has harmonics above n={n_max}: "
             f"max |coeff| = {np.max(np.abs(hi)):.3e} vs defect scale {scale:.3e}")
     B = B_all[:n_max + 1].copy()

@@ -16,10 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateParametrizationError,
-    ParameterRangeError,
-)
+from .errors import NumericalError, ValidationError
 
 #: relative domain margin used to keep samples away from chart-degenerate
 #: parameter lines (e.g. sphere poles)
@@ -98,7 +95,7 @@ def _check_axis(patch, name, x, rng, periodic, reach=0.0):
         return lo + np.mod(x - lo, hi - lo)
     out = (x - reach < lo - _DOMAIN_SLACK) | (x + reach > hi + _DOMAIN_SLACK)
     if np.any(out):
-        raise ParameterRangeError(
+        raise ValidationError(
             f"finite-difference stencil leaves the {name}-domain" if reach else
             f"{name}={float(x.ravel()[np.argmax(out)])!r} outside [{lo}, {hi}] "
             f"for patch {patch.label!r}")
@@ -138,16 +135,11 @@ class FundamentalData:
 def fundamental_data(jet: Jet2) -> FundamentalData:
     """Fundamental forms and trace mean curvature from a jet.
 
-    Raises ``DegenerateParametrizationError`` where EG - F^2 <= 0.
+    Raises ``NumericalError`` where EG - F^2 <= 0.
     """
-    E = _dot(jet.Pu, jet.Pu)
-    F = _dot(jet.Pu, jet.Pv)
-    G = _dot(jet.Pv, jet.Pv)
-    W = E * G - F * F
+    cross, E, F, G, W = _first_form(jet)
     if np.any(W <= 0.0):
-        raise DegenerateParametrizationError(
-            f"EG - F^2 = {float(np.min(W)):.3e} <= 0 at a sampled point")
-    cross = _cross(jet.Pu, jet.Pv)
+        raise NumericalError(f"EG - F^2 = {float(np.min(W)):.3e} <= 0 at a sampled point")
     normal = cross / np.sqrt(W)[..., None]
     L = _dot(jet.Puu, normal)
     M = _dot(jet.Puv, normal)
@@ -155,6 +147,12 @@ def fundamental_data(jet: Jet2) -> FundamentalData:
     H = (G * L - 2.0 * F * M + E * Nff) / W
     return FundamentalData(E=E, F=F, G=G, L=L, M=M, Nff=Nff,
                            normal=normal, H=H, W=W)
+
+
+def _first_form(jet: Jet2):
+    """Pu x Pv, the first fundamental form E, F, G and W = EG - F^2."""
+    E, F, G = _dot(jet.Pu, jet.Pu), _dot(jet.Pu, jet.Pv), _dot(jet.Pv, jet.Pv)
+    return _cross(jet.Pu, jet.Pv), E, F, G, E * G - F * F
 
 
 def _dot(a, b):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from alphasurf import catalog, cli
+from alphasurf import catalog, cli, flow
 from alphasurf.cli import MAX_EXPR_DEPTH, main, parse_scalar_expr
 from alphasurf.errors import ValidationError
 
@@ -640,6 +641,19 @@ def test_non_finite_summary_exits_3(argv, tmp_path, monkeypatch, capsys):
     assert os.listdir() == []
 
 
+def _stall_radius():
+    """A sphere radius whose 4x8 mesh, as this platform computes it, has its
+    smallest triangle at most 2e-15 above ``flow.MIN_TRIANGLE_AREA``."""
+    def excess(r):
+        mesh = flow.sample_mesh(catalog.sphere_patch((0, 0, 0), r), 4, 8)
+        area = flow._geometry(mesh.vertices, mesh.triangles)[2]
+        return np.min(area) / flow.MIN_TRIANGLE_AREA - 1
+
+    r = math.sqrt(1 / (1 + excess(1.0)))
+    return next(x for x in (r * (1 + k * 1.1e-16) for k in range(-40, 40))
+                if 0 < excess(x) <= 2e-15)
+
+
 @pytest.mark.parametrize("argv, message", [
     # dt 1e200 sends the first candidate to NaN; the area test refuses it
     (["flow", "--family", "sphere", "--alpha", "-2", "--grid", "8x8",
@@ -660,11 +674,64 @@ def test_non_finite_summary_exits_3(argv, tmp_path, monkeypatch, capsys):
     (["generate", "--family", "neg2-ode", "--kappa", "1", "--u", "1:1.1",
       "--r0", "1e-5", "--a0", "1", "--out", "g.json"],
      "numerical failure: singular system for (r'', a'') at u=1"),
+    # the sphere through the origin has its pole apex there
+    (["invert", "--family", "sphere", "--center", "0,0,1", "--grid", "4x8",
+      "--export", "i.obj"],
+     "numerical failure: surface point within 1e-06 of the origin during inversion"),
+    # the 3x3 grid of the vector plane holds (0, 0)
+    (["verify", "--family", "vector-plane", "--grid", "3x3", "--out", "r.json"],
+     "numerical failure: surface touches the origin at a sampled point"),
+    # E, F and G underflow to zero
+    (["verify", "--family", "sphere", "--radius", "1e-200", "--grid", "4x4",
+      "--out", "r.json"],
+     "numerical failure: EG - F^2 = 0.000e+00 <= 0 at a sampled point"),
+    # |p|^2 past the float range
+    (["energy", "--family", "sphere", "--radius", "1e200", "--alpha", "2",
+      "--grid", "4x4", "--out", "e.json"],
+     "numerical failure: non-finite integrand sample in energy quadrature"),
+    # an off-axis catenoid's defect has a first harmonic
+    (["fourier", "--family", "catenoid", "--center", "1,0,0", "--alpha", "1",
+      "--u", "0.1", "--nmax", "0", "--out", "f.json"],
+     "numerical failure: defect has harmonics above n=0: max |coeff| = 1.025e+00 "
+     "vs defect scale 2.045e+00"),
+    (["generate", "--family", "neg2-ode", "--kappa=-1", "--u", "1:1.1",
+      "--r0", "1", "--out", "g.json"],
+     "numerical failure: kappa(1.0) = -1.0 <= 0"),
+    (["verify", "--spec", "aimed.json", "--grid", "4x4", "--out", "r.json"],
+     "numerical failure: curve reached the origin"),
+    # every candidate down to dt / 2^51 shrinks the smallest triangle past
+    # the area bound
+    (["flow", "--family", "sphere", "--radius", repr(_stall_radius()),
+      "--alpha", "0", "--grid", "4x8", "--steps", "3", "--dt", "1",
+      "--trace", "t.csv"],
+     "numerical failure: step 0: 51 consecutive rejections"),
 ])
 def test_numerical_failure_prints_one_line_only(argv, message, tmp_path,
                                                 monkeypatch, capsys):
+    # a straight euler directrix aimed at the origin, for a cylinder over it
+    (tmp_path / "aimed.json").write_text(json.dumps({
+        "kind": "cylinder_over_curve", "params": {"directrix": {
+            "type": "euler", "alpha": 0, "r0": 1, "tangent_angle": math.pi}}}))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+    assert os.listdir() == ["aimed.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--family", "sphere", "--radius=-1", "--grid", "4x4", "--out", "r.json"],
+     "error: sphere radius must be positive"),
+    (["fourier", "--family", "catenoid", "--u", "5", "--out", "f.json"],
+     "error: u=5.0 outside [-1.5, 1.5] for patch 'catenoid(waist=1.0)'"),
+    (["flow", "--family", "catenoid", "--grid", "4x8", "--steps", "1", "--trace", "t.csv"],
+     "error: flow requires a closed oriented mesh"),
+])
+def test_bad_input_prints_its_one_error_line(argv, message, tmp_path,
+                                             monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
@@ -791,3 +858,39 @@ def test_generate_neg2_refuses_a_range_that_is_not_increasing(
     assert captured.err.splitlines() == [
         f"error: u_range [{lo}, {hi}] is not increasing"]
     assert os.listdir() == []
+
+
+@pytest.fixture(scope="module")
+def generated_specs(tmp_path_factory):
+    """A frenet-mode (neg2-ode) and a parallel-mode (riemann) spec document."""
+    out = tmp_path_factory.mktemp("generated")
+    docs = {}
+    for family, argv in (("neg2-ode", ["--kappa", "1/u", "--u", "1:1.2"]),
+                         ("riemann", ["--span", "0.3"])):
+        path = out / f"{family}.json"
+        assert main(["generate", "--family", family, "--r0", "1", *argv,
+                     "--out", str(path)]) == 0
+        docs[family] = json.loads(path.read_text())
+    return docs
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize("family, u_range", [
+    ("neg2-ode", [1.2, 1.0]), ("neg2-ode", [1.0, 1.0]),
+    ("riemann", [0.3, -0.3]), ("riemann", [0.1, 0.1]),
+])
+def test_cyclic_spec_range_that_is_not_increasing_exits_2(
+        family, u_range, command, generated_specs, tmp_path, monkeypatch, capsys):
+    doc = generated_specs[family]
+    doc = {**doc, "params": {"spec": {**doc["params"]["spec"], "u_range": u_range}}}
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    argv = {"verify": ["verify", "--spec", "s.json", "--grid", "4x4", "--out", "r.json"],
+            "export": ["export", "--spec", "s.json", "--grid", "4x8", "--export", "e.obj"]}
+    assert main(argv[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: u_range [{u_range[0]}, {u_range[1]}] is not increasing"]
+    assert os.listdir() == ["s.json"]

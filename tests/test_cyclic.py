@@ -22,11 +22,7 @@ from alphasurf.cyclic import (
     parallel_spec,
     write_solution_csv,
 )
-from alphasurf.errors import (
-    FrameUndefinedError,
-    SpecValidationError,
-    ValidationError,
-)
+from alphasurf.errors import NumericalError, ValidationError
 from alphasurf.interp import ScalarFunc
 from alphasurf.stationary import fourier_defect, residual_grid
 from alphasurf.surface_kernel import eval_jet2
@@ -70,7 +66,7 @@ def test_frame_orthonormality_along_orbit():
 
 
 def test_frame_rejects_nonpositive_kappa():
-    with pytest.raises(FrameUndefinedError):
+    with pytest.raises(NumericalError, match=r"kappa\(.+\) = .+ <= 0"):
         frame_from_curvature(ScalarFunc.from_poly([0.5, -1.0]), 0.0,
                              (0.0, 2.0), PLANAR_INIT)
 
@@ -105,10 +101,10 @@ def test_frenet_circle_foliation_witness():
 
 
 def test_spec_validation():
-    with pytest.raises(SpecValidationError):
+    with pytest.raises(ValidationError, match="unknown cyclic mode 'weird'"):
         CyclicSpec(mode="weird", u_range=(0, 1), r=ScalarFunc.constant(1),
                    a=ScalarFunc.constant(0), b=ScalarFunc.constant(0))
-    with pytest.raises(SpecValidationError):
+    with pytest.raises(ValidationError, match="radius function must stay positive"):
         build_cyclic(parallel_spec(0.0, 0.0, -1.0, (0.0, 1.0)))
 
 

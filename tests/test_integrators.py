@@ -25,7 +25,7 @@ from alphasurf.cyclic import (
     neg2_eq21,
     neg2_eq23,
 )
-from alphasurf.errors import FoliationCollapseError, ValidationError
+from alphasurf.errors import NumericalError, ValidationError
 from alphasurf.interp import MAX_STEPS, QuinticHermite, ScalarFunc, _rk4, stage_grid
 from alphasurf.stationary import _defect_from_jet
 from alphasurf.surface_kernel import Jet2
@@ -253,6 +253,6 @@ def _degenerate_where(monkeypatch, bad):
 ])
 def test_riemann_reports_the_plus_run_first(monkeypatch, bad, where):
     _degenerate_where(monkeypatch, bad)
-    with pytest.raises(FoliationCollapseError) as info:
+    with pytest.raises(NumericalError, match="degenerate minimality system") as info:
         riemann_minimal_spec(0.3, 1.0, 0.5)
     assert str(info.value) == f"degenerate minimality system at {where}"

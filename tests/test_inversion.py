@@ -9,7 +9,7 @@ from alphasurf.catalog import (
     sphere_patch,
 )
 from alphasurf.cyclic import PLANAR_INIT, build_cyclic, frame_from_curvature, frenet_spec
-from alphasurf.errors import SingularPointError
+from alphasurf.errors import NumericalError
 from alphasurf.inversion import (
     fit_circle_or_line,
     invert_patch,
@@ -25,7 +25,7 @@ def test_invert_point_basics():
     assert np.allclose(invert_point([2.0, 0.0, 0.0]), [0.5, 0.0, 0.0])
     p = np.array([1.0, 2.0, 3.0])
     assert np.max(np.abs(invert_point(invert_point(p)) - p)) < 1e-14
-    with pytest.raises(SingularPointError):
+    with pytest.raises(NumericalError, match="of the origin during inversion"):
         invert_point([0.0, 0.0, 0.0])
 
 

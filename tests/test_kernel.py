@@ -5,7 +5,7 @@ import pytest
 
 from alphasurf.catalog import catenoid_patch, helicoid_patch, plane_patch, sphere_patch
 from alphasurf.cyclic import PLANAR_INIT, build_cyclic, frame_from_curvature, frenet_spec
-from alphasurf.errors import DegenerateParametrizationError, ParameterRangeError
+from alphasurf.errors import NumericalError, ValidationError
 from alphasurf.inversion import invert_jet, invert_patch
 from alphasurf.surface_kernel import (
     Jet2,
@@ -64,7 +64,7 @@ def test_analytic_jets_match_finite_differences():
 
 def test_domain_check_raises_outside():
     patch = catenoid_patch(1.0)
-    with pytest.raises(ParameterRangeError):
+    with pytest.raises(ValidationError, match=r"u=10\.0 outside \[-1\.5, 1\.5\]"):
         eval_jet2(patch, np.array([10.0]), np.array([0.0]))
     # periodic v wraps instead of raising
     a = eval_jet2(patch, np.array([0.0]), np.array([0.1])).P
@@ -75,15 +75,15 @@ def test_domain_check_raises_outside():
 def test_domain_errors_name_the_axis_and_the_offender():
     patch = catenoid_patch(1.0)
     # -1.5 - 1e-12 is inside the slack; -3.0 is the value outside it
-    with pytest.raises(ParameterRangeError) as err:
+    with pytest.raises(ValidationError, match="u=-3.0 outside") as err:
         eval_jet2(patch, [-1.5 - 1e-12, -3.0], [0.1, 0.1])
     assert str(err.value) == "u=-3.0 outside [-1.5, 1.5] for patch 'catenoid(waist=1.0)'"
-    with pytest.raises(ParameterRangeError) as err:
+    with pytest.raises(ValidationError, match="v=2.5 outside") as err:
         eval_jet2(helicoid_patch(0.7), [1.0], [2.5])
     assert str(err.value).startswith("v=2.5 outside [-2.0, 2.0] for patch ")
     for stencil_patch, u, v, axis in ((patch, 1.4999, 0.1, "u"),
                                       (helicoid_patch(0.7), 1.0, 1.9999, "v")):
-        with pytest.raises(ParameterRangeError) as err:
+        with pytest.raises(ValidationError, match="finite-difference stencil leaves") as err:
             fd_jet2(stencil_patch, u, v, 1e-3)
         assert str(err.value) == f"finite-difference stencil leaves the {axis}-domain"
 
@@ -97,7 +97,7 @@ def test_degenerate_parametrization_detected():
         return Jet2(P, d, d, z, z, z)
 
     patch = ParametricPatch(ev, (0.0, 1.0), (0.0, 1.0))
-    with pytest.raises(DegenerateParametrizationError):
+    with pytest.raises(NumericalError, match=r"EG - F\^2 = .+ <= 0 at a sampled point"):
         fundamental_data(eval_jet2(patch, np.array([0.5]), np.array([0.5])))
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from alphasurf import output
 from alphasurf.cli import main
-from alphasurf.errors import NonFiniteOutputError, ValidationError
+from alphasurf.errors import NumericalError, ValidationError
 from alphasurf.stationary import ResidualReport
 
 SPECIAL = [-0.0, 0.0, 5e-324, 1e16, 1.0 / 3.0, -2.5e-7, 1e-300, -1e22, 123456.0]
@@ -101,13 +101,13 @@ def _nan_report():
 
 def test_non_finite_report_is_refused_and_leaves_no_file(tmp_path):
     report = _nan_report()
-    with pytest.raises(NonFiniteOutputError):
+    with pytest.raises(NumericalError, match="refusing to write non-finite values to .*r.json"):
         report.write_json(tmp_path / "r.json")
-    with pytest.raises(NonFiniteOutputError):
+    with pytest.raises(NumericalError, match="refusing to write non-finite values to .*r.csv"):
         report.write_csv(tmp_path / "r.csv")
-    with pytest.raises(NonFiniteOutputError):
+    with pytest.raises(NumericalError, match="s.json: Out of range float values"):
         output.write_json(tmp_path / "s.json", {"energy": float("inf")})
-    with pytest.raises(NonFiniteOutputError):
+    with pytest.raises(NumericalError, match="refusing to write non-finite values to .*m.obj"):
         output.write_obj(tmp_path / "m.obj", np.full((3, 3), np.nan),
                          np.array([[0, 1, 2]]))
     assert os.listdir(tmp_path) == []

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from alphasurf.errors import (
-    CylindricalInputError,
-    FrameError,
-    NormalizationError,
-    SpecValidationError,
-)
+from alphasurf.errors import ValidationError
 from alphasurf.interp import Curve3
 from alphasurf.ruled import (
     PlanarCurve,
@@ -42,7 +37,7 @@ def helicoid_spec():
 def test_validate_catches_non_unit_speed():
     bad = RuledSpec(gamma=trig_poly_curve([0, 0, 0], [[1, 0, 0]], [[0, 2, 0]]),
                     beta=equator_beta(), s_range=(0.0, 2 * np.pi))
-    with pytest.raises(SpecValidationError):
+    with pytest.raises(ValidationError, match="directrix is not arc-length parametrized"):
         validate_ruled(bad)
     validate_ruled(helicoid_spec())
 
@@ -134,7 +129,7 @@ def test_striction_refuses_cylindrical():
                                             np.zeros(np.shape(s) + (3,)),
                                             np.zeros(np.shape(s) + (3,)))),
                      s_range=(0.0, 1.0), cylindrical=True)
-    with pytest.raises(CylindricalInputError):
+    with pytest.raises(ValidationError, match="striction line undefined for cylindrical"):
         striction_line(spec)
 
 
@@ -177,10 +172,9 @@ def test_cylinder_check_offset_line_nonzero():
 
 
 def test_planarity_guard():
-    from alphasurf.errors import PlanarityError
     s = np.linspace(0, 1, 50)
     helix = np.stack([np.cos(s), np.sin(s), 0.3 * s], -1)
-    with pytest.raises(PlanarityError):
+    with pytest.raises(ValidationError, match="curve deviates from a plane by"):
         PlanarCurve.from_space_samples(s, helix)
 
 
@@ -223,7 +217,7 @@ def test_normalize_beta_decreasing_range_matches_the_increasing_one():
 def test_normalize_beta_rejects_latitude():
     spec = RuledSpec(gamma=vertical_line_curve(), beta=latitude_beta(0.4),
                      s_range=(0.0, 2 * np.pi))
-    with pytest.raises(NormalizationError):
+    with pytest.raises(ValidationError, match="ruling direction is not a great circle"):
         normalize_beta(spec)
 
 
@@ -257,7 +251,7 @@ def test_adapted_coords_helicoid_and_reconstruction():
 def test_adapted_coords_requires_equator():
     spec = RuledSpec(gamma=vertical_line_curve(), beta=latitude_beta(0.3),
                      s_range=(0.0, 2 * np.pi))
-    with pytest.raises(FrameError):
+    with pytest.raises(ValidationError, match="ruling direction is not the horizontal equator"):
         adapted_coords(spec)
 
 
@@ -268,5 +262,5 @@ def test_coeffs_striction_precondition():
         np.broadcast_to(E3, np.shape(s) + (3,)).copy() + eq.eval2(s)[1],
         eq.eval2(s)[2]))
     bad = RuledSpec(gamma=shifted, beta=eq, s_range=(0.0, 2 * np.pi))
-    with pytest.raises(SpecValidationError):
+    with pytest.raises(ValidationError, match="directrix violates the striction condition"):
         ruled_coeffs(bad, 1.0, np.linspace(0, 6, 5))

@@ -1,4 +1,5 @@
 import filecmp
+import functools
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from alphasurf import surface_kernel
+from alphasurf import output, ruled, surface_kernel
 from alphasurf.cli import _helicoid_ruled_spec, main
 from alphasurf.catalog import (
     FamilySpec,
@@ -23,16 +24,10 @@ from alphasurf.catalog import (
     sphere_patch,
 )
 from alphasurf.cyclic import build_cyclic, log_spiral_example, parallel_spec
-from alphasurf.errors import (
-    BandLimitError,
-    DegenerateParametrizationError,
-    OriginOnSurfaceError,
-    SingularIntegrandError,
-    ValidationError,
-)
+from alphasurf.errors import NumericalError, ValidationError
 from alphasurf.interp import ScalarFunc
 from alphasurf.inversion import invert_patch, verify_shift
-from alphasurf.ruled import coeffs_absmax, random_ruled_spec, ruled_coeffs
+from alphasurf.ruled import random_ruled_spec, ruled_coeffs
 from alphasurf.stationary import (
     energy,
     fourier_defect,
@@ -111,7 +106,7 @@ def test_fourier_band_limit_guard():
     fc = fourier_defect(patch, 1.3, 1.0, n_max=3, nv=32)
     assert len(fc.A) == 4 and fc.B[0] == 0.0
     # asking for a too-small band trips the aliasing guard
-    with pytest.raises(BandLimitError):
+    with pytest.raises(NumericalError, match="defect has harmonics above n=1"):
         fourier_defect(patch, 1.3, 1.0, n_max=1, nv=32)
 
 
@@ -138,9 +133,8 @@ def test_fourier_requires_periodic_and_power_of_two():
 
 
 def test_residual_on_surface_through_origin_raises():
-    from alphasurf.errors import OriginOnSurfaceError
     patch = plane_patch((0, 0, 1))  # contains 0 at (u,v)=(0,0)
-    with pytest.raises(OriginOnSurfaceError):
+    with pytest.raises(NumericalError, match="surface touches the origin at a sampled point"):
         residual(patch, 1.0, np.array([0.0]), np.array([0.0]))
 
 
@@ -279,19 +273,34 @@ def test_ruled_coeffs_do_not_depend_on_tile_size(n, ruled_table_spec,
 
 
 @pytest.mark.parametrize("n", [1, 561, 4096, 20000])
-def test_coeffs_absmax_equals_the_whole_array_max(n, ruled_table_spec,
-                                                  monkeypatch):
-    # the helicoid's largest |A_n| is its max at alpha 0.4 and -min at -1
-    for spec, alpha, check in ((_helicoid_ruled_spec(), 0.4, True),
-                               (_helicoid_ruled_spec(), -1.0, True),
-                               (ruled_table_spec, -0.6, False)):
+def test_coeffs_absmax_equals_the_whole_array_max(n, ruled_table_spec, tmp_path,
+                                                  monkeypatch, capsys):
+    # the max|A_n| that coeffs prints, folded tile by tile, with and without
+    # --out; the helicoid's largest |A_n| is its max at alpha 0.4 and -min at
+    # -1, and the table spec's checks are off in the command as in the oracle
+    table = tmp_path / "table.json"   # the file the fixture's spec is read from
+    output.write_json(table, ruled_spec_to_dict(random_ruled_spec(np.random.default_rng(3))))
+    out = tmp_path / "c.csv"
+    for spec, alpha, source in ((_helicoid_ruled_spec(), 0.4, ["--family", "helicoid"]),
+                                (_helicoid_ruled_spec(), -1.0, ["--family", "helicoid"]),
+                                (ruled_table_spec, -0.6, ["--spec", str(table)])):
         s = np.linspace(*spec.s_range, n)
-        A = ruled_coeffs(spec, alpha, s, check=check)
+        A = ruled_coeffs(spec, alpha, s, check=source[0] == "--family")
         want = abs(max(A.max(), -A.min()))
+        if source[0] == "--spec":
+            monkeypatch.setattr(ruled, "ruled_coeffs",
+                                functools.partial(ruled_coeffs, check=False))
         for rows in ([1, 7, 16, None] if n < 1000 else [16, None]):
             _tile_points(monkeypatch, rows, 1, n)
-            got = coeffs_absmax(spec, alpha, s, check=check)
-            assert got.hex() == want.hex(), (n, rows)
+            printed = []
+            for extra in ([], ["--out", str(out)]):
+                argv = ["coeffs", *source, f"--alpha={alpha}", "--samples", str(n)]
+                assert main(argv + extra) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed == [f"max|A_n| = {want:.3g} over {n} samples\n"] * 2, (n, rows)
+            written = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+            assert written[:, 0].tobytes() == s.tobytes()
+            assert written[:, 1:].tobytes() == A.tobytes(), (n, rows)
 
 
 FOURIER_FAMILIES = ["catenoid", "sphere", "log-spiral", "inverted-catenoid",
@@ -412,14 +421,14 @@ def test_guards_fire_in_a_later_tile(rows, monkeypatch):
     # only rows after the first 16 are spoiled
     u, _ = _flat_patch(_degenerate).domain_grid(nu, nv)
     assert np.all(u[:16] <= 0.9) and np.any(u > 0.9)
-    with pytest.raises(DegenerateParametrizationError):
+    with pytest.raises(NumericalError, match=r"EG - F\^2 = .+ <= 0"):
         residual_grid(_flat_patch(_degenerate), 0.0, nu, nv)
-    with pytest.raises(DegenerateParametrizationError):
+    with pytest.raises(NumericalError, match=r"EG - F\^2 = .+ <= 0"):
         energy(_flat_patch(_degenerate), 0.0, nu, nv)
-    with pytest.raises(OriginOnSurfaceError):
+    with pytest.raises(NumericalError, match="surface touches the origin"):
         residual_grid(_flat_patch(_through_origin), 1.0, nu, nv)
     with np.errstate(invalid="ignore"):
-        with pytest.raises(SingularIntegrandError):
+        with pytest.raises(NumericalError, match="non-finite integrand sample"):
             energy(_flat_patch(_infinite), 1.0, nu, nv)
 
 
