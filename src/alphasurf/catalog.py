@@ -22,7 +22,7 @@ from . import inversion as _inversion
 from . import output
 from . import ruled as _ruled
 from .errors import NumericalError, ValidationError, reads_spec
-from .interp import Curve3, ScalarFunc, _rk4, read_table, write_table
+from .interp import Curve3, ScalarFunc, _increasing, _rk4, read_table, write_table
 from .stationary import _defect_from_jet
 from .surface_kernel import Jet2, ParametricPatch, _cross, translated
 
@@ -341,9 +341,10 @@ def ruled_spec_to_dict(spec: _ruled.RuledSpec) -> dict:
 
 def ruled_spec_from_dict(d) -> _ruled.RuledSpec:
     d = _checked(d, RULED_SPEC, "ruled spec")
-    return _ruled.RuledSpec(gamma=read_table(Curve3, d["gamma"]),
-                            beta=read_table(Curve3, d["beta"]),
-                            s_range=d["s_range"], cylindrical=d["cylindrical"])
+    gamma, beta = (read_table(Curve3, d[key]) for key in ("gamma", "beta"))
+    _increasing("s_range", d["s_range"], {key: d[key]["s"] for key in ("gamma", "beta")})
+    return _ruled.RuledSpec(gamma=gamma, beta=beta, s_range=d["s_range"],
+                            cylindrical=d["cylindrical"])
 
 
 def _cyclic_spec_from_dict(d) -> _cyclic.CyclicSpec:

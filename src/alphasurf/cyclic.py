@@ -17,8 +17,8 @@ import numpy as np
 
 from . import output
 from .errors import NumericalError, ValidationError
-from .interp import (QuinticHermite, ScalarFunc, _rk4, read_table, stage_grid,
-                     stage_table, write_table)
+from .interp import (QuinticHermite, ScalarFunc, _increasing, _rk4, read_table,
+                     stage_grid, stage_table, write_table)
 from .surface_kernel import Jet2, ParametricPatch
 
 
@@ -196,15 +196,6 @@ def frenet_spec(frame, a, b, c, r, u_range=None, u_periodic=False,
                       label=label)
 
 
-def _increasing(u_range):
-    """The floats (u0, u1) of a cyclic spec's ``u_range``, which must have
-    u0 < u1; checked before any table or frame is built on it."""
-    u0, u1 = float(u_range[0]), float(u_range[1])
-    if not (u0 < u1):
-        raise ValidationError(f"u_range [{u0}, {u1}] is not increasing")
-    return u0, u1
-
-
 def _validate_cyclic(spec: CyclicSpec):
     u = np.linspace(*spec.u_range, 101)
     r = spec.r(u)
@@ -360,7 +351,7 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
     frenet-mode CyclicSpec with the planar frame integrated from kappa.
     """
     kappa = as_scalar_func(kappa)
-    u0, u1 = _increasing(u_range)
+    u0, u1 = _increasing("u_range", u_range)
     if not (r0 > 0.0):
         raise ValidationError("r0 must be positive")
     y0 = np.array([float(a0), float(a0p), float(r0), float(r0p)])
@@ -466,9 +457,9 @@ def cyclic_spec_to_dict(spec: CyclicSpec) -> dict:
 def cyclic_spec_from_dict(d) -> CyclicSpec:
     """The CyclicSpec of a spec object in the form ``catalog.CYCLIC_SPECS``
     gives its mode."""
-    _increasing(d["u_range"])
     names = TABLE_NAMES[:3] if d["mode"] == "parallel" else TABLE_NAMES
     f = {key: read_table(ScalarFunc, d[key]) for key in names}
+    _increasing("u_range", d["u_range"], {key: d[key]["u"] for key in names})
     if d["mode"] == "frenet":
         f["frame"] = frame_from_curvature(f.pop("kappa"), f.pop("tau"),
                                           d["u_range"], d["init_frame"])

@@ -85,7 +85,8 @@ class QuinticHermite:
 
     ``f`` may have shape (n,) or (n, m); evaluation preserves the trailing
     axis.  Evaluation slightly outside the node range extrapolates with the
-    boundary segment (callers do their own domain policing).
+    boundary segment; a spec file's range is checked to lie within its
+    tables' nodes by ``_increasing`` when the file is read.
     """
 
     def __init__(self, x, f, d1, d2):
@@ -203,6 +204,20 @@ def write_table(func, x_range):
 def read_table(cls, d):
     """The ``cls`` (ScalarFunc or Curve3) interpolating a spec table."""
     return cls.from_table(*(d[k] for k in cls.TABLE_KEYS + ("d1", "d2")))
+
+
+def _increasing(field, x_range, tables={}):
+    """The floats (x0, x1) of the range ``field``, which must have x0 < x1
+    and lie within the first and last abscissa of each of the ``tables``
+    (name -> abscissae); checked before any frame is integrated on it."""
+    x0, x1 = float(x_range[0]), float(x_range[1])
+    if not (x0 < x1):
+        raise ValidationError(f"{field} [{x0}, {x1}] is not increasing")
+    for name, x in tables.items():
+        if not (x[0] <= x0 and x1 <= x[-1]):
+            raise ValidationError(f"{field} [{x0}, {x1}] is not within table "
+                                  f"{name!r} on [{x[0]}, {x[-1]}]")
+    return x0, x1
 
 
 def compose_reparam(curve: Curve3, smap: ScalarFunc) -> Curve3:

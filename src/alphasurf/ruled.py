@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .interp import Curve3, ScalarFunc, compose_reparam, reparametrize_arclength
-from .surface_kernel import Jet2, ParametricPatch, _cross, _dot, _tiles
+from .surface_kernel import Jet2, ParametricPatch, _cross, _dot
 
 
 def _triple(a, b, c):
@@ -365,40 +365,32 @@ def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
     """Coefficients [A0..A4] of the degree-4 defect polynomial in t.
 
     Requires an arc-length striction directrix (checked at the evaluation
-    points unless ``check`` is False).  Vectorized, a tile of samples at a
-    time: returns shape s.shape + (5,).
+    points unless ``check`` is False).  Vectorized: returns shape
+    s.shape + (5,).
     """
     s = np.asarray(s, dtype=float)
-    flat, coeffs = s.reshape(-1), None
-    for sl in _tiles(flat.size):
-        g, gp, gpp = spec.gamma.eval2(flat[sl])
-        b, bp, bpp = spec.beta.eval2(flat[sl])
-        if check:
-            if np.max(np.abs(_dot(gp, bp))) > 1e-6:
-                raise ValidationError("directrix violates the striction condition")
-            if np.max(np.abs(_dot(gp, gp) - 1.0)) > 1e-6:
-                raise ValidationError("directrix is not arc-length parametrized")
+    g, gp, gpp = spec.gamma.eval2(s)
+    b, bp, bpp = spec.beta.eval2(s)
+    if check and s.size:
+        if np.max(np.abs(_dot(gp, bp))) > 1e-6:
+            raise ValidationError("directrix violates the striction condition")
+        if np.max(np.abs(_dot(gp, gp) - 1.0)) > 1e-6:
+            raise ValidationError("directrix is not arc-length parametrized")
 
-        R0 = _triple(gp, b, gpp) - 2.0 * _dot(gp, b) * _triple(gp, b, bp)
-        R1 = _triple(gp, b, bpp) + _triple(bp, b, gpp)
-        R2 = _triple(bp, b, bpp)
-        q1 = 2.0 * _dot(g, b)
-        q0 = _dot(g, g)
-        T0 = _triple(gp, b, g)
-        T1 = _triple(bp, b, g)
-        S0 = 1.0 - _dot(gp, b) ** 2
-        S2 = _dot(bp, bp)
-        A0 = q0 * R0 - alpha * T0 * S0
-        A1 = q1 * R0 + q0 * R1 - alpha * T1 * S0
-        A2 = R0 + q1 * R1 + q0 * R2 - alpha * T0 * S2
-        A3 = R1 + q1 * R2 - alpha * T1 * S2
-        if coeffs is None:
-            # made above the first tile's temporaries, so that freeing them
-            # does not hand the heap top back to the system: a caller that
-            # passes one tile at a time would page-fault them in every call
-            coeffs = np.empty(s.shape + (5,))
-        np.stack((A0, A1, A2, A3, R2), axis=-1, out=coeffs.reshape(-1, 5)[sl])
-    return np.empty(s.shape + (5,)) if coeffs is None else coeffs
+    R0 = _triple(gp, b, gpp) - 2.0 * _dot(gp, b) * _triple(gp, b, bp)
+    R1 = _triple(gp, b, bpp) + _triple(bp, b, gpp)
+    R2 = _triple(bp, b, bpp)
+    q1 = 2.0 * _dot(g, b)
+    q0 = _dot(g, g)
+    T0 = _triple(gp, b, g)
+    T1 = _triple(bp, b, g)
+    S0 = 1.0 - _dot(gp, b) ** 2
+    S2 = _dot(bp, bp)
+    A0 = q0 * R0 - alpha * T0 * S0
+    A1 = q1 * R0 + q0 * R1 - alpha * T1 * S0
+    A2 = R0 + q1 * R1 + q0 * R2 - alpha * T0 * S2
+    A3 = R1 + q1 * R2 - alpha * T1 * S2
+    return np.stack((A0, A1, A2, A3, R2), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ import math
 import os
 import random
 import re
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from alphasurf import catalog, cli, flow
+from alphasurf import catalog, cli, flow, ruled
 from alphasurf.cli import MAX_EXPR_DEPTH, main, parse_scalar_expr
 from alphasurf.errors import ValidationError
 
@@ -550,7 +551,7 @@ def test_unwritable_later_output_leaves_no_file(argv, tmp_path, monkeypatch,
 @pytest.mark.parametrize("argv", [
     ["verify", "--family", "sphere", "--grid", "8000000x8000000",
      "--out", "r.json", "--csv", "r.csv"],
-    ["energy", "--family", "sphere", "--grid", "8000000x8000000", "--out", "e.json"],
+    ["energy", "--family", "sphere", "--grid", "8x1125899906842624", "--out", "e.json"],
     ["export", "--family", "sphere", "--grid", "8000000x8000000", "--export", "m.obj"],
     ["coeffs", "--family", "helicoid", "--samples", "100000000000000",
      "--out", "c.csv"],
@@ -566,6 +567,25 @@ def test_unallocatable_size_exits_2_without_files(argv, tmp_path, monkeypatch,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: not enough memory: ")
     assert "Traceback" not in captured.err
+    assert os.listdir() == []
+
+
+def test_energy_refuses_an_oversized_gauss_legendre_axis(tmp_path, monkeypatch,
+                                                         capsys):
+    # refused before the dense eigenproblem of leggauss, or any array, is made
+    def leggauss(n):
+        raise AssertionError(f"leggauss({n}) called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert main(["energy", "--family", "sphere", "--grid", "20000x3",
+                 "--out", "e.json"]) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: energy quadrature needs 20000 Gauss-Legendre nodes, more than 2048"]
     assert os.listdir() == []
 
 
@@ -893,4 +913,49 @@ def test_cyclic_spec_range_that_is_not_increasing_exits_2(
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: u_range [{u_range[0]}, {u_range[1]}] is not increasing"]
+    assert os.listdir() == ["s.json"]
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize("family, u_range, table", [
+    ("neg2-ode", [0.9, 1.2], "'a' on [1.0, 1.2]"),
+    ("neg2-ode", [1.0, 1.3], "'a' on [1.0, 1.2]"),
+    ("riemann", [-0.6, 0.6], "'a' on [-0.3, 0.3]"),
+    ("riemann", [-0.3, 0.30000000000000004], "'a' on [-0.3, 0.3]"),
+], ids=["neg2-below", "neg2-above", "riemann-both", "riemann-one-ulp-above"])
+def test_cyclic_spec_range_past_its_tables_exits_2(
+        family, u_range, table, command, generated_specs, tmp_path, monkeypatch,
+        capsys):
+    doc = generated_specs[family]
+    doc = {**doc, "params": {"spec": {**doc["params"]["spec"], "u_range": u_range}}}
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    argv = {"verify": ["verify", "--spec", "s.json", "--alpha", "0", "--grid", "16x16",
+                       "--out", "r.json"],
+            "export": ["export", "--spec", "s.json", "--grid", "4x8", "--export", "e.obj"]}
+    assert main(argv[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: u_range [{u_range[0]}, {u_range[1]}] is not within table {table}"]
+    assert os.listdir() == ["s.json"]
+
+
+def test_ruled_spec_range_past_its_tables_exits_2(tmp_path, monkeypatch, capsys):
+    # s_range widened by half its length, a quarter on each side
+    rs = ruled.random_ruled_spec(np.random.default_rng(0))
+    doc = catalog.family_to_dict(catalog.FamilySpec("ruled_generic", {"spec": rs}))
+    spec = doc["params"]["spec"]
+    lo, hi = spec["s_range"]
+    spec["s_range"] = [lo - (hi - lo) / 4, hi + (hi - lo) / 4]
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--spec", "s.json", "--alpha", "0", "--grid", "16x16",
+                 "--out", "r.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: s_range [{spec['s_range'][0]}, {spec['s_range'][1]}] is not within "
+        f"table 'gamma' on [{lo}, {hi}]"]
     assert os.listdir() == ["s.json"]

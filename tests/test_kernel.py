@@ -81,11 +81,24 @@ def test_domain_errors_name_the_axis_and_the_offender():
     with pytest.raises(ValidationError, match="v=2.5 outside") as err:
         eval_jet2(helicoid_patch(0.7), [1.0], [2.5])
     assert str(err.value).startswith("v=2.5 outside [-2.0, 2.0] for patch ")
-    for stencil_patch, u, v, axis in ((patch, 1.4999, 0.1, "u"),
-                                      (helicoid_patch(0.7), 1.0, 1.9999, "v")):
-        with pytest.raises(ValidationError, match="finite-difference stencil leaves") as err:
+    # a stencil point past the edge is refused by eval_jet2, which names it
+    for stencil_patch, u, v, where in ((patch, 1.4999, 0.1, "u=1.5009"),
+                                       (helicoid_patch(0.7), 1.0, 1.9999, "v=2.0009")):
+        with pytest.raises(ValidationError, match=f"{where} outside") as err:
             fd_jet2(stencil_patch, u, v, 1e-3)
-        assert str(err.value) == f"finite-difference stencil leaves the {axis}-domain"
+        lo, hi = stencil_patch.u_range if where[0] == "u" else stencil_patch.v_range
+        assert str(err.value) == (f"{where} outside [{lo}, {hi}] "
+                                  f"for patch {stencil_patch.label!r}")
+
+
+def test_fd_jet2_accepts_a_stencil_that_stays_inside_the_domain():
+    # u +- h reaches 1.4995 < 1.5: every stencil point lies in the domain
+    patch = catenoid_patch(1.0)
+    aj = eval_jet2(patch, 1.4985, 0.1)
+    fj = fd_jet2(patch, 1.4985, 0.1, 1e-3)
+    for name in ("Pu", "Pv", "Puu", "Puv", "Pvv"):
+        diff = np.max(np.abs(getattr(aj, name) - getattr(fj, name)))
+        assert diff < 5e-6, (name, diff)
 
 
 def test_degenerate_parametrization_detected():

@@ -255,21 +255,18 @@ def ruled_table_spec():
         random_ruled_spec(np.random.default_rng(3))))
 
 
+# ruled_coeffs evaluates the samples it is given in one pass; the tiles of
+# the coeffs command are covered by test_coeffs_absmax_equals_the_whole_array_max
 @pytest.mark.parametrize("n", [561, 4096, 20000])
-def test_ruled_coeffs_do_not_depend_on_tile_size(n, ruled_table_spec,
-                                                 monkeypatch):
+def test_ruled_coeffs_do_not_depend_on_tile_size(n, ruled_table_spec):
     for spec, alpha, check in ((_helicoid_ruled_spec(), 0.4, True),
                                (ruled_table_spec, -0.6, False)):
         s = np.linspace(*spec.s_range, n)
-        got = [ruled_coeffs(spec, alpha, s, check=check)]  # default tiles
-        for rows in ([1, 7, 16, None] if n < 1000 else [16, None]):
-            _tile_points(monkeypatch, rows, 1, n)
-            got.append(ruled_coeffs(spec, alpha, s, check=check))
-        assert got[0].shape == (n, 5)
-        assert all(_same_bits(g, got[0]) for g in got[1:])
+        got = ruled_coeffs(spec, alpha, s, check=check)
+        assert got.shape == (n, 5)
         # a 2-D sample array gives the same values in its own shape
         got2 = ruled_coeffs(spec, alpha, s.reshape(-1, 1), check=check)
-        assert _same_bits(got2.reshape(n, 5), got[0])
+        assert _same_bits(got2.reshape(n, 5), got)
 
 
 @pytest.mark.parametrize("n", [1, 561, 4096, 20000])
