@@ -26,11 +26,27 @@ from alphasurf import catalog, cyclic, ruled
 from alphasurf.cli import main
 from test_ruled import tilted_great_circle, vertical_line_curve
 
-CYLINDER_SPEC = {
-    "kind": "cylinder_over_curve",
-    "params": {"directrix": {"type": "euler", "alpha": -1.0, "r0": 1.0,
-                             "theta0": 0.3, "length": 1.0},
-               "t_range": [-0.5, 0.5]},
+# spec files written before the cases run; the line and circle directrices
+# carry a -0.0 coordinate, whose sign the cylinder's jet must keep
+SPEC_FILES = {
+    "cyl.json": {
+        "kind": "cylinder_over_curve",
+        "params": {"directrix": {"type": "euler", "alpha": -1.0, "r0": 1.0,
+                                 "theta0": 0.3, "length": 1.0},
+                   "t_range": [-0.5, 0.5]},
+    },
+    "cyl-line.json": {
+        "kind": "cylinder_over_curve",
+        "params": {"directrix": {"type": "line", "point": [0.5, 1.0],
+                                 "direction": [-1.0, -0.0]},
+                   "t_range": [-0.5, 0.5]},
+    },
+    "cyl-circle.json": {
+        "kind": "cylinder_over_curve",
+        "params": {"directrix": {"type": "circle", "center": [0.3, -0.0],
+                                 "radius": 1.0},
+                   "t_range": [-0.5, 0.5]},
+    },
 }
 
 # (case name, argv, files written); paths are relative to a scratch dir and
@@ -112,6 +128,26 @@ CLI_CASES = [
      ["coeffs", "--family", "helicoid", "--samples", "5000", "--out",
       "coeffs-blocks.csv"],
      ["coeffs-blocks.csv"]),
+    # odd grids sample t = 0, where a -0.0 in a normal or a directrix
+    # meets a zero ruling parameter
+    ("verify-affine-plane",
+     ["verify", "--family", "affine-plane", "--normal=-0,0,1", "--offset",
+      "0.5", "--alpha", "1", "--grid", "5x5", "--out", "aplane.json",
+      "--csv", "aplane.csv"],
+     ["aplane.json", "aplane.csv"]),
+    ("verify-affine-plane-down",
+     ["verify", "--family", "affine-plane", "--normal=0,-0,-1", "--offset",
+      "-0.5", "--alpha", "-1", "--grid", "7x5", "--out", "aplane-down.json",
+      "--csv", "aplane-down.csv"],
+     ["aplane-down.json", "aplane-down.csv"]),
+    ("verify-cylinder-line",
+     ["verify", "--spec", "cyl-line.json", "--alpha", "1", "--grid", "9x5",
+      "--out", "cyl-line.out.json", "--csv", "cyl-line.csv"],
+     ["cyl-line.out.json", "cyl-line.csv"]),
+    ("verify-cylinder-circle",
+     ["verify", "--spec", "cyl-circle.json", "--alpha", "-1", "--grid",
+      "9x5", "--out", "cyl-circle.out.json", "--csv", "cyl-circle.csv"],
+     ["cyl-circle.out.json", "cyl-circle.csv"]),
 ]
 
 
@@ -128,8 +164,9 @@ def _jet_sha(*funcs, x) -> str:
 def compute_digests(workdir) -> dict:
     """Run every case in ``workdir``; return {artifact name: sha256}."""
     out = {}
-    with open(os.path.join(workdir, "cyl.json"), "w") as fh:
-        json.dump(CYLINDER_SPEC, fh)
+    for name, spec in SPEC_FILES.items():
+        with open(os.path.join(workdir, name), "w") as fh:
+            json.dump(spec, fh)
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -234,16 +271,40 @@ GOLDEN = {
         'fdfae0ad345418258785c9a7192d39350d09f6bf92c77227ff3764af6c42bd40',
     'random-ruled-spec/table':
         '93bccc113c453ec5d2b649aa187a383fed11730e56f5d37a102cc0065d17ef01',
+    'verify-affine-plane-down/aplane-down.csv':
+        '7368b278fc907a92df651de7c171a006b2f7b189e5b0990ecf5cb22608aec644',
+    'verify-affine-plane-down/aplane-down.json':
+        '74d42bcfd1fe13f7a87dcc81685db5b13479f10892cd89382dd22c9f5ad2edca',
+    'verify-affine-plane-down/stdout':
+        'cf2724d0a9dc41f81d5b2f72a99e930e0a113e2d3d4d380cfd9ae06c339ee4db',
+    'verify-affine-plane/aplane.csv':
+        '329db985fce708f1d2640d5e6ef2e20daa2c77692490a52a21fbd31f73f1b8dc',
+    'verify-affine-plane/aplane.json':
+        '142424f6ab602817184f0d6e7b13d1b2f544f0df502de15f435e6aa3922f4aa2',
+    'verify-affine-plane/stdout':
+        'c6c4ff99882dd95dedb09f75efb092fb83f864bddc419ff323de3f626f26a0c3',
     'verify-blocks/blocks.csv':
         '394a10df838e57035187dbb2f6307d4d55d92f82179d2385c91b6677f4afa9fc',
     'verify-blocks/blocks.json':
         '19a801035ac56f812807ef59a4a686805e4908c2808c261cc066fd6c9a8922ae',
     'verify-blocks/stdout':
         '0281709b726c4fed084ccca11268f18f167a13a4d1b78ffa5fffd3368f028855',
+    'verify-cylinder-circle/cyl-circle.csv':
+        '9fbe7024ea940381d70a1d69eb681d826b1e2dd89bae97b67f9cf1d2b5189b25',
+    'verify-cylinder-circle/cyl-circle.out.json':
+        '39d4429f4a9b4cb1544da0c9b2b35463a13ba5e2fdaffb2b8b51743e867e4a05',
+    'verify-cylinder-circle/stdout':
+        '3bf6613810983f5a9cbda729c0a1b1e5ba43ad0ffbb5a1a5f1d6002c0955092f',
     'verify-cylinder-euler/cyl.csv':
         '5cc8a081183af8a316751e91115b586fc64d48dff04ff08cd38745f054e38117',
     'verify-cylinder-euler/stdout':
         '79f1b59c4d99df13c9ece35003a7438d16c1a6da93cb431a702049babc807a85',
+    'verify-cylinder-line/cyl-line.csv':
+        'aa1938b7b18838469f541890edacdf6def9be0751e65666267ef759a14169714',
+    'verify-cylinder-line/cyl-line.out.json':
+        '2e4ef4852a919725e2e2badc39169dbbe6faffe7a33ba0cac05d7314824a5904',
+    'verify-cylinder-line/stdout':
+        '3c914467359910530bf7793686aa6a5f17daa215106087c54ea21a7a0dba6591',
     'verify-neg2-spec/rep.csv':
         '265d6b5f5e2be78138213be35a2ff2cd3df6fc6aed41eeda04e5e08e7a0e07be',
     'verify-neg2-spec/rep.json':
