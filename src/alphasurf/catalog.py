@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,21 +65,14 @@ def _plane_basis(normal):
 
 
 def plane_patch(normal, offset=0.0, extent=2.0) -> ParametricPatch:
-    """Plane with the given unit normal at signed distance ``offset`` from 0."""
+    """Plane with the given unit normal at signed distance ``offset`` from 0,
+    ruled over the line offset*n + s*e1 by the constant e2."""
     n, e1, e2 = _plane_basis(normal)
-    base = float(offset) * n
+    spec = _ruled.RuledSpec(gamma=_ruled._line(float(offset) * n, e1),
+                            beta=_ruled._constant(e2), s_range=(-extent, extent),
+                            cylindrical=True)
     label = "vector-plane" if offset == 0.0 else f"affine-plane(d={offset})"
-
-    def ev(u, v):
-        zeros = np.zeros(np.shape(u) + (3,))
-        P = base + u[..., None] * e1 + v[..., None] * e2
-        return Jet2(P=P,
-                    Pu=np.broadcast_to(e1, P.shape).copy(),
-                    Pv=np.broadcast_to(e2, P.shape).copy(),
-                    Puu=zeros, Puv=zeros.copy(), Pvv=zeros.copy())
-
-    return ParametricPatch(evaluator=ev, u_range=(-extent, extent),
-                           v_range=(-extent, extent), label=label)
+    return replace(_ruled.build_ruled_patch(spec, (-extent, extent)), label=label)
 
 
 def sphere_patch(center, radius) -> ParametricPatch:
@@ -163,7 +156,7 @@ def catenoid_patch(waist=1.0, u_range=(-1.5, 1.5),
 
 
 def euler_planar_curve(alpha, r0, theta0, kappa0_sign, length,
-                       tangent_angle=None, max_step=1e-3) -> _ruled.PlanarCurve:
+                       tangent_angle=None) -> _ruled.PlanarCurve:
     """Integrate the planar curves with kappa(s) = alpha * <n, gamma> / |gamma|^2.
 
     Starts at gamma(0) = r0 * (cos theta0, sin theta0).  The default initial
@@ -192,7 +185,7 @@ def euler_planar_curve(alpha, r0, theta0, kappa0_sign, length,
         return np.array([math.cos(ph), math.sin(ph), alpha * (nx * x + ny * yy) / rr])
 
     y0 = np.array([r0 * math.cos(theta0), r0 * math.sin(theta0), phi])
-    _, rows = _rk4(rhs, 0.0, y0, float(length), max_step)
+    _, rows = _rk4(rhs, 0.0, y0, float(length), 1e-3)
     h = float(length) / (len(rows) - 1)
     s = h * np.arange(len(rows))
     x, yy, ph = rows[:, 0], rows[:, 1], rows[:, 2]
@@ -252,7 +245,7 @@ def _riemann_accels(u, a, ap, r, rp):
     return x[:, 0], x[:, 1], degenerate
 
 
-def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec:
+def riemann_minimal_spec(c_drift, r0, span) -> _cyclic.CyclicSpec:
     """Profile functions (a, r) of a minimal surface foliated by horizontal
     circles, integrated by ``interp._rk4`` from the waist to u = +span and
     u = -span as one batch of two runs."""
@@ -282,7 +275,7 @@ def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec
             raise NumericalError(failed[0])
         return np.stack([ap, app, rp, rpp], axis=-1)
 
-    nodes, ys = _rk4(rhs, np.zeros(2), y0, np.array([span, -span]), max_step)
+    nodes, ys = _rk4(rhs, np.zeros(2), y0, np.array([span, -span]), 2e-3)
     if failed[1] is not None:
         raise NumericalError(failed[1])
     # node abscissae rounded as Python floats, from -span to +span
@@ -300,9 +293,8 @@ def riemann_minimal_spec(c_drift, r0, span, max_step=2e-3) -> _cyclic.CyclicSpec
                                  label=f"riemann-minimal(c={float(c_drift)},r0={r0})")
 
 
-def riemann_minimal(c_drift, r0, span, max_step=2e-3) -> ParametricPatch:
-    return _cyclic.build_cyclic(riemann_minimal_spec(c_drift, r0, span,
-                                                     max_step=max_step))
+def riemann_minimal(c_drift, r0, span) -> ParametricPatch:
+    return _cyclic.build_cyclic(riemann_minimal_spec(c_drift, r0, span))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import catalog, cyclic, flow, inversion, output, ruled, stationary
 from .errors import NumericalError, ValidationError
-from .interp import Curve3, ScalarFunc
+from .interp import ScalarFunc
 from .surface_kernel import _tiles
 
 
@@ -248,12 +248,8 @@ def _cmd_energy(args):
 
 
 def _helicoid_ruled_spec() -> ruled.RuledSpec:
-    e3 = np.array([0.0, 0.0, 1.0])
-    gamma = Curve3(lambda s: (np.multiply.outer(s, e3),
-                              np.broadcast_to(e3, s.shape + (3,)).copy(),
-                              np.zeros(s.shape + (3,))))
-    return ruled.RuledSpec(gamma=gamma, beta=ruled.equator_beta(),
-                           s_range=(0.0, 2.0 * math.pi))
+    return ruled.RuledSpec(gamma=ruled._line(np.zeros(3), np.array([0.0, 0.0, 1.0])),
+                           beta=ruled.equator_beta(), s_range=(0.0, 2.0 * math.pi))
 
 
 def _cmd_coeffs(args):

@@ -11,7 +11,7 @@ polynomial identity holds for arbitrary admissible specs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,6 +51,19 @@ def validate_ruled(spec: RuledSpec):
         raise ValidationError("ruling direction is not unit-norm")
     if not spec.cylindrical and np.min(np.linalg.norm(bp, axis=-1)) <= 0.0:
         raise ValidationError("non-cylindrical spec has a stationary ruling direction")
+
+
+def _line(p0, d) -> Curve3:
+    """The straight line p0 + s*d."""
+    return Curve3(lambda s: (p0 + np.multiply.outer(s, d),
+                             np.broadcast_to(d, s.shape + (3,)).copy(),
+                             np.zeros(s.shape + (3,))))
+
+
+def _constant(w) -> Curve3:
+    """The constant curve w, copied so that a -0.0 in w keeps its sign."""
+    return Curve3(lambda s: (np.broadcast_to(w, s.shape + (3,)).copy(),
+                             np.zeros(s.shape + (3,)), np.zeros(s.shape + (3,))))
 
 
 def build_ruled_patch(spec: RuledSpec, t_range) -> ParametricPatch:
@@ -228,21 +241,9 @@ def build_cylinder_patch(curve: PlanarCurve, t_range) -> ParametricPatch:
     The sign choice makes the patch normal equal the curve normal, so
     H = kappa pointwise.
     """
-    g = curve.curve3()
-    w = -curve.plane_normal
-
-    def ev(s, t):
-        p, gp, gpp = g.eval2(s)
-        zeros = np.zeros_like(p)
-        return Jet2(P=p + t[..., None] * w,
-                    Pu=gp, Pv=np.broadcast_to(w, p.shape).copy(),
-                    Puu=gpp, Puv=zeros, Pvv=zeros)
-
-    return ParametricPatch(
-        evaluator=ev,
-        u_range=(float(curve.s[0]), float(curve.s[-1])),
-        v_range=(float(t_range[0]), float(t_range[1])),
-        label="cylinder")
+    spec = RuledSpec(gamma=curve.curve3(), beta=_constant(-curve.plane_normal),
+                     s_range=(float(curve.s[0]), float(curve.s[-1])), cylindrical=True)
+    return replace(build_ruled_patch(spec, t_range), label="cylinder")
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ REPORT_CSV_HEADER = ["u", "v", "x", "y", "z", "H", "rhs", "residual"]
 # Most Gauss-Legendre nodes on one axis: leggauss solves a dense n x n
 # eigenproblem, 0.17 s at 1024 nodes and 0.96 s at 2048 on one BLAS thread.
 MAX_GAUSS_NODES = 2048
+# Most samples on the v-circle of fourier_defect: its dense harmonic products
+# grow as nv^2, 0.73 s at nv 8192 and 3.1 s at 16384 on one BLAS thread.
+MAX_FOURIER_NV = 16384
 
 
 @dataclass(frozen=True)
@@ -196,6 +199,11 @@ def fourier_defect(patch: ParametricPatch, alpha: float, u: float,
     v0, v1 = patch.v_range
     period = v1 - v0
     v = v0 + period * np.arange(nv) / nv
+    # refused once v is made, so an nv past the address space is still a
+    # MemoryError, and before the defect is evaluated
+    if nv > MAX_FOURIER_NV:
+        raise ValidationError(f"fourier needs {nv} samples on the v-circle, "
+                              f"more than {MAX_FOURIER_NV}")
     d, mag = weighted_defect(patch, alpha, np.full(nv, float(u)), v,
                              with_scale=True)
     scale = float(np.max(np.abs(d)))

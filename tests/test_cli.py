@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from alphasurf import catalog, cli, flow, ruled
+from alphasurf import catalog, cli, flow, ruled, stationary
 from alphasurf.cli import MAX_EXPR_DEPTH, main, parse_scalar_expr
 from alphasurf.errors import ValidationError
 
@@ -587,6 +587,32 @@ def test_energy_refuses_an_oversized_gauss_legendre_axis(tmp_path, monkeypatch,
     assert captured.err.splitlines() == [
         "error: energy quadrature needs 20000 Gauss-Legendre nodes, more than 2048"]
     assert os.listdir() == []
+
+
+def test_fourier_refuses_an_nv_past_its_bound(tmp_path, monkeypatch, capsys):
+    # refused before the dense harmonic products, which grow as nv^2
+    def outer(*args, **kwargs):
+        raise AssertionError("np.outer called")
+
+    monkeypatch.setattr(np, "outer", outer)
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert main(["fourier", "--family", "sphere", "--u", "1", "--nv", "32768",
+                 "--out", "f.json"]) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: fourier needs 32768 samples on the v-circle, more than 16384"]
+    assert os.listdir() == []
+    # the bound itself passes the check and reaches the defect evaluation
+    def reached(*args, **kwargs):
+        raise LookupError("evaluated")
+
+    monkeypatch.setattr(stationary, "weighted_defect", reached)
+    with pytest.raises(LookupError):
+        stationary.fourier_defect(catalog.make_patch(catalog.FamilySpec("sphere")),
+                                  0.0, 1.0, 4, stationary.MAX_FOURIER_NV)
 
 
 @pytest.mark.parametrize("step_rule", ["backtracking", "fixed"])

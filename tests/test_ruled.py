@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from alphasurf.catalog import _plane_basis, euler_planar_curve, plane_patch
 from alphasurf.errors import ValidationError
 from alphasurf.interp import Curve3
 from alphasurf.ruled import (
     PlanarCurve,
     RuledSpec,
     adapted_coords,
+    build_cylinder_patch,
     build_ruled_patch,
     cylinder_check,
     equator_beta,
@@ -18,7 +20,8 @@ from alphasurf.ruled import (
     trig_poly_curve,
     validate_ruled,
 )
-from alphasurf.stationary import weighted_defect
+from alphasurf.stationary import _defect_from_jet, weighted_defect
+from alphasurf.surface_kernel import Jet2, ParametricPatch, _dot, fundamental_data
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -176,6 +179,119 @@ def test_planarity_guard():
     helix = np.stack([np.cos(s), np.sin(s), 0.3 * s], -1)
     with pytest.raises(ValidationError, match="curve deviates from a plane by"):
         PlanarCurve.from_space_samples(s, helix)
+
+
+# ---------------------------------------------------------------------------
+# planes and cylinders are ruled specs: the hand-written jets they had before,
+# kept verbatim as oracles
+
+
+def oracle_plane_patch(normal, offset=0.0, extent=2.0) -> ParametricPatch:
+    """Plane with the given unit normal at signed distance ``offset`` from 0."""
+    n, e1, e2 = _plane_basis(normal)
+    base = float(offset) * n
+    label = "vector-plane" if offset == 0.0 else f"affine-plane(d={offset})"
+
+    def ev(u, v):
+        zeros = np.zeros(np.shape(u) + (3,))
+        P = base + u[..., None] * e1 + v[..., None] * e2
+        return Jet2(P=P,
+                    Pu=np.broadcast_to(e1, P.shape).copy(),
+                    Pv=np.broadcast_to(e2, P.shape).copy(),
+                    Puu=zeros, Puv=zeros.copy(), Pvv=zeros.copy())
+
+    return ParametricPatch(evaluator=ev, u_range=(-extent, extent),
+                           v_range=(-extent, extent), label=label)
+
+
+def oracle_cylinder_patch(curve: PlanarCurve, t_range) -> ParametricPatch:
+    """Cylinder over a planar directrix, ruled by w = -(plane normal).
+
+    The sign choice makes the patch normal equal the curve normal, so
+    H = kappa pointwise.
+    """
+    g = curve.curve3()
+    w = -curve.plane_normal
+
+    def ev(s, t):
+        p, gp, gpp = g.eval2(s)
+        zeros = np.zeros_like(p)
+        return Jet2(P=p + t[..., None] * w,
+                    Pu=gp, Pv=np.broadcast_to(w, p.shape).copy(),
+                    Puu=gpp, Puv=zeros, Pvv=zeros)
+
+    return ParametricPatch(
+        evaluator=ev,
+        u_range=(float(curve.s[0]), float(curve.s[-1])),
+        v_range=(float(t_range[0]), float(t_range[1])),
+        label="cylinder")
+
+
+# both signs of t, and t = 0 with both signs of zero
+RULING_T = np.array([-1.0, -0.25, -1e-300, -0.0, 0.0, 1e-300, 0.25, 1.0])
+JET_FIELDS = ("P", "Pu", "Pv", "Puu", "Puv", "Pvv")
+
+
+def _same_patch(old, new):
+    assert (new.label, new.u_range, new.v_range, new.u_periodic, new.v_periodic,
+            new.u_collapse) == (old.label, old.u_range, old.v_range, old.u_periodic,
+                                old.v_periodic, old.u_collapse)
+
+
+def test_plane_jet_bit_equal_to_the_hand_written_one():
+    normals = [(-0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (-0.0, -0.0, -1.0),
+               (1.0, -0.0, -0.0), (-1.0, 0.0, -0.0), (-0.0, 1.0, -0.0),
+               (0.3, -0.2, 1.0), (0.5, -0.5, -0.5)]
+    u, t = np.meshgrid([-2.0, -0.75, -0.0, 0.0, 0.5, 2.0], RULING_T, indexing="ij")
+    for normal in normals:
+        for offset in (0.0, -0.0, 0.5, -0.5, 3):
+            old, new = oracle_plane_patch(normal, offset), plane_patch(normal, offset)
+            _same_patch(old, new)
+            jo, jn = old.evaluator(u, t), new.evaluator(u, t)
+            for f in JET_FIELDS:
+                assert getattr(jn, f).tobytes() == getattr(jo, f).tobytes(), (normal, offset, f)
+
+
+CYLINDER_DIRECTRICES = [
+    PlanarCurve.line((0.5, 1.0), (-1.0, -0.0)),
+    PlanarCurve.line((-0.0, -0.0), (-0.0, 1.0)),
+    PlanarCurve.line((0.5, -0.0), (-1.0, -0.0)),
+    PlanarCurve.circle((0.3, -0.0), 1.0),
+    PlanarCurve.circle((-0.0, -0.0), 2.0),
+    euler_planar_curve(-1.0, 1.0, 0.3, 1, 1.0),
+    # alpha = 0 keeps kappa = +-0, so gamma'' holds zeros of both signs
+    euler_planar_curve(0.0, 1.0, -0.0, 1, 1.0),
+    euler_planar_curve(0.0, 1.0, 0.3, -1, 1.0, tangent_angle=0.3),
+]
+
+
+@pytest.mark.parametrize("curve", CYLINDER_DIRECTRICES)
+def test_cylinder_jet_bit_equal_to_the_hand_written_one(curve):
+    old = oracle_cylinder_patch(curve, (-1, 1))
+    new = build_cylinder_patch(curve, (-1, 1))
+    _same_patch(old, new)
+    # every directrix node, and points between nodes
+    s = np.concatenate([curve.s, 0.5 * (curve.s[:-1] + curve.s[1:])])
+    s, t = np.meshgrid(s, RULING_T, indexing="ij")
+    jo, jn = old.evaluator(s, t), new.evaluator(s, t)
+    for f in ("P", "Pv", "Puv", "Pvv"):
+        assert getattr(jn, f).tobytes() == getattr(jo, f).tobytes(), f
+    # Pu and Puu are gamma' + t*0 and gamma'' + t*0: where gamma' or gamma''
+    # is -0.0 (the circle's first tangent, -sin 0) and t is not negative,
+    # the sum is +0.0, and only that bit differs
+    t_nonneg = ~np.signbit(t)[..., None]
+    for f in ("Pu", "Puu"):
+        x = getattr(jo, f)
+        want = np.where((x == 0.0) & t_nonneg, 0.0, x)
+        assert getattr(jn, f).tobytes() == want.tobytes(), f
+    # so everything computed from the jet, which reads Pu and Puu only
+    # through sums of products, keeps its bits
+    fo, fn = fundamental_data(jo), fundamental_data(jn)
+    assert fn.H.tobytes() == fo.H.tobytes() and fn.W.tobytes() == fo.W.tobytes()
+    assert _dot(fn.normal, jn.P).tobytes() == _dot(fo.normal, jo.P).tobytes()
+    for alpha in (0.0, 1.0, -2.0):
+        assert (_defect_from_jet(jn, alpha).tobytes()
+                == _defect_from_jet(jo, alpha).tobytes())
 
 
 # ---------------------------------------------------------------------------
