@@ -15,7 +15,7 @@ import numpy as np
 
 from . import output
 from .errors import FlowError, OriginInFaceError, ValidationError
-from .surface_kernel import ParametricPatch, _cross, _dot, _tiles, eval_jet2
+from .surface_kernel import ParametricPatch, _cross, _tiles, eval_jet2
 
 MIN_TRIANGLE_AREA = 1e-14
 
@@ -58,16 +58,18 @@ class TriMesh:
 
 
 def _geometry(verts, tris):
-    """(centroids, area vectors, areas, |centroid|^2) of every triangle, with
-    the bits of ``v.mean(axis=1)``, half numpy's ``cross`` and ``np.linalg.norm``
-    (a written-out |centroid|^2 would not match ``_dot``)."""
-    v0, v1, v2 = (verts.take(tris[:, k], axis=0) for k in range(3))
+    """(centroids, area vectors, areas, |centroid|^2) of every triangle of a
+    (3, n) vertex and (3, m) index array, row by row, with the bits of
+    ``v.mean(axis=1)``, half numpy's ``cross`` and ``np.linalg.norm`` on (m, 3)
+    rows.  |centroid|^2 adds x*x + z*z, then y*y: the order of ``_dot``'s
+    einsum on a contiguous last axis, which x*x + y*y first would not match."""
+    v0, v1, v2 = (verts.take(t, axis=1) for t in tris)
     cent = (v0 + v1 + v2) / 3.0
-    avec = _cross(v1 - v0, v2 - v0, np.empty_like(cent))
+    avec = _cross((v1 - v0).T, (v2 - v0).T, np.empty_like(cent).T).T
     avec *= 0.5
-    s = avec * avec
-    area = np.sqrt(s[:, 0] + s[:, 1] + s[:, 2])
-    return cent, avec, area, _dot(cent, cent)
+    sx, sy, sz = avec * avec
+    x, y, z = cent * cent
+    return cent, avec, np.sqrt(sx + sy + sz), (x + z) + y
 
 
 # ---------------------------------------------------------------------------
@@ -129,39 +131,39 @@ def sample_mesh(patch: ParametricPatch, nu: int, nv: int) -> TriMesh:
 
 def discrete_energy(mesh: TriMesh, alpha: float, *, _geom=None) -> float:
     """Sum of |centroid|^alpha * area; ``_geom``: the mesh's ``_geometry``."""
-    _, _, area, c2 = _geometry(mesh.vertices, mesh.triangles) if _geom is None else _geom
+    _, _, area, c2 = (_geometry(mesh.vertices.T, mesh.triangles.T)
+                      if _geom is None else _geom)
     if np.any(c2 <= 0.0):
         raise OriginInFaceError("triangle centroid at the origin")
     return float(np.sum(c2 ** (alpha / 2.0) * area))
 
 
 def discrete_gradient(mesh: TriMesh, alpha: float, *, _geom=None) -> np.ndarray:
-    """Exact per-vertex gradient of ``discrete_energy`` (``_geom`` as there)."""
-    verts, tri = mesh.vertices, mesh.triangles
+    """Exact per-vertex gradient of ``discrete_energy``, an (n, 3) view of a
+    (3, n) array; ``_geom`` as there, whose area vectors it overwrites."""
+    verts, tri = mesh.vertices.T, mesh.triangles.T
     cent, avec, area, c2 = _geometry(verts, tri) if _geom is None else _geom
     bad = area <= MIN_TRIANGLE_AREA
     if np.any(bad):
         raise FlowError(f"{int(bad.sum())} degenerate triangle(s) in gradient evaluation")
     if np.any(c2 <= 0.0):
         raise OriginInFaceError("triangle centroid at the origin")
-    w = c2 ** (alpha / 2.0)
-    nhat = avec / area[:, None]
-    # the area gradient at a corner is (opposite edge) x nhat / 2
-    v = [verts.take(tri[:, k], axis=0) for k in range(3)]
-    terms = np.empty((3,) + cent.shape)
-    for k, term in enumerate(terms):
-        _cross(v[(k + 1) % 3] - v[(k + 2) % 3], nhat, term)
-        term *= 0.5
-        term *= w[:, None]
-    del v, nhat   # freed before the centroid term: a lower peak
+    nhat = np.divide(avec, area, out=avec)   # in place: a lower peak
+    # the area gradient at a corner is (opposite edge) x nhat / 2; terms is
+    # (component, corner, triangle), so each component is one contiguous row
+    v = [verts.take(t, axis=1) for t in tri]
+    terms = np.empty((3, 3, len(area)))
+    for k, term in enumerate(terms.swapaxes(0, 1)):
+        _cross((v[(k + 1) % 3] - v[(k + 2) % 3]).T, nhat.T, term.T)
+    del v   # freed before the weights and the centroid term: a lower peak
+    terms *= 0.5
+    terms *= c2 ** (alpha / 2.0)
     if alpha != 0.0:   # the centroid weight's share, the same at each corner
-        terms += ((alpha / 3.0) * c2 ** (alpha / 2.0 - 1.0) * area)[:, None] * cent
+        terms += ((alpha / 3.0) * c2 ** (alpha / 2.0 - 1.0) * area * cent)[:, None]
     # bincount adds corner 0, 1, 2 in triangle order from zero: the bits
     # of np.add.at corner by corner
-    grad = np.empty_like(verts)
-    for j in range(3):
-        grad[:, j] = np.bincount(tri.T.ravel(), terms[..., j].ravel(), len(verts))
-    return grad
+    idx, n = tri.ravel(), verts.shape[1]
+    return np.stack([np.bincount(idx, row.ravel(), n) for row in terms]).T
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +176,13 @@ class FlowTrace:
 
     def write_csv(self, path):
         output.write_csv(path, ["step", "energy", "grad_max", "dt"], self.rows)
+
+
+def _norms(g):
+    """(largest row norm, sum of squares) of an (n, 3) array with the bits of a
+    C-ordered one: ``np.sum`` over a (3, n) buffer pairs its terms otherwise."""
+    return (float(np.max(np.linalg.norm(g, axis=-1))),
+            float(np.sum(np.multiply(g, g, order="C"))))
 
 
 def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
@@ -192,13 +201,15 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
         raise ValidationError(f"time step must be positive, got {dt}")
     if not mesh.is_closed():
         raise ValidationError("flow requires a closed oriented mesh")
-    geom = _, _, area, _ = _geometry(mesh.vertices, mesh.triangles)
+    # component-major state: (3, n) vertex buffers that trade places on
+    # acceptance and one (3, m) index buffer, seen (n, 3) and (m, 3) by both meshes
+    verts, tris = mesh.vertices.T.copy(), mesh.triangles.T.copy()
+    geom = _, _, area, _ = _geometry(verts, tris)
     if np.any(area <= MIN_TRIANGLE_AREA):
         raise ValidationError("mesh contains a degenerate triangle")
     if np.any(np.linalg.norm(mesh.vertices, axis=-1) < 1e-9):
         raise ValidationError("mesh has a vertex at the origin")
-    cur = mesh.copy()
-    tris = cur.triangles
+    cur, cand = TriMesh(verts.T, tris.T), TriMesh(np.empty_like(verts).T, tris.T)
     energy = discrete_energy(cur, alpha, _geom=geom)
     trace = []
     # backtracking never tries a step above 1.0, the first one included
@@ -206,29 +217,27 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
     for step in range(int(steps)):
         g = discrete_gradient(cur, alpha, _geom=geom)
         geom = None   # each candidate builds its own
-        gmax = float(np.max(np.linalg.norm(g, axis=-1)))
+        gmax, g2 = _norms(g)
         trace.append((step, energy, gmax, dt))
-        if step_rule == "fixed":
-            cand = cur.vertices - dt * g
-            geom = _, _, area, _ = _geometry(cand, tris)
-            if not (np.min(area) > MIN_TRIANGLE_AREA):   # NaN too
-                raise FlowError(f"triangle degenerated at step {step}", step=step)
-            cur.vertices = cand
-            energy = discrete_energy(cur, alpha, _geom=geom)
-            continue
-        g2 = float(np.sum(g * g))
         rejects = 0
         while True:
-            cand = cur.vertices - dt * g
-            geom = _, _, area, _ = _geometry(cand, tris)
+            c = cand.vertices.T
+            np.subtract(cur.vertices.T, np.multiply(g.T, dt, out=c), out=c)
+            geom = _, _, area, _ = _geometry(c, tris)
             ok = np.min(area) > MIN_TRIANGLE_AREA
+            if step_rule == "fixed":
+                if not ok:   # NaN too
+                    raise FlowError(f"triangle degenerated at step {step}", step=step)
+                cur, cand = cand, cur
+                energy = discrete_energy(cur, alpha, _geom=geom)
+                break
             if ok:
                 try:
-                    e_new = discrete_energy(TriMesh(cand, tris), alpha, _geom=geom)
+                    e_new = discrete_energy(cand, alpha, _geom=geom)
                 except OriginInFaceError:
                     ok = False
             if ok and e_new <= energy - 1e-4 * dt * g2:
-                cur.vertices = cand
+                cur, cand = cand, cur
                 energy = e_new
                 dt = min(dt * 1.5, 1.0)
                 break
@@ -238,7 +247,7 @@ def descend(mesh: TriMesh, alpha: float, steps: int, step_rule="backtracking",
                 raise FlowError(
                     f"step {step}: {rejects} consecutive rejections", step=step)
     g = discrete_gradient(cur, alpha, _geom=geom)
-    trace.append((int(steps), energy, float(np.max(np.linalg.norm(g, axis=-1))), dt))
+    trace.append((int(steps), energy, _norms(g)[0], dt))
     return cur, FlowTrace(trace)
 
 

@@ -196,14 +196,12 @@ def fourier_defect(patch: ParametricPatch, alpha: float, u: float,
         raise ValidationError("fourier_defect requires a v-periodic patch")
     if n_max < 0 or nv < max(1, 4 * n_max) or nv & (nv - 1):
         raise ValidationError("need n_max >= 0 and nv >= 4*n_max with nv a power of two")
+    if nv > MAX_FOURIER_NV:   # before anything nv-sized is allocated
+        raise ValidationError(f"fourier needs {nv} samples on the v-circle, "
+                              f"more than {MAX_FOURIER_NV}")
     v0, v1 = patch.v_range
     period = v1 - v0
     v = v0 + period * np.arange(nv) / nv
-    # refused once v is made, so an nv past the address space is still a
-    # MemoryError, and before the defect is evaluated
-    if nv > MAX_FOURIER_NV:
-        raise ValidationError(f"fourier needs {nv} samples on the v-circle, "
-                              f"more than {MAX_FOURIER_NV}")
     d, mag = weighted_defect(patch, alpha, np.full(nv, float(u)), v,
                              with_scale=True)
     scale = float(np.max(np.abs(d)))

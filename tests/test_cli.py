@@ -555,8 +555,6 @@ def test_unwritable_later_output_leaves_no_file(argv, tmp_path, monkeypatch,
     ["export", "--family", "sphere", "--grid", "8000000x8000000", "--export", "m.obj"],
     ["coeffs", "--family", "helicoid", "--samples", "100000000000000",
      "--out", "c.csv"],
-    ["fourier", "--family", "sphere", "--alpha", "-2", "--u", "1",
-     "--nv", "1125899906842624", "--nmax", "1", "--out", "f.json"],
 ])
 def test_unallocatable_size_exits_2_without_files(argv, tmp_path, monkeypatch,
                                                   capsys):
@@ -566,6 +564,22 @@ def test_unallocatable_size_exits_2_without_files(argv, tmp_path, monkeypatch,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: not enough memory: ")
+    assert "Traceback" not in captured.err
+    assert os.listdir() == []
+
+
+def test_unallocatable_fourier_nv_exits_2_with_the_bound(tmp_path, monkeypatch,
+                                                         capsys):
+    # past the address space too, but the bound refuses it before any
+    # allocation could fail
+    monkeypatch.chdir(tmp_path)
+    assert main(["fourier", "--family", "sphere", "--alpha", "-2", "--u", "1",
+                 "--nv", "1125899906842624", "--nmax", "1", "--out", "f.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: fourier needs 1125899906842624 samples on the v-circle, more than 16384")
     assert "Traceback" not in captured.err
     assert os.listdir() == []
 
@@ -613,6 +627,15 @@ def test_fourier_refuses_an_nv_past_its_bound(tmp_path, monkeypatch, capsys):
     with pytest.raises(LookupError):
         stationary.fourier_defect(catalog.make_patch(catalog.FamilySpec("sphere")),
                                   0.0, 1.0, 4, stationary.MAX_FOURIER_NV)
+
+
+def test_fourier_refuses_an_nv_past_its_bound_before_allocating():
+    # 2^40 samples would need 8 TiB for the abscissae alone
+    sphere = catalog.make_patch(catalog.FamilySpec("sphere"))
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="more than 16384"):
+        stationary.fourier_defect(sphere, 0.0, 1.0, n_max=1, nv=2**40)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("step_rule", ["backtracking", "fixed"])
@@ -692,7 +715,7 @@ def _stall_radius():
     smallest triangle at most 2e-15 above ``flow.MIN_TRIANGLE_AREA``."""
     def excess(r):
         mesh = flow.sample_mesh(catalog.sphere_patch((0, 0, 0), r), 4, 8)
-        area = flow._geometry(mesh.vertices, mesh.triangles)[2]
+        area = flow._geometry(mesh.vertices.T, mesh.triangles.T)[2]
         return np.min(area) / flow.MIN_TRIANGLE_AREA - 1
 
     r = math.sqrt(1 / (1 + excess(1.0)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alphasurf import surface_kernel
+from alphasurf import flow, output, surface_kernel
 from alphasurf.catalog import catenoid_patch, helicoid_patch, sphere_patch
 from alphasurf.cli import main
 from alphasurf.cyclic import PLANAR_INIT, build_cyclic, frame_from_curvature, frenet_spec
@@ -444,3 +444,69 @@ def test_backtracking_stalls_where_the_oracle_stalls():
     with pytest.raises(FlowError, match="consecutive rejections") as new:
         descend(mesh, 0.0, 5, dt=1.0)
     assert new.value.step == ref.value.step == 0
+
+
+# ---------------------------------------------------------------------------
+# the component-major state of the descent: (3, n) and (3, m) buffers that
+# the meshes see as (n, 3) and (m, 3) views, with the bits of the row layout
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "view"])
+def test_flow_reductions_keep_the_bits_of_the_row_layout(layout):
+    # if a numpy build sums these in another order, this fails before the
+    # flow's trace and OBJ bytes silently move
+    rng = np.random.default_rng(23)
+    m = 100_000
+    rows = rng.standard_normal((3 * m, 3)) * 10.0 ** rng.uniform(-3, 3, (3 * m, 1))
+    if layout == "contiguous":
+        verts, tris = rows.T.copy(), np.arange(3 * m).reshape(3, m)
+    else:
+        verts, tris = rows.T, np.arange(3 * m).reshape(m, 3).T
+    cent, _, _, c2 = flow._geometry(verts, tris)
+    rows_c = np.ascontiguousarray(cent.T)
+    assert same_bits(c2, surface_kernel._dot(rows_c, rows_c))
+    # gradients of 1,000 to 3,000 rows, as discrete_gradient returns them
+    # (views of (3, n) buffers) or C-ordered; summed over a (3, n) buffer,
+    # about a quarter of them would differ in the last bit of g2
+    grads = rng.standard_normal((3 * m, 3))
+    for g in np.split(grads, np.cumsum(rng.integers(1000, 3001, 150))[:-1]):
+        gmax, g2 = flow._norms(g.T.copy().T if layout == "view" else g)
+        assert same_bits(gmax, float(np.linalg.norm(g, axis=-1).max()))
+        assert same_bits(g2, float(np.sum(g * g)))
+
+
+@pytest.mark.parametrize("alpha", [-4.0, -2.0, 0.0, 2.0])
+@pytest.mark.parametrize("family", ["sphere", "inverted-sphere", "torus"])
+def test_views_of_component_major_buffers_match_the_oracle(family, alpha,
+                                                           torus_patch):
+    mesh = perturbed_mesh(family, torus_patch)
+    verts, tris = mesh.vertices.T.copy(), mesh.triangles.T.copy()
+    view = TriMesh(verts.T, tris.T)
+    # the mesh keeps the views, and works on the buffers beneath them
+    assert view.vertices.base is verts and view.triangles.base is tris
+    assert same_bits(discrete_energy(view, alpha), oracle_energy(mesh, alpha))
+    assert same_bits(discrete_gradient(view, alpha), oracle_gradient(mesh, alpha))
+
+
+@pytest.mark.parametrize("step_rule", ["backtracking", "fixed"])
+def test_descend_leaves_its_input_mesh_unchanged(step_rule, torus_patch):
+    mesh = perturbed_mesh("sphere", torus_patch)
+    before = mesh.vertices.tobytes(), mesh.triangles.tobytes()
+    final, _ = descend(mesh, -2.0, 12, step_rule=step_rule)
+    assert (mesh.vertices.tobytes(), mesh.triangles.tobytes()) == before
+    # a descent from a descended mesh, whose arrays are views, leaves it too
+    before = final.vertices.tobytes(), final.triangles.tobytes()
+    again, _ = descend(final, -2.0, 12, step_rule=step_rule)
+    assert (final.vertices.tobytes(), final.triangles.tobytes()) == before
+    assert not np.array_equal(again.vertices, final.vertices)
+
+
+def test_descended_mesh_writes_the_obj_of_a_contiguous_copy(tmp_path):
+    # more vertices than one formatting block
+    final, _ = descend(sphere_mesh(48, 96, R=1.1), -2.0, 3)
+    assert not final.vertices.flags.c_contiguous
+    assert len(final.vertices) > output.BLOCK_ROWS
+    write_obj(final, tmp_path / "views.obj")
+    write_obj(TriMesh(np.ascontiguousarray(final.vertices),
+                      np.ascontiguousarray(final.triangles)), tmp_path / "copy.obj")
+    assert (tmp_path / "views.obj").read_bytes() == (tmp_path / "copy.obj").read_bytes()
