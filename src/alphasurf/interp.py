@@ -6,8 +6,8 @@ second derivative at both endpoints, so interpolated data stays C^2 and the
 interpolation error is O(h^6).
 
 A function with two derivatives is one callable, its ``jet``, returning
-(value, first, second) from one evaluation, so a table lookup, an inverse
-arc-length solve or an inner parameter map is done once for all three.
+(value, first, second) from one evaluation, so a table lookup or an inner
+parameter map is done once for all three.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .surface_kernel import _dot
 
 # Most RK4 steps in one integration: far above the 6.3k of a 2*pi range at
 # max_step 1e-3; a neg2 family at the limit takes 25 s and 250 MB on 2 vCPUs.
@@ -231,60 +230,3 @@ def compose_reparam(curve: Curve3, smap: ScalarFunc) -> Curve3:
 
     return Curve3(jet)
 
-
-class _ArclenMap:
-    """Inverse arc-length map s(l) for a regular curve segment."""
-
-    def __init__(self, curve: Curve3, s_range):
-        s0, s1 = float(s_range[0]), float(s_range[1])
-        nodes = np.linspace(s0, s1, 2001)
-        _, dp, ddp = curve.eval2(nodes)
-        speed = np.linalg.norm(dp, axis=-1)
-        if np.any(speed <= 0):
-            raise ValidationError("curve is not regular on the given range")
-        # l(s) by per-interval 5-point Gauss-Legendre.
-        gx, gw = np.polynomial.legendre.leggauss(5)
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-        half = 0.5 * np.diff(nodes)
-        sq = mid[:, None] + half[:, None] * gx[None, :]
-        spd_q = np.linalg.norm(curve.eval2(sq.ravel())[1], axis=-1).reshape(sq.shape)
-        seg = half * (spd_q @ gw)
-        ell = np.concatenate([[0.0], np.cumsum(seg)])
-        ddl = _dot(dp, ddp) / speed
-        self._curve = curve
-        self._ell_of_s = QuinticHermite(nodes, ell, speed, ddl)
-        self.total_length = float(ell[-1])
-        self._ell_nodes = ell
-        self._s_nodes = nodes
-
-    def s_of_ell(self, ell):
-        ell = np.asarray(ell, dtype=float)
-        s = np.interp(ell, self._ell_nodes, self._s_nodes)
-        for _ in range(30):
-            val, der, _ = self._ell_of_s.eval2(s)
-            step = (val - ell) / der
-            s = np.clip(s - step, self._s_nodes[0], self._s_nodes[-1])
-            if np.max(np.abs(step)) < 1e-14:
-                break
-        return s
-
-    def jet(self, ell):
-        """s(l) with exact s'(l) and s''(l) from the curve jets (the
-        interpolant only locates s; derivatives stay at analytic accuracy)."""
-        s = self.s_of_ell(ell)
-        _, dp, ddp = self._curve.eval2(s)
-        lp = np.linalg.norm(dp, axis=-1)
-        lpp = _dot(dp, ddp) / lp
-        return s, 1.0 / lp, -lpp / lp**3
-
-
-def reparametrize_arclength(curve: Curve3, s_range):
-    """Re-parametrize a regular curve by arc length.
-
-    Returns (curve_in_arclength, (0, L), smap) where smap carries the old
-    parameter as a function of arc length, for re-parametrizing companion
-    curves consistently.
-    """
-    amap = _ArclenMap(curve, s_range)
-    smap = ScalarFunc(amap.jet)
-    return compose_reparam(curve, smap), (0.0, amap.total_length), smap

@@ -1,11 +1,10 @@
 """Ruled surfaces: cylinders, striction lines and the quartic coefficients.
 
-For a ruled patch gamma(s) + t*beta(s) with unit-norm ruling direction,
-arc-length directrix and striction condition <gamma', beta'> = 0, the
-denominator-cleared stationarity defect is a degree-4 polynomial in t.  The
-five coefficients are computed here in frame-free triple-product form,
-without assuming a unit-speed or normalized ruling direction, so the
-polynomial identity holds for arbitrary admissible specs.
+For a ruled patch gamma(s) + t*beta(s) with unit-norm ruling direction and
+striction condition <gamma', beta'> = 0, the denominator-cleared
+stationarity defect is a degree-4 polynomial in t.  The five coefficients
+are computed here in frame-free triple-product form in the spec's own
+parameter s; the directrix need not have unit speed.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .interp import Curve3, ScalarFunc, compose_reparam, reparametrize_arclength
+from .interp import Curve3, ScalarFunc, compose_reparam
 from .surface_kernel import Jet2, ParametricPatch, _cross, _dot
 
 
@@ -121,10 +120,10 @@ def _mu_funcs(spec: RuledSpec):
 
 
 def striction_line(spec: RuledSpec) -> RuledSpec:
-    """Move the directrix onto the striction line and re-parametrize.
+    """Move the directrix onto the striction line gamma - mu*beta.
 
-    Output satisfies <gamma', beta'> = 0 and |gamma'| = 1; the ruling
-    direction is composed with the same parameter change.
+    Output satisfies <gamma', beta'> = 0 in the spec's own parameter; the
+    ruling direction and ``s_range`` are the input's.
     """
     if spec.cylindrical:
         raise ValidationError("striction line undefined for cylindrical surfaces")
@@ -137,10 +136,7 @@ def striction_line(spec: RuledSpec) -> RuledSpec:
         return (g - m * b, gp - m1 * b - m * bp,
                 gpp - m2 * b - 2.0 * m1 * bp - m * bpp)
 
-    sigma = Curve3(jet)
-    sigma_al, new_range, smap = reparametrize_arclength(sigma, spec.s_range)
-    beta_al = compose_reparam(spec.beta, smap)
-    return RuledSpec(gamma=sigma_al, beta=beta_al, s_range=new_range)
+    return RuledSpec(gamma=Curve3(jet), beta=spec.beta, s_range=spec.s_range)
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +361,19 @@ def _rotation_to_e3(axis):
 def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
     """Coefficients [A0..A4] of the degree-4 defect polynomial in t.
 
-    Requires an arc-length striction directrix (checked at the evaluation
-    points unless ``check`` is False).  Vectorized: returns shape
-    s.shape + (5,).
+    Requires a unit-norm ruling direction and a striction directrix, in
+    any parameter (both checked at the evaluation points unless ``check``
+    is False).  S0 = |gamma'|^2 - <gamma', beta>^2 = |gamma' x beta|^2 is
+    the t^0 term of EG - F^2.  Vectorized: returns shape s.shape + (5,).
     """
     s = np.asarray(s, dtype=float)
     g, gp, gpp = spec.gamma.eval2(s)
     b, bp, bpp = spec.beta.eval2(s)
     if check and s.size:
+        if np.max(np.abs(_dot(b, b) - 1.0)) > 1e-6:
+            raise ValidationError("ruling direction is not unit-norm")
         if np.max(np.abs(_dot(gp, bp))) > 1e-6:
             raise ValidationError("directrix violates the striction condition")
-        if np.max(np.abs(_dot(gp, gp) - 1.0)) > 1e-6:
-            raise ValidationError("directrix is not arc-length parametrized")
 
     R0 = _triple(gp, b, gpp) - 2.0 * _dot(gp, b) * _triple(gp, b, bp)
     R1 = _triple(gp, b, bpp) + _triple(bp, b, gpp)
@@ -385,7 +382,7 @@ def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
     q0 = _dot(g, g)
     T0 = _triple(gp, b, g)
     T1 = _triple(bp, b, g)
-    S0 = 1.0 - _dot(gp, b) ** 2
+    S0 = _dot(gp, gp) - _dot(gp, b) ** 2
     S2 = _dot(bp, bp)
     A0 = q0 * R0 - alpha * T0 * S0
     A1 = q1 * R0 + q0 * R1 - alpha * T1 * S0
@@ -446,7 +443,7 @@ def trig_poly_curve(const, cos_coeffs, sin_coeffs) -> Curve3:
 def random_ruled_spec(rng) -> RuledSpec:
     """Random non-cylindrical spec: a directrix of two harmonics with
     coefficients uniform in [-2, 2] over the equator ruling on [0, 2 pi],
-    corrected to the striction line and arc length."""
+    moved onto its striction line in the same parameter."""
     const = rng.uniform(-2.0, 2.0, 3)
     cc = rng.uniform(-2.0, 2.0, (2, 3))
     sc = rng.uniform(-2.0, 2.0, (2, 3))

@@ -370,10 +370,14 @@ def test_fourier_command(tmp_path, capsys):
 
 
 def _write_spec_files(tmp_path):
-    """A sphere family file and a helicoid ruled table, both valid."""
+    """A sphere family file and a helicoid ruled table, both valid, and the
+    helicoid table with its ruling direction scaled by 2, which is not."""
     (tmp_path / "sphere.json").write_text('{"kind": "sphere", "params": {}}')
-    (tmp_path / "helicoid.json").write_text(
-        json.dumps(catalog.ruled_spec_to_dict(cli._helicoid_ruled_spec())))
+    table = catalog.ruled_spec_to_dict(cli._helicoid_ruled_spec())
+    (tmp_path / "helicoid.json").write_text(json.dumps(table))
+    table["beta"] = {key: val if key == "s" else (2.0 * np.asarray(val)).tolist()
+                     for key, val in table["beta"].items()}
+    (tmp_path / "helicoid-wide.json").write_text(json.dumps(table))
 
 
 def test_spec_files_run_alone(tmp_path, monkeypatch, capsys):
@@ -476,6 +480,8 @@ def test_spec_files_run_alone(tmp_path, monkeypatch, capsys):
      "--perturb", "0.01", "--seed=-1"],
     # a line directrix with a zero direction
     ["verify", "--spec", "line-zero.json", "--alpha", "0", "--grid", "4x4"],
+    # a ruled table whose ruling direction is not unit-norm
+    ["coeffs", "--spec", "helicoid-wide.json", "--out", "c.csv"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
                                                capsys):
@@ -1008,3 +1014,25 @@ def test_ruled_spec_range_past_its_tables_exits_2(tmp_path, monkeypatch, capsys)
         f"error: s_range [{spec['s_range'][0]}, {spec['s_range'][1]}] is not within "
         f"table 'gamma' on [{lo}, {hi}]"]
     assert os.listdir() == ["s.json"]
+
+
+def test_saved_random_ruled_specs_reload_with_their_checks(tmp_path, monkeypatch,
+                                                           capsys):
+    # the tables hold the striction line in the spec's own parameter, so a
+    # reloaded spec keeps <gamma', beta'> = 0 far inside the 1e-6 check
+    for seed in range(10):
+        rs = ruled.random_ruled_spec(np.random.default_rng(seed))
+        path = tmp_path / f"r{seed}.json"
+        path.write_text(json.dumps(catalog.ruled_spec_to_dict(rs)))
+        back = catalog.ruled_spec_from_dict(json.loads(path.read_text()))
+        assert tuple(back.s_range) == rs.s_range
+        s = np.linspace(*back.s_range, 100_001)
+        assert np.isfinite(ruled.ruled_coeffs(back, 0.7, s, check=True)).all()
+        _, gp, _ = back.gamma.eval2(s)
+        _, bp, _ = back.beta.eval2(s)
+        assert np.max(np.abs(np.einsum("ij,ij->i", gp, bp))) < 1e-9, seed
+    monkeypatch.chdir(tmp_path)
+    assert main(["coeffs", "--spec", "r0.json", "--samples", "4096",
+                 "--out", "c.csv"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "c.csv").exists()

@@ -270,7 +270,7 @@ GOLDEN = {
     'normalize-beta/table':
         'fdfae0ad345418258785c9a7192d39350d09f6bf92c77227ff3764af6c42bd40',
     'random-ruled-spec/table':
-        '93bccc113c453ec5d2b649aa187a383fed11730e56f5d37a102cc0065d17ef01',
+        '37a7cac4abb6dfa902a2e3db573550a570e9fd7a46f2814715134cfa8eb84177',
     'verify-affine-plane-down/aplane-down.csv':
         '7368b278fc907a92df651de7c171a006b2f7b189e5b0990ecf5cb22608aec644',
     'verify-affine-plane-down/aplane-down.json':

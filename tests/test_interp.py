@@ -6,10 +6,8 @@ from alphasurf.interp import (
     Curve3,
     QuinticHermite,
     ScalarFunc,
-    _ArclenMap,
     _rk4,
     compose_reparam,
-    reparametrize_arclength,
 )
 
 
@@ -94,18 +92,6 @@ def test_table_jet_evaluates_the_quintic_once(monkeypatch):
     assert np.allclose(d2, 2.0)
 
 
-def test_arclength_jet_inverts_the_map_once(monkeypatch):
-    curve = Curve3(lambda s: (
-        np.stack([2 * np.cos(s), np.sin(s), 0 * s], -1),
-        np.stack([-2 * np.sin(s), np.cos(s), 0 * s], -1),
-        np.stack([-2 * np.cos(s), -np.sin(s), 0 * s], -1),
-    ))
-    _, (_, length), smap = reparametrize_arclength(curve, (0.0, 1.0))
-    calls = _count_calls(monkeypatch, _ArclenMap, "s_of_ell")
-    smap.eval2(np.linspace(0.0, length, 7))
-    assert len(calls) == 1
-
-
 def test_compose_reparam_chain_rule():
     curve = Curve3(lambda s: (
         np.stack([np.cos(s), np.sin(s), s], -1),
@@ -122,22 +108,6 @@ def test_compose_reparam_chain_rule():
     _, d1, d2 = comp.eval2(t)
     assert np.max(np.abs(d1 - fd1)) < 1e-8
     assert np.max(np.abs(d2 - fd2)) < 1e-5
-
-
-def test_arclength_reparametrization():
-    # ellipse-ish curve, definitely not unit speed
-    curve = Curve3(lambda s: (
-        np.stack([2 * np.cos(s), np.sin(s), 0 * s], -1),
-        np.stack([-2 * np.sin(s), np.cos(s), 0 * s], -1),
-        np.stack([-2 * np.cos(s), -np.sin(s), 0 * s], -1),
-    ))
-    al, (lo, hi), smap = reparametrize_arclength(curve, (0.0, 2 * np.pi))
-    assert lo == 0.0
-    ell = np.linspace(0, hi, 200)
-    speed = np.linalg.norm(al.eval2(ell)[1], axis=-1)
-    assert np.max(np.abs(speed - 1.0)) < 1e-10
-    # total length of this ellipse (a=2, b=1), reference value
-    assert hi == pytest.approx(9.688448220547677, abs=1e-8)
 
 
 def test_rk4_fourth_order_on_exponential():

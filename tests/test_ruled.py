@@ -380,3 +380,18 @@ def test_coeffs_striction_precondition():
     bad = RuledSpec(gamma=shifted, beta=eq, s_range=(0.0, 2 * np.pi))
     with pytest.raises(ValidationError, match="directrix violates the striction condition"):
         ruled_coeffs(bad, 1.0, np.linspace(0, 6, 5))
+
+
+def test_coeffs_unit_ruling_precondition():
+    # the equator scaled by 2 over the vertical line: the striction condition
+    # holds, but the coefficients assume |beta| = 1 and miss the defect
+    eq = equator_beta()
+    wide = Curve3(lambda s: tuple(2.0 * x for x in eq.eval2(s)))
+    bad = RuledSpec(gamma=vertical_line_curve(), beta=wide, s_range=(0.0, 2 * np.pi))
+    s = np.linspace(0.2, 6.0, 5)
+    with pytest.raises(ValidationError, match="ruling direction is not unit-norm"):
+        ruled_coeffs(bad, 1.0, s)
+    t = np.linspace(-1.5, 1.5, 5)
+    A = ruled_coeffs(bad, 1.0, s, check=False)
+    D = weighted_defect(build_ruled_patch(bad, (-2.0, 2.0)), 1.0, s, t)
+    assert np.max(np.abs(D - sum(A[:, n] * t**n for n in range(5)))) > 1.0

@@ -1,5 +1,4 @@
 import filecmp
-import functools
 import json
 import os
 import subprocess
@@ -8,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from alphasurf import output, ruled, surface_kernel
+from alphasurf import output, surface_kernel
 from alphasurf.cli import _helicoid_ruled_spec, main
 from alphasurf.catalog import (
     FamilySpec,
@@ -249,8 +248,7 @@ def test_verify_prints_the_same_line_with_and_without_files(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def ruled_table_spec():
-    # table-backed (pointwise Hermite evaluation); not striction-exact after
-    # the reload, so its checks are off
+    # table-backed (pointwise Hermite evaluation)
     return ruled_spec_from_dict(ruled_spec_to_dict(
         random_ruled_spec(np.random.default_rng(3))))
 
@@ -259,14 +257,17 @@ def ruled_table_spec():
 # the coeffs command are covered by test_coeffs_absmax_equals_the_whole_array_max
 @pytest.mark.parametrize("n", [561, 4096, 20000])
 def test_ruled_coeffs_do_not_depend_on_tile_size(n, ruled_table_spec):
-    for spec, alpha, check in ((_helicoid_ruled_spec(), 0.4, True),
-                               (ruled_table_spec, -0.6, False)):
+    for spec, alpha in ((_helicoid_ruled_spec(), 0.4), (ruled_table_spec, -0.6),
+                        (random_ruled_spec(np.random.default_rng(3)), 1.3)):
         s = np.linspace(*spec.s_range, n)
-        got = ruled_coeffs(spec, alpha, s, check=check)
+        got = ruled_coeffs(spec, alpha, s)
         assert got.shape == (n, 5)
-        # a 2-D sample array gives the same values in its own shape
-        got2 = ruled_coeffs(spec, alpha, s.reshape(-1, 1), check=check)
+        # a 2-D sample array gives the same values in its own shape, and
+        # batches of 97 samples give the same values row by row
+        got2 = ruled_coeffs(spec, alpha, s.reshape(-1, 1))
         assert _same_bits(got2.reshape(n, 5), got)
+        batches = [ruled_coeffs(spec, alpha, s[i:i + 97]) for i in range(0, n, 97)]
+        assert _same_bits(np.concatenate(batches), got)
 
 
 @pytest.mark.parametrize("n", [1, 561, 4096, 20000])
@@ -274,7 +275,7 @@ def test_coeffs_absmax_equals_the_whole_array_max(n, ruled_table_spec, tmp_path,
                                                   monkeypatch, capsys):
     # the max|A_n| that coeffs prints, folded tile by tile, with and without
     # --out; the helicoid's largest |A_n| is its max at alpha 0.4 and -min at
-    # -1, and the table spec's checks are off in the command as in the oracle
+    # -1
     table = tmp_path / "table.json"   # the file the fixture's spec is read from
     output.write_json(table, ruled_spec_to_dict(random_ruled_spec(np.random.default_rng(3))))
     out = tmp_path / "c.csv"
@@ -282,11 +283,8 @@ def test_coeffs_absmax_equals_the_whole_array_max(n, ruled_table_spec, tmp_path,
                                 (_helicoid_ruled_spec(), -1.0, ["--family", "helicoid"]),
                                 (ruled_table_spec, -0.6, ["--spec", str(table)])):
         s = np.linspace(*spec.s_range, n)
-        A = ruled_coeffs(spec, alpha, s, check=source[0] == "--family")
+        A = ruled_coeffs(spec, alpha, s)
         want = abs(max(A.max(), -A.min()))
-        if source[0] == "--spec":
-            monkeypatch.setattr(ruled, "ruled_coeffs",
-                                functools.partial(ruled_coeffs, check=False))
         for rows in ([1, 7, 16, None] if n < 1000 else [16, None]):
             _tile_points(monkeypatch, rows, 1, n)
             printed = []
