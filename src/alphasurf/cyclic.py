@@ -18,7 +18,7 @@ import numpy as np
 from . import output
 from .errors import NumericalError, ValidationError
 from .interp import (QuinticHermite, ScalarFunc, _increasing, _rk4, read_table,
-                     stage_grid, stage_table, write_table)
+                     write_table)
 from .surface_kernel import Jet2, ParametricPatch
 
 
@@ -123,13 +123,9 @@ def frame_from_curvature(kappa, tau, u_range, init, max_step=1e-3) -> CurveFrame
     kappa = as_scalar_func(kappa)
     tau = as_scalar_func(tau)
     u0, u1 = float(u_range[0]), float(u_range[1])
-    _, grid = stage_grid(u0, u1 - u0, max_step)
-    with np.errstate(all="ignore"):  # the run may stop before a bad point
-        at = stage_table(grid, kappa(grid), tau(grid))
 
-    def rhs(u, y):
+    def rhs(u, y, k, tv):
         t, n, b = y[3:6], y[6:9], y[9:12]
-        k, tv = at[u]
         if not (k > 0.0):
             raise NumericalError(f"kappa({u}) = {k} <= 0")
         return np.concatenate([t, k * n, -k * t + tv * b, -tv * n])
@@ -138,7 +134,8 @@ def frame_from_curvature(kappa, tau, u_range, init, max_step=1e-3) -> CurveFrame
         return np.concatenate([y[0:3], *_gram_schmidt(y[3:6], y[6:9], y[9:12])])
 
     y0 = orthonormalize(np.concatenate([np.asarray(x, dtype=float) for x in init]))
-    us, ys = _rk4(rhs, u0, y0, u1 - u0, max_step, project=orthonormalize)
+    us, ys = _rk4(rhs, u0, y0, u1 - u0, max_step, project=orthonormalize,
+                  coeffs=lambda grid: (kappa(grid), tau(grid)))
     return CurveFrame(u_nodes=np.array(us), gamma=ys[:, 0:3],
                       t=ys[:, 3:6], n=ys[:, 6:9], b=ys[:, 9:12],
                       kappa=kappa, tau=tau)
@@ -366,14 +363,10 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
 
 def _neg2_profile(kappa, y0, u0, u1, max_step):
     """Nodes, states (a, a', r, r') and (a'', r'') of the neg2 family."""
-    _, grid = stage_grid(u0, u1 - u0, max_step)
-    with np.errstate(all="ignore"):  # the run may stop before a bad point
-        at = stage_table(grid, *kappa.eval2(grid)[:2])
-
-    def second_derivs(u, a, ap, r, rp):
+    def rhs(u, y, k, kp):
+        a, ap, r, rp = y
         if not (r > 0.0):
             raise NumericalError(f"radius collapsed at u={u:.6g}")
-        k, kp = at[u]
         if not (k > 0.0):
             raise NumericalError(f"kappa({u}) = {k} <= 0")
         # both equations are affine in (rpp, app): probe to build the system
@@ -391,19 +384,13 @@ def _neg2_profile(kappa, y0, u0, u1, max_step):
         if abs(det) < 1e-14 * max(1.0, abs(M).max()) ** 2:
             raise NumericalError(f"singular system for (r'', a'') at u={u:.6g}")
         rpp, app = np.linalg.solve(M, -f0)
-        return float(app), float(rpp)
-
-    def rhs(u, y):
-        a, ap, r, rp = y
-        app, rpp = second_derivs(u, a, ap, r, rp)
         return np.array([ap, app, rp, rpp])
 
     slopes = []
-    us, ys = _rk4(rhs, u0, y0, u1 - u0, max_step, slopes=slopes)
-    # (a'', r'') at the nodes: each step's first slope, then the last node
-    acc = np.array([(k1[1], k1[3]) for k1 in slopes]
-                   + [second_derivs(us[-1], *ys[-1])])
-    return np.array(us), ys, acc
+    us, ys = _rk4(rhs, u0, y0, u1 - u0, max_step, slopes=slopes,
+                  coeffs=lambda grid: kappa.eval2(grid)[:2])
+    # (a'', r'') at the nodes: the slope's second and fourth entries
+    return np.array(us), ys, np.array(slopes)[:, 1::2]
 
 
 def log_spiral_example(u_range) -> ParametricPatch:

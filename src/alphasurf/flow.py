@@ -15,7 +15,7 @@ import numpy as np
 
 from . import output
 from .errors import FlowError, OriginInFaceError, ValidationError
-from .surface_kernel import ParametricPatch, _cross, _tiles, eval_jet2
+from .surface_kernel import ParametricPatch, _cross, _dot, _tiles, eval_jet2
 
 MIN_TRIANGLE_AREA = 1e-14
 
@@ -61,15 +61,13 @@ def _geometry(verts, tris):
     """(centroids, area vectors, areas, |centroid|^2) of every triangle of a
     (3, n) vertex and (3, m) index array, row by row, with the bits of
     ``v.mean(axis=1)``, half numpy's ``cross`` and ``np.linalg.norm`` on (m, 3)
-    rows.  |centroid|^2 adds x*x + z*z, then y*y: the order of ``_dot``'s
-    einsum on a contiguous last axis, which x*x + y*y first would not match."""
+    rows.  |centroid|^2 is ``_dot`` of the (m, 3) view."""
     v0, v1, v2 = (verts.take(t, axis=1) for t in tris)
     cent = (v0 + v1 + v2) / 3.0
     avec = _cross((v1 - v0).T, (v2 - v0).T, np.empty_like(cent).T).T
     avec *= 0.5
     sx, sy, sz = avec * avec
-    x, y, z = cent * cent
-    return cent, avec, np.sqrt(sx + sy + sz), (x + z) + y
+    return cent, avec, np.sqrt(sx + sy + sz), _dot(cent.T, cent.T)
 
 
 # ---------------------------------------------------------------------------

@@ -25,39 +25,50 @@ from .errors import ValidationError
 MAX_STEPS = 100_000
 
 
-def _rk4(rhs, u0, y0, length, max_step, project=None, slopes=None):
+def _rk4(rhs, u0, y0, length, max_step, project=None, slopes=None,
+         coeffs=None):
     """Classical RK4 for y' = rhs(u, y): n = max(1, ceil(|length|/max_step))
     equal steps from u0 (backwards for negative length), ``rhs`` called at
     the abscissae of ``stage_grid``, ``project`` applied to the state after
-    each step, and ``rhs(u_i, y_i)`` of every step appended to the list
-    ``slopes`` if one is given.  Arrays ``u0`` and ``length`` run a batch
-    with one step count: each u is then an array, and y0 and every state
-    carry a leading batch axis.  Returns (node list, (n+1, ...) states)."""
+    each step, and ``rhs(u_i, y_i)`` at every node, the last one included,
+    appended to the list ``slopes`` if one is given.  ``coeffs(grid)``, if
+    given, is evaluated once on the whole grid (a run may stop before a bad
+    point, so without warnings) and returns columns; each rhs call then gets
+    its abscissa's entries as Python floats, ``rhs(u, y, *c)``.  Arrays
+    ``u0`` and ``length`` run a batch with one step count: each u is then an
+    array, and y0 and every state carry a leading batch axis.  Returns (node
+    list, (n+1, ...) states)."""
     h, grid = stage_grid(u0, length, max_step)
+    cs = [()] * len(grid)
+    if coeffs is not None:
+        with np.errstate(all="ignore"):
+            cs = list(zip(*(np.asarray(c, dtype=float).tolist()
+                            for c in coeffs(grid))))
     y = np.asarray(y0, dtype=float)
     if np.ndim(h):
         h = np.reshape(h, np.shape(h) + (1,) * (y.ndim - 1))
     ys = [y]
     for i in range(0, len(grid) - 1, 2):
-        u, um, u1 = grid[i:i + 3]
-        k1 = rhs(u, y)
-        k2 = rhs(um, y + h / 2 * k1)
-        k3 = rhs(um, y + h / 2 * k2)
-        k4 = rhs(u1, y + h * k3)
+        (u, um, u1), (c, cm, c1) = grid[i:i + 3], cs[i:i + 3]
+        k1 = rhs(u, y, *c)
+        k2 = rhs(um, y + h / 2 * k1, *cm)
+        k3 = rhs(um, y + h / 2 * k2, *cm)
+        k4 = rhs(u1, y + h * k3, *c1)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if project is not None:
             y = project(y)
         if slopes is not None:
             slopes.append(k1)
         ys.append(y)
+    if slopes is not None:
+        slopes.append(rhs(grid[-1], y, *cs[-1]))
     return grid[::2], np.array(ys)
 
 
 def stage_grid(u0, length, max_step):
     """Step and abscissae of an ``_rk4`` run: [u_0, u_0 + h/2, u_1, ...,
-    u_n], with u_(i+1) = u_i + h accumulated step by step.  The loop reads
-    its abscissae from this list, so a table of coefficients keyed by them
-    is exact.  More than ``MAX_STEPS`` steps is bad input."""
+    u_n], with u_(i+1) = u_i + h accumulated step by step.  More than
+    ``MAX_STEPS`` steps is bad input."""
     steps = float(np.max(np.abs(length))) / max_step   # inf, not a warning
     if not steps <= MAX_STEPS:
         raise ValidationError(f"integration needs {steps:.3g} steps, "
@@ -70,13 +81,6 @@ def stage_grid(u0, length, max_step):
         u = u + h
         grid.append(u)
     return h, grid
-
-
-def stage_table(grid, *columns):
-    """``table[u]``: the tuple of the columns' entries at abscissa ``u`` of
-    ``grid``, as Python floats, for a rhs that looks its coefficients up."""
-    cols = (np.asarray(c, dtype=float).tolist() for c in columns)
-    return dict(zip(grid, zip(*cols)))
 
 
 class QuinticHermite:

@@ -40,18 +40,6 @@ class RuledSpec:
         return np.linspace(*self.s_range, n)
 
 
-def validate_ruled(spec: RuledSpec):
-    s = spec.samples()
-    _, gp, _ = spec.gamma.eval2(s)
-    bv, bp, _ = spec.beta.eval2(s)
-    if np.max(np.abs(np.linalg.norm(gp, axis=-1) - 1.0)) > 1e-8:
-        raise ValidationError("directrix is not arc-length parametrized")
-    if np.max(np.abs(np.linalg.norm(bv, axis=-1) - 1.0)) > 1e-10:
-        raise ValidationError("ruling direction is not unit-norm")
-    if not spec.cylindrical and np.min(np.linalg.norm(bp, axis=-1)) <= 0.0:
-        raise ValidationError("non-cylindrical spec has a stationary ruling direction")
-
-
 def _line(p0, d) -> Curve3:
     """The straight line p0 + s*d."""
     return Curve3(lambda s: (p0 + np.multiply.outer(s, d),

@@ -147,7 +147,15 @@ def _first_form(jet: Jet2):
 
 
 def _dot(a, b):
-    return np.einsum("...i,...i->...", a, b)
+    """Dot product of 3-vectors along the last axis of arrays that
+    broadcast, added ((x + z) + y) + 0.0: the bits of einsum on a contiguous
+    last axis (its + 0.0 turns a sum of three -0.0 into 0.0), in any memory
+    layout; einsum adds a strided axis (x + y) + z."""
+    d = a[..., 0] * b[..., 0]
+    d += a[..., 2] * b[..., 2]
+    d += a[..., 1] * b[..., 1]
+    d += 0.0
+    return d
 
 
 def _cross(a, b, out=None):

@@ -465,6 +465,7 @@ def test_flow_reductions_keep_the_bits_of_the_row_layout(layout):
     cent, _, _, c2 = flow._geometry(verts, tris)
     rows_c = np.ascontiguousarray(cent.T)
     assert same_bits(c2, surface_kernel._dot(rows_c, rows_c))
+    assert same_bits(c2, surface_kernel._dot(cent.T, cent.T))
     # gradients of 1,000 to 3,000 rows, as discrete_gradient returns them
     # (views of (3, n) buffers) or C-ordered; summed over a (3, n) buffer,
     # about a quarter of them would differ in the last bit of g2

@@ -1,8 +1,9 @@
 """The fixed-step integrators give the tables of a plain sequential RK4.
 
-``_rk4`` reads its abscissae from ``stage_grid``, the frame and the neg2
-family look their coefficients up on that grid, and Riemann's two halves
-run as one batch.  Each table here is compared under ``np.array_equal``
+``_rk4`` reads its abscissae from ``stage_grid`` and evaluates the frame's
+and the neg2 family's coefficients once on that grid (its ``coeffs`` hook),
+passing each rhs call its abscissa's entries; Riemann's two halves run as
+one batch.  Each table here is compared under ``np.array_equal``
 with a reference that evaluates every coefficient at every stage, one run
 at a time, as the classical loop does (Hairer, Norsett & Wanner, *Solving
 ODEs I*, II.1).
@@ -168,13 +169,41 @@ def test_rk4_batch_equals_separate_runs():
     slopes = []
     nodes, ys = _rk4(rhs, np.zeros(2), np.stack([y0, y0]),
                      np.array([0.7, -0.7]), 0.01, slopes=slopes)
-    assert ys.shape == (71, 2, 2) and len(slopes) == 70
+    assert ys.shape == (71, 2, 2) and len(slopes) == 71
     for i, length in enumerate((0.7, -0.7)):
         us, ys_1 = _rk4(rhs, 0.0, y0, length, 0.01)
         assert np.array_equal(np.array(nodes)[:, i], us)
         assert np.array_equal(ys[:, i], ys_1)
         assert np.array_equal(np.array(slopes)[:, i],
-                              [rhs(u, y) for u, y in zip(us[:-1], ys_1[:-1])])
+                              [rhs(u, y) for u, y in zip(us, ys_1)])
+
+
+@pytest.mark.parametrize("length", [0.53, -0.53])
+def test_rk4_passes_each_abscissa_its_coefficients(length):
+    seen, calls = [], []
+
+    def coeffs(grid):
+        calls.append(grid)
+        return np.asarray(grid), 2 * np.asarray(grid)
+
+    def rhs(u, y, c, c2):
+        assert type(c) is float and type(c2) is float
+        seen.append((u, c, c2))
+        return -y
+
+    slopes = []
+    us, ys = _rk4(rhs, 0.2, [1.0], length, 0.1, slopes=slopes, coeffs=coeffs)
+    _, grid = stage_grid(0.2, length, 0.1)
+    assert len(calls) == 1 and calls[0] == grid and len(slopes) == 7
+    # four stages per step, then the last node's slope
+    assert [u for u, _, _ in seen] == [
+        w for i in range(0, 12, 2)
+        for w in (grid[i], grid[i + 1], grid[i + 1], grid[i + 2])] + grid[-1:]
+    for u, c, c2 in seen:
+        assert c == u and c2 == 2 * u
+    # without coeffs the rhs takes (u, y) alone, at the same abscissae
+    ref = _rk4(lambda u, y: -y, 0.2, [1.0], length, 0.1)
+    assert us == ref[0] and np.array_equal(ys, ref[1])
 
 
 @pytest.mark.parametrize("kappa, tau, u_range", [

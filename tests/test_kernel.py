@@ -11,6 +11,7 @@ from alphasurf.surface_kernel import (
     Jet2,
     ParametricPatch,
     _cross,
+    _dot,
     eval_jet2,
     fd_jet2,
     fundamental_data,
@@ -211,3 +212,37 @@ def test_cross_has_the_bits_of_numpy_cross(a_shape, b_shape):
         assert _cross(a, b).tobytes() == want.tobytes()
         out = np.empty_like(want)
         assert _cross(a, b, out) is out and out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3,), (3,)), ((20_000, 3), (20_000, 3)), ((5, 8, 3), (5, 8, 3)),
+    ((3,), (40, 3)), ((3, 1, 16, 3), (2, 16, 3)),
+])
+def test_dot_is_the_written_sum_in_any_layout(a_shape, b_shape):
+    # magnitudes over six decades, so the order of the additions shows in
+    # the last bit of about a third of the rows
+    rng = np.random.default_rng(11)
+    a, b = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            for shape in (a_shape, b_shape))
+    x, y, z = (a[..., i] * b[..., i] for i in range(3))
+    want = np.asarray(((x + z) + y) + 0.0)
+    assert np.asarray(_dot(a, b)).tobytes() == want.tobytes()
+    # the same vectors as (..., 3) views of component-major (3, ...) buffers
+    a_v, b_v = (np.moveaxis(np.moveaxis(v, -1, 0).copy(), 0, -1) for v in (a, b))
+    assert np.array_equal(a_v, a) and np.array_equal(b_v, b)
+    for p, q in ((a_v, b_v), (a_v, b), (a, b_v)):
+        assert np.asarray(_dot(p, q)).tobytes() == want.tobytes()
+
+
+def test_dot_has_the_bits_of_einsum_on_contiguous_rows():
+    # the outputs were recorded through einsum; half the entries are signed
+    # zeros or infinities, so sums of three -0.0 occur (einsum gives 0.0)
+    rng = np.random.default_rng(12)
+    pool = np.concatenate([[0.0, -0.0, np.inf, -np.inf],
+                           rng.standard_normal(4) * [1e-300, 1e-3, 1e3, 1e300]])
+    a, b = rng.choice(pool, (20_000, 3)), rng.choice(pool, (20_000, 3))
+    with np.errstate(all="ignore"):
+        want, got = np.einsum("...i,...i->...", a, b), _dot(a.T.copy().T, b)
+    ok = ~np.isnan(want)
+    assert np.array_equal(np.isnan(got), ~ok) and np.count_nonzero(want == 0.0) > 100
+    assert got[ok].tobytes() == want[ok].tobytes()

@@ -7,6 +7,7 @@ from alphasurf.interp import Curve3
 from alphasurf.ruled import (
     PlanarCurve,
     RuledSpec,
+    _constant,
     adapted_coords,
     build_cylinder_patch,
     build_ruled_patch,
@@ -18,7 +19,6 @@ from alphasurf.ruled import (
     ruled_coeffs,
     striction_line,
     trig_poly_curve,
-    validate_ruled,
 )
 from alphasurf.stationary import _defect_from_jet, weighted_defect
 from alphasurf.surface_kernel import Jet2, ParametricPatch, _dot, fundamental_data
@@ -37,12 +37,12 @@ def helicoid_spec():
                      s_range=(0.0, 2 * np.pi))
 
 
-def test_validate_catches_non_unit_speed():
-    bad = RuledSpec(gamma=trig_poly_curve([0, 0, 0], [[1, 0, 0]], [[0, 2, 0]]),
-                    beta=equator_beta(), s_range=(0.0, 2 * np.pi))
-    with pytest.raises(ValidationError, match="directrix is not arc-length parametrized"):
-        validate_ruled(bad)
-    validate_ruled(helicoid_spec())
+def test_striction_refuses_a_constant_ruling():
+    # a non-cylindrical spec whose ruling never turns: beta' = 0 everywhere
+    spec = RuledSpec(gamma=vertical_line_curve(),
+                     beta=_constant(np.array([1.0, 0.0, 0.0])), s_range=(0.0, 1.0))
+    with pytest.raises(ValidationError, match="ruling direction has a stationary point"):
+        striction_line(spec)
 
 
 def test_polynomial_identity_random_specs():
