@@ -42,6 +42,8 @@ class FamilySpec:
                  for key, val in takes.items()}
         _checked(self.params, forms, f"family {self.kind}",
                  [key for key, val in takes.items() if not callable(val)], noun="param")
+        for key in self.params.keys() & {"u_range", "t_range"}:
+            _increasing(key, self.params[key])
 
 
 # ---------------------------------------------------------------------------
@@ -125,30 +127,14 @@ def helicoid_patch(pitch=1.0, t_range=(-2.0, 2.0), turns=1.0,
 
 def catenoid_patch(waist=1.0, u_range=(-1.5, 1.5),
                    center=(0.0, 0.0, 0.0)) -> ParametricPatch:
-    """(c cosh(u/c) cos v, c cosh(u/c) sin v, u), axis through ``center``."""
+    """(c cosh(u/c) cos v, c cosh(u/c) sin v, u), axis through ``center``:
+    the parallel cyclic spec of the catenary radius about the z-axis."""
     c = float(waist)
     if not (c > 0):
         raise ValidationError("catenoid waist must be positive")
-    off = np.asarray(center, dtype=float)
-
-    def ev(u, v):
-        r = c * np.cosh(u / c)
-        rp = np.sinh(u / c)
-        rpp = np.cosh(u / c) / c
-        cv, sv = np.cos(v), np.sin(v)
-        zeros = np.zeros_like(u)
-        P = off + np.stack([r * cv, r * sv, u], axis=-1)
-        Pu = np.stack([rp * cv, rp * sv, np.ones_like(u)], axis=-1)
-        Puu = np.stack([rpp * cv, rpp * sv, zeros], axis=-1)
-        Pv = np.stack([-r * sv, r * cv, zeros], axis=-1)
-        Puv = np.stack([-rp * sv, rp * cv, zeros], axis=-1)
-        Pvv = np.stack([-r * cv, -r * sv, zeros], axis=-1)
-        return Jet2(P, Pu, Pv, Puu, Puv, Pvv)
-
-    return ParametricPatch(evaluator=ev,
-                           u_range=(float(u_range[0]), float(u_range[1])),
-                           v_range=(0.0, 2.0 * math.pi), v_periodic=True,
-                           label=f"catenoid(waist={c})")
+    r = ScalarFunc(lambda u: (c * np.cosh(u / c), np.sinh(u / c), np.cosh(u / c) / c))
+    patch = _cyclic.build_cyclic(_cyclic.parallel_spec(0.0, 0.0, r, u_range))
+    return replace(translated(patch, center), label=f"catenoid(waist={c})")
 
 
 # ---------------------------------------------------------------------------
@@ -205,38 +191,33 @@ def euler_planar_curve(alpha, r0, theta0, kappa0_sign, length,
 # (a'', r'') = (0, 0), (1, 0), (0, 1) of the affine system for (a'', r'')
 _RIEMANN_V = 2.0 * math.pi * (np.arange(16) + 0.5) / 16
 _RIEMANN_CV, _RIEMANN_SV = np.cos(_RIEMANN_V), np.sin(_RIEMANN_V)
-_RIEMANN_PUU = np.stack([
-    np.stack([app + rpp * _RIEMANN_CV, rpp * _RIEMANN_SV,
-              np.zeros_like(_RIEMANN_V)], axis=-1)
-    for app, rpp in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))])[:, None]
+_RIEMANN_PUU = _cyclic._parallel_jet(
+    (0.0, 0.0, np.array([[0.0], [1.0], [0.0]])), (0.0, 0.0, 0.0),
+    (0.0, 0.0, np.array([[0.0], [0.0], [1.0]])), np.zeros((3, 1)),
+    _RIEMANN_CV, _RIEMANN_SV).Puu[:, None]
 
 
 def _riemann_accels(u, a, ap, r, rp):
     """Solve for (a'', r'') from the n=0 and n=1 cosine coefficients of the
     zero-exponent defect on the horizontal circles at heights u (centres
     (a, 0, u)); every argument is an array over a batch of circles.  The
-    defect is affine in the second derivatives, which only enter Puu: the
-    three probes are a leading axis of Puu, and the other terms are computed
-    once for all of them.  Returns a'', r'' and the mask of degenerate
-    systems, whose entries are NaN."""
+    circles' jet is ``cyclic._parallel_jet``'s.  The defect is affine in the
+    second derivatives, which only enter Puu: the three probes are a leading
+    axis of Puu, and the other terms are computed once for all of them.
+    Returns a'', r'' and the mask of degenerate systems, whose entries are
+    NaN."""
     cv, sv = _RIEMANN_CV, _RIEMANN_SV
     u, a, ap, r, rp = (np.asarray(x, dtype=float)[:, None] for x in (u, a, ap, r, rp))
-    # P, Pu, Pv, Puv and Pvv of every circle at the sample angles
-    J = np.zeros((5, len(r), len(cv), 3))
-    J[0, ..., 0], J[0, ..., 1], J[0, ..., 2] = a + r * cv, r * sv, u
-    J[1, ..., 0], J[1, ..., 1], J[1, ..., 2] = ap + rp * cv, rp * sv, 1.0
-    J[2, ..., 0], J[2, ..., 1] = -r * sv, r * cv
-    J[3, ..., 0], J[3, ..., 1] = -rp * sv, rp * cv
-    J[4, ..., 0], J[4, ..., 1] = -r * cv, -r * sv
-    jet = Jet2(P=J[0], Pu=J[1], Pv=J[2], Puu=_RIEMANN_PUU, Puv=J[3], Pvv=J[4])
+    j = _cyclic._parallel_jet((a, ap, 0.0), (0.0, 0.0, 0.0), (r, rp, 0.0), u, cv, sv)
+    jet = Jet2(j.P, j.Pu, j.Pv, _RIEMANN_PUU, j.Puv, j.Pvv)
     d = _defect_from_jet(jet, 0.0)
     # f[probe, circle] = (A0, A1); M[circle] has one column per unit probe
-    f = np.stack([np.mean(d, axis=-1), 2.0 * np.mean(d * cv, axis=-1)], axis=-1)
-    M = np.moveaxis(f[1:] - f[0], 0, -1)
+    f = np.stack([d.sum(axis=-1) / 16, 2.0 * ((d * cv).sum(axis=-1) / 16)], axis=-1)
+    M = (f[1:] - f[0]).transpose(1, 2, 0)
     det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     # the threshold of one circle at a time: libm pow, as np.square may
     # differ from it in the last bit
-    scale = [1e-12 * max(1.0, m) ** 2 for m in np.abs(M).max(axis=(1, 2))]
+    scale = [1e-12 * max(1.0, m) ** 2 for m in np.abs(M).max(axis=(1, 2)).tolist()]
     degenerate = np.abs(det) < scale
     ok = ~degenerate & np.isfinite(M).all(axis=(1, 2))
     x = np.linalg.solve(np.where(ok[:, None, None], M, np.eye(2)),

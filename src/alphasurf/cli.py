@@ -170,10 +170,11 @@ _range_arg = _numbers_arg(":", 2, "lo:hi range")
 
 
 def _grid_arg(text):
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValidationError(f"expected NUxNV grid, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        nu, nv = map(int, text.lower().split("x"))
+    except ValueError:   # too many or too few parts, or a part not an int
+        raise ValidationError(f"expected NUxNV grid, got {text!r}") from None
+    return nu, nv
 
 
 # The family shape flags, in the order their values enter FamilySpec.params

@@ -204,26 +204,28 @@ def _validate_cyclic(spec: CyclicSpec):
             raise ValidationError("frenet mode requires kappa > 0 on the domain")
 
 
+def _parallel_jet(a, b, r, u, cv, sv) -> Jet2:
+    """Jet of the circles of radius r about (a, b, u) in the planes z = u at
+    the angles of cosine ``cv`` and sine ``sv``, a, b and r given as (value,
+    first, second) triples in u; one (6, ..., 3) buffer holds all six fields."""
+    (av, ap, app), (bv, bp, bpp), (rv, rp, rpp) = a, b, r
+    J = np.zeros((6, *np.broadcast(u, cv).shape, 3))
+    J[0, ..., 0], J[0, ..., 1], J[0, ..., 2] = av + rv * cv, bv + rv * sv, u
+    J[1, ..., 0], J[1, ..., 1], J[1, ..., 2] = ap + rp * cv, bp + rp * sv, 1.0
+    J[2, ..., 0], J[2, ..., 1] = -rv * sv, rv * cv
+    J[3, ..., 0], J[3, ..., 1] = app + rpp * cv, bpp + rpp * sv
+    J[4, ..., 0], J[4, ..., 1] = -rp * sv, rp * cv
+    J[5, ..., 0], J[5, ..., 1] = -rv * cv, -rv * sv
+    return Jet2(*J)
+
+
 def build_cyclic(spec: CyclicSpec) -> ParametricPatch:
-    """Analytic-jet patch for a cyclic spec."""
+    """Analytic-jet patch for a cyclic spec (parallel mode: ``_parallel_jet``)."""
     _validate_cyclic(spec)
     if spec.mode == "parallel":
-        a, b, r = spec.a, spec.b, spec.r
-
         def ev(u, v):
-            av, ap, app = a.eval2(u)
-            bv, bp, bpp = b.eval2(u)
-            rv, rp, rpp = r.eval2(u)
-            cv, sv = np.cos(v), np.sin(v)
-            zeros = np.zeros_like(u)
-            ones = np.ones_like(u)
-            P = np.stack([av + rv * cv, bv + rv * sv, u], axis=-1)
-            Pu = np.stack([ap + rp * cv, bp + rp * sv, ones], axis=-1)
-            Puu = np.stack([app + rpp * cv, bpp + rpp * sv, zeros], axis=-1)
-            Pv = np.stack([-rv * sv, rv * cv, zeros], axis=-1)
-            Puv = np.stack([-rp * sv, rp * cv, zeros], axis=-1)
-            Pvv = np.stack([-rv * cv, -rv * sv, zeros], axis=-1)
-            return Jet2(P, Pu, Pv, Puu, Puv, Pvv)
+            return _parallel_jet(*(f.eval2(u) for f in (spec.a, spec.b, spec.r)), u,
+                                 np.cos(v), np.sin(v))
 
         return ParametricPatch(evaluator=ev, u_range=spec.u_range,
                                v_range=(0.0, 2.0 * math.pi), v_periodic=True,

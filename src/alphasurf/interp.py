@@ -152,9 +152,10 @@ class ScalarFunc:
     jet: Callable
 
     def eval2(self, u):
+        """(f, f', f'') shaped like ``u``, as read-only arrays: a constant's
+        are broadcast views of one number."""
         u = np.asarray(u, dtype=float)
-        shape = np.shape(u)
-        return tuple(np.broadcast_to(np.asarray(x, dtype=float), shape).copy()
+        return tuple(np.broadcast_to(np.asarray(x, dtype=float), u.shape)
                      for x in self.jet(u))
 
     def __call__(self, u):

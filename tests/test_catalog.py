@@ -86,6 +86,18 @@ def test_family_spec_checks_number_forms_and_nested_params():
     assert FamilySpec("sphere", {"center": center}).params["center"] is center
 
 
+@pytest.mark.parametrize("kind, key, rng", [
+    ("catenoid", "u_range", (1.0, -1.0)), ("catenoid", "u_range", (1, 1)),
+    ("log_spiral_neg2", "u_range", (2.0, 0.5)), ("helicoid", "t_range", (1.0, 0.0)),
+    ("helicoid", "t_range", (0.5, 0.5)),
+])
+def test_family_spec_refuses_a_range_that_is_not_increasing(kind, key, rng):
+    lo, hi = map(float, rng)
+    with pytest.raises(ValidationError) as exc:
+        FamilySpec(kind, {key: rng})
+    assert str(exc.value) == f"{key} [{lo}, {hi}] is not increasing"
+
+
 @pytest.mark.parametrize("directrix, message", [
     ({"type": "bogus"}, "unknown directrix type 'bogus'"),
     ({"type": "circle", "center": (2.0, 0.0)}, "spec is missing field 'radius'"),
@@ -151,6 +163,26 @@ def test_affine_plane_not_stationary():
     patch = make_patch(FamilySpec("affine_plane", {"normal": (0, 0, 1.0),
                                                    "offset": 1.0}))
     assert sup_residual(patch, 1.0, 16) > 1e-2
+
+
+def test_catenoid_is_the_closed_form_catenary_of_revolution():
+    # the parallel cyclic spec of r = c cosh(u/c) about the z-axis through
+    # the centre: equal in value to the closed form in every jet field
+    c, off = 1.2, np.array([0.3, -0.2, 0.1])
+    patch = catenoid_patch(c, (-0.5, 0.5), center=off)
+    assert patch.label == "catenoid(waist=1.2)"
+    u, v = np.meshgrid(np.linspace(-0.5, 0.5, 7), np.linspace(0.0, 6.0, 5))
+    r, rp, rpp = c * np.cosh(u / c), np.sinh(u / c), np.cosh(u / c) / c
+    cv, sv, zeros = np.cos(v), np.sin(v), np.zeros_like(u)
+    expected = {"P": off + np.stack([r * cv, r * sv, u], -1),
+                "Pu": np.stack([rp * cv, rp * sv, np.ones_like(u)], -1),
+                "Pv": np.stack([-r * sv, r * cv, zeros], -1),
+                "Puu": np.stack([rpp * cv, rpp * sv, zeros], -1),
+                "Puv": np.stack([-rp * sv, rp * cv, zeros], -1),
+                "Pvv": np.stack([-r * cv, -r * sv, zeros], -1)}
+    jet = eval_jet2(patch, u, v)
+    for name, want in expected.items():
+        assert np.array_equal(getattr(jet, name), want), name
 
 
 def test_helicoid_matches_ruled_parametrization():

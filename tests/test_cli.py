@@ -802,6 +802,17 @@ def test_numerical_failure_prints_one_line_only(argv, message, tmp_path,
      "error: u=5.0 outside [-1.5, 1.5] for patch 'catenoid(waist=1.0)'"),
     (["flow", "--family", "catenoid", "--grid", "4x8", "--steps", "1", "--trace", "t.csv"],
      "error: flow requires a closed oriented mesh"),
+    # a grid of other than two integer parts names the flag's form
+    *((["verify", "--family", "sphere", "--grid", grid, "--out", "r.json"],
+       f"error: expected NUxNV grid, got {grid!r}")
+      for grid in ("10x", "axb", "1x1e3", "1x2x3", "x", "8")),
+    # a family range must increase, from a flag as from a spec file
+    (["verify", "--family", "catenoid", "--u-range=1:-1", "--out", "r.json"],
+     "error: u_range [1.0, -1.0] is not increasing"),
+    (["energy", "--family", "catenoid", "--u-range=1:1", "--out", "e.json"],
+     "error: u_range [1.0, 1.0] is not increasing"),
+    (["export", "--family", "helicoid", "--t-range=1:0", "--export", "h.obj"],
+     "error: t_range [1.0, 0.0] is not increasing"),
 ])
 def test_bad_input_prints_its_one_error_line(argv, message, tmp_path,
                                              monkeypatch, capsys):
@@ -933,6 +944,22 @@ def test_generate_neg2_refuses_a_range_that_is_not_increasing(
     assert captured.err.splitlines() == [
         f"error: u_range [{lo}, {hi}] is not increasing"]
     assert os.listdir() == []
+
+
+@pytest.mark.parametrize("kind, key, rng", [
+    ("catenoid", "u_range", [1, -1]), ("log_spiral_neg2", "u_range", [1.5, 1.5]),
+    ("helicoid", "t_range", [2.0, -2.0]),
+])
+def test_family_spec_file_range_that_is_not_increasing_exits_2(
+        kind, key, rng, tmp_path, monkeypatch, capsys):
+    (tmp_path / "s.json").write_text(json.dumps({"kind": kind, "params": {key: rng}}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--spec", "s.json", "--grid", "4x4", "--out", "r.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {key} [{float(rng[0])}, {float(rng[1])}] is not increasing"]
+    assert os.listdir() == ["s.json"]
 
 
 @pytest.fixture(scope="module")

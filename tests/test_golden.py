@@ -148,6 +148,22 @@ CLI_CASES = [
      ["verify", "--spec", "cyl-circle.json", "--alpha", "-1", "--grid",
       "9x5", "--out", "cyl-circle.out.json", "--csv", "cyl-circle.csv"],
      ["cyl-circle.out.json", "cyl-circle.csv"]),
+    # the catenoid's waist u = 0 writes rhs = -0.0, and the helicoid's axis
+    # t = 0 writes x = -0.0, where 0.0 + t*cos s (a ruled jet) gives 0.0
+    ("verify-catenoid-waist",
+     ["verify", "--family", "catenoid", "--grid", "5x4", "--out",
+      "waist.json", "--csv", "waist.csv"],
+     ["waist.json", "waist.csv"]),
+    ("verify-helicoid-axis",
+     ["verify", "--family", "helicoid", "--grid", "5x5", "--out",
+      "axis.json"],
+     ["axis.json"]),
+    # A4 of the saved random ruled spec is a dot product of three -0.0
+    # products on half its rows, which must write 0, not -0; more rows than
+    # one output block
+    ("coeffs-random-ruled",
+     ["coeffs", "--spec", "r0.json", "--samples", "5000", "--out", "r0.csv"],
+     ["r0.csv"]),
 ]
 
 
@@ -164,7 +180,9 @@ def _jet_sha(*funcs, x) -> str:
 def compute_digests(workdir) -> dict:
     """Run every case in ``workdir``; return {artifact name: sha256}."""
     out = {}
-    for name, spec in SPEC_FILES.items():
+    random_table = catalog.ruled_spec_to_dict(
+        ruled.random_ruled_spec(np.random.default_rng(0)))
+    for name, spec in {**SPEC_FILES, "r0.json": random_table}.items():
         with open(os.path.join(workdir, name), "w") as fh:
             json.dump(spec, fh)
     cwd = os.getcwd()
@@ -183,9 +201,7 @@ def compute_digests(workdir) -> dict:
         os.chdir(cwd)
     # library paths: the striction-line table wrapper and the phase map of
     # normalize_beta, serialized the way spec files store ruled tables
-    table = catalog.ruled_spec_to_dict(
-        ruled.random_ruled_spec(np.random.default_rng(0)))
-    out["random-ruled-spec/table"] = _sha(json.dumps(table).encode())
+    out["random-ruled-spec/table"] = _sha(json.dumps(random_table).encode())
     tilted = ruled.RuledSpec(gamma=vertical_line_curve(),
                              beta=tilted_great_circle(np.pi / 6),
                              s_range=(0.0, 2 * np.pi))
@@ -217,6 +233,10 @@ GOLDEN = {
         'b8c08dc2200a8dc9b2d1b9e0d960f193216517a72a18c9ac32481fdbff61e7f9',
     'coeffs-helicoid/stdout':
         '37111b44bee7d53d174786c54eca84f44fc7a105587018873134143d304a19c4',
+    'coeffs-random-ruled/r0.csv':
+        '0693b8468ff6c079f705ab29bfb9f1eea9b3227dbaa7824238ec463265a53f06',
+    'coeffs-random-ruled/stdout':
+        '9705b3a193650b901dd83184c8227564810b47c650ebc1e741cbb75d4f3ea120',
     'energy/energy.json':
         '4becee25bd591d13332b5fe2848d722e5a173449c87f076bd36a37d286c9326c',
     'energy/stdout':
@@ -289,6 +309,12 @@ GOLDEN = {
         '19a801035ac56f812807ef59a4a686805e4908c2808c261cc066fd6c9a8922ae',
     'verify-blocks/stdout':
         '0281709b726c4fed084ccca11268f18f167a13a4d1b78ffa5fffd3368f028855',
+    'verify-catenoid-waist/stdout':
+        'cf00af8840deed9b9dc9e058070a64916479cabbde86c9c50e0ff4f381ec6738',
+    'verify-catenoid-waist/waist.csv':
+        'b29e312eae8537942032b2eb19b60c8713876c89def77f0e10410caad7e75944',
+    'verify-catenoid-waist/waist.json':
+        '81cd2f82a34e68befcd2f29997afc0bae8b76a7d51068efa203720ada3dc6864',
     'verify-cylinder-circle/cyl-circle.csv':
         '9fbe7024ea940381d70a1d69eb681d826b1e2dd89bae97b67f9cf1d2b5189b25',
     'verify-cylinder-circle/cyl-circle.out.json':
@@ -305,6 +331,10 @@ GOLDEN = {
         '2e4ef4852a919725e2e2badc39169dbbe6faffe7a33ba0cac05d7314824a5904',
     'verify-cylinder-line/stdout':
         '3c914467359910530bf7793686aa6a5f17daa215106087c54ea21a7a0dba6591',
+    'verify-helicoid-axis/axis.json':
+        '951f1521d9aedc653172dfcfea6293a1478636903c19e4bd65a8b4931b3291ce',
+    'verify-helicoid-axis/stdout':
+        '6c71035c8ee0539ede447bfc1924902c1c08065ee0483d45ec91dc132e9a4ddc',
     'verify-neg2-spec/rep.csv':
         '265d6b5f5e2be78138213be35a2ff2cd3df6fc6aed41eeda04e5e08e7a0e07be',
     'verify-neg2-spec/rep.json':

@@ -82,6 +82,18 @@ def test_scalar_func_constant_and_poly():
     assert np.allclose(d2, 6.0)
 
 
+def test_scalar_func_eval2_is_read_only_and_shaped_like_u():
+    u = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    x = np.linspace(0.0, 1.0, 5)
+    for f in (ScalarFunc.constant(-0.0), ScalarFunc.from_poly([1.0, 2.0]),
+              ScalarFunc.from_table(x, x**2, 2 * x, np.full_like(x, 2.0))):
+        for part in f.eval2(u):
+            assert part.shape == u.shape and not part.flags.writeable
+    # a constant's parts are views of one number, not arrays the size of u
+    v, d1, d2 = ScalarFunc.constant(-0.0).eval2(u)
+    assert v.strides == (0, 0) and np.signbit(v).all() and not d1.any()
+
+
 def test_table_jet_evaluates_the_quintic_once(monkeypatch):
     calls = _count_calls(monkeypatch, QuinticHermite, "eval2")
     x = np.linspace(0.0, 1.0, 5)
