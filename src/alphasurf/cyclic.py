@@ -194,6 +194,9 @@ def frenet_spec(frame, a, b, c, r, u_range=None, u_periodic=False,
 
 
 def _validate_cyclic(spec: CyclicSpec):
+    if spec.mode == "parallel" and spec.u_periodic:
+        raise ValidationError("parallel mode cannot be u_periodic: "
+                              "circles at heights z = u do not close up in u")
     u = np.linspace(*spec.u_range, 101)
     r = spec.r(u)
     if not np.all(r > 0.0):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -380,6 +381,16 @@ def _write_spec_files(tmp_path):
     (tmp_path / "helicoid-wide.json").write_text(json.dumps(table))
 
 
+@functools.cache
+def _riemann_periodic_text():
+    """A generated Riemann spec file with its ``u_periodic`` set, which
+    circles at heights z = u cannot honour."""
+    doc = catalog.family_to_dict(catalog.FamilySpec(
+        "parallel_cyclic", {"spec": catalog.riemann_minimal_spec(0.0, 1.0, 0.3)}))
+    doc["params"]["spec"]["u_periodic"] = True
+    return json.dumps(doc)
+
+
 def test_spec_files_run_alone(tmp_path, monkeypatch, capsys):
     _write_spec_files(tmp_path)
     monkeypatch.chdir(tmp_path)
@@ -482,6 +493,8 @@ def test_spec_files_run_alone(tmp_path, monkeypatch, capsys):
     ["verify", "--spec", "line-zero.json", "--alpha", "0", "--grid", "4x4"],
     # a ruled table whose ruling direction is not unit-norm
     ["coeffs", "--spec", "helicoid-wide.json", "--out", "c.csv"],
+    # a parallel cyclic spec that claims to close up in u
+    ["verify", "--spec", "riemann-periodic.json", "--alpha", "0", "--grid", "4x4"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
                                                capsys):
@@ -522,6 +535,7 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, monkeypatch,
              '"point": [1, 0], "direction": [0, 0]}}')):
         (tmp_path / f"{name}.json").write_text(
             '{"kind": "%s", "params": %s}' % (kind, params))
+    (tmp_path / "riemann-periodic.json").write_text(_riemann_periodic_text())
     monkeypatch.chdir(tmp_path)
     before = sorted(os.listdir())
     assert main(argv) == 2

@@ -29,6 +29,16 @@ def _values(n, cols=None):
     return x if cols is None else x.reshape(n, cols)
 
 
+def _assert_same_text(got, want):
+    """``got == want``, naming the first line that differs: pytest's own diff
+    of two texts of megabytes takes minutes."""
+    if got != want:
+        a, b = got.splitlines(True), want.splitlines(True)
+        k = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y),
+                 min(len(a), len(b)))
+        pytest.fail(f"line {k + 1}: {a[k:k + 1]!r} != {b[k:k + 1]!r}")
+
+
 def _nested(arr, depth):
     doc = {"label": "x", "count": 3, "rows": arr, "tail": [1.5, None, True]}
     for _ in range(depth - 1):
@@ -51,7 +61,8 @@ def test_json_matches_json_dump(tmp_path, n, depth, cols):
     doc = _nested(_values(n, cols), depth)
     path = tmp_path / "doc.json"
     output.write_json(path, doc)
-    assert path.read_text() == json.dumps(_as_lists(doc), indent=1) + "\n"
+    _assert_same_text(path.read_text(),
+                      json.dumps(_as_lists(doc), indent=1) + "\n")
 
 
 def test_json_handles_several_arrays_and_empty_ones(tmp_path):
@@ -61,7 +72,7 @@ def test_json_handles_several_arrays_and_empty_ones(tmp_path):
     path = tmp_path / "doc.json"
     output.write_json(path, doc)
     text = path.read_text()
-    assert text == json.dumps(_as_lists(doc), indent=1) + "\n"
+    _assert_same_text(text, json.dumps(_as_lists(doc), indent=1) + "\n")
     assert '"rows": []' in text
 
 
@@ -79,7 +90,89 @@ def test_csv_matches_csv_writer(tmp_path, n):
     for row in rows:
         w.writerow([int(row[0])] + [f"{x:.17g}" for x in row[1:]])
     with open(path, newline="") as fh:
-        assert fh.read() == buf.getvalue()
+        _assert_same_text(fh.read(), buf.getvalue())
+
+
+def _grid_rows():
+    """Report-like rows across a partial last block: u and v columns that
+    repeat along the grid, the other columns constant."""
+    n = output.BLOCK_ROWS + 384
+    rows = np.empty((n, 8))
+    rows[:, 0], rows[:, 1] = np.divmod(np.arange(n), 64)
+    rows[:, 0] /= 7.0
+    rows[:, 1] *= 2.0 * np.pi / 64
+    rows[:, 2:] = [1.0 / 3.0, -2.5e-7, 6.0e4, 0.5, 0.5, -0.0]
+    return rows
+
+
+def _signed_zeros():
+    rows = np.zeros((50, 3))
+    rows[::2, 1] = -0.0
+    rows[::3, 2] = -0.0
+    rows[7, 2] = 5e-324
+    return rows
+
+
+def _repeated():
+    """Arrays whose blocks hold few distinct values, in every memory layout
+    the writers may be handed."""
+    grid = _grid_rows()
+    last = np.full((2 * output.BLOCK_ROWS + 3, 2), 2.0)
+    last[-2:, 1] = [-0.0, 1e-300]
+    return {
+        "grid": grid,
+        "signed-zeros": _signed_zeros(),
+        "one-value": np.full((output.BLOCK_ROWS, 8), -1.0 / 3.0),
+        "partial-last-block": last,
+        "fortran-order": np.asfortranarray(grid),
+        "transposed-buffer": np.ascontiguousarray(grid[:, :3].T).T,
+        "strided-columns": grid[::3, 1::3],
+        "column-1d": grid[:, 0],
+        "strided-column-1d": grid[:, 1],
+    }
+
+
+REPEATED = _repeated()
+
+
+def _csv_with_cells(header, rows):
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{x:.17g}" for x in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", REPEATED)
+def test_json_of_repeated_values_matches_json_dump(tmp_path, name):
+    doc = _nested(REPEATED[name], 2)
+    path = tmp_path / "doc.json"
+    output.write_json(path, doc)
+    _assert_same_text(path.read_text(),
+                      json.dumps(_as_lists(doc), indent=1) + "\n")
+
+
+@pytest.mark.parametrize("name", [k for k, v in REPEATED.items() if v.ndim == 2])
+def test_csv_of_repeated_values_matches_csv_writer(tmp_path, name):
+    rows = REPEATED[name]
+    header = [f"c{k}" for k in range(rows.shape[1])]
+    path = tmp_path / "t.csv"
+    output.write_csv(path, header, rows)
+    with open(path, newline="") as fh:
+        _assert_same_text(fh.read(), _csv_with_cells(header, rows))
+
+
+def test_json_of_float32_and_float16_arrays_matches_json_dump(tmp_path):
+    # viewed as int64 without a cast, an (n, 8) float32 array is (n, 4)
+    grid = _grid_rows()
+    doc = {"f32": grid.astype(np.float32), "f16": grid.astype(np.float16),
+           "zeros16": _signed_zeros().astype(np.float16),
+           "col32": grid[:, 1].astype(np.float32)}
+    path = tmp_path / "doc.json"
+    output.write_json(path, doc)
+    _assert_same_text(path.read_text(),
+                      json.dumps(_as_lists(doc), indent=1) + "\n")
 
 
 def test_obj_matches_per_line_formatting(tmp_path):
@@ -89,7 +182,7 @@ def test_obj_matches_per_line_formatting(tmp_path):
     output.write_obj(path, verts, tris)
     want = "".join(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n" for v in verts)
     want += "".join(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n" for t in tris)
-    assert path.read_text() == want
+    _assert_same_text(path.read_text(), want)
 
 
 def _nan_report():
