@@ -19,6 +19,7 @@ for them, and a NaN in a result file is a numerical failure, not a result.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -108,10 +109,11 @@ def _cells(block, fmt):
 def write_json(path, doc):
     """``json.dump(doc, fh, indent=1)`` and a newline, with arrays in blocks.
 
-    Non-empty 1-D and 2-D float arrays anywhere in ``doc`` are formatted
-    ``BLOCK_ROWS`` rows at a time; other arrays go through ``tolist`` and
-    the json encoder.  The encoder writes a float as ``float.__repr__``,
-    which ``%r`` does as well, so the bytes agree.
+    Non-empty 1-D and 2-D float arrays anywhere in ``doc``, and the lists
+    that ``_as_arrays`` reads as such arrays, are formatted ``BLOCK_ROWS``
+    rows at a time; other arrays go through ``tolist`` and the json
+    encoder.  The encoder writes a float as ``float.__repr__``, which ``%r``
+    does as well, so the bytes agree.
     """
     arrays = []
 
@@ -126,7 +128,8 @@ def write_json(path, doc):
         return _ARRAY_MARK
 
     try:
-        text = json.dumps(doc, indent=1, allow_nan=False, default=hold)
+        text = json.dumps(_as_arrays(doc), indent=1, allow_nan=False,
+                          default=hold)
     except ValueError as exc:
         raise NumericalError(f"refusing to write {path}: {exc}") from None
     pieces = text.split(json.dumps(_ARRAY_MARK))
@@ -139,6 +142,22 @@ def write_json(path, doc):
             _write_json_array(fh, arr, len(line) - len(line.lstrip(" ")))
             fh.write(after)
         fh.write("\n")
+
+
+def _as_arrays(doc):
+    """``doc`` with each non-empty list of floats, and each rectangular list
+    of such lists, as a float array; a list holding a non-finite value stays
+    a list, for the encoder to refuse."""
+    if isinstance(doc, dict):
+        return {key: _as_arrays(val) for key, val in doc.items()}
+    if type(doc) is not list or not doc:
+        return doc
+    rows = doc if type(doc[0]) is list else [doc]
+    if (rows[0] and all(type(row) is list and len(row) == len(rows[0]) for row in rows)
+            and set(map(type, itertools.chain.from_iterable(rows))) == {float}):
+        arr = np.array(doc)
+        return arr if np.isfinite(arr).all() else doc
+    return [_as_arrays(val) for val in doc]
 
 
 def _write_json_array(fh, arr, depth):

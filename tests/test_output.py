@@ -3,13 +3,14 @@
 import csv
 import io
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from alphasurf import output
-from alphasurf.cli import main
+from alphasurf import catalog, cyclic, output, ruled
+from alphasurf.cli import main, parse_scalar_expr
 from alphasurf.errors import NumericalError, ValidationError
 from alphasurf.stationary import ResidualReport
 
@@ -173,6 +174,55 @@ def test_json_of_float32_and_float16_arrays_matches_json_dump(tmp_path):
     output.write_json(path, doc)
     _assert_same_text(path.read_text(),
                       json.dumps(_as_lists(doc), indent=1) + "\n")
+
+
+def _list_docs():
+    """Documents of plain lists, and the spec documents of three families."""
+    neg2 = cyclic.integrate_neg2_family(parse_scalar_expr("1/u"), 0.0, 0.0, 1.0,
+                                        1.0, (1.0, 1.2))
+    riemann = catalog.riemann_minimal_spec(0.3, 1.0, 0.2)
+    ruled_spec = ruled.random_ruled_spec(np.random.default_rng(0))
+    return {
+        "floats": {"x": list(SPECIAL), "one": [2.5], "deep": {"y": [[-0.0]]}},
+        "ints": {"x": [1, 2, 3], "rows": [[1, 2], [3, 4]]},
+        "bools": {"x": [True, False], "rows": [[True], [False]]},
+        "mixed": {"x": [1.5, 2, True, None, "s"], "rows": [[1.5, 2.0], [3, 4.0]],
+                  "float-subclass": [np.float64(1.5), 2.5]},
+        "empty": {"x": [], "rows": [[], []], "inner": [[1.5], []]},
+        "ragged": {"rows": [[1.5, 2.5], [3.5]], "nested": [[[1.5, -0.0]], [[2.5]]]},
+        "rectangular": {"rows": _values(9, 3).tolist(), "col": _values(5, 1).tolist(),
+                        "list-of-dicts": [{"x": [1.5]}, {"x": [[0.5, 1e-300]]}]},
+        "neg2": catalog.family_to_dict(
+            catalog.FamilySpec("frenet_cyclic", {"spec": neg2})),
+        "riemann": catalog.family_to_dict(
+            catalog.FamilySpec("parallel_cyclic", {"spec": riemann})),
+        "ruled": catalog.family_to_dict(
+            catalog.FamilySpec("ruled_generic", {"spec": ruled_spec})),
+    }
+
+
+LIST_DOCS = _list_docs()
+
+
+@pytest.mark.parametrize("name", LIST_DOCS)
+def test_json_of_lists_matches_json_dumps(tmp_path, name):
+    path = tmp_path / "doc.json"
+    output.write_json(path, LIST_DOCS[name])
+    _assert_same_text(path.read_text(),
+                      json.dumps(LIST_DOCS[name], indent=1) + "\n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["list", "rows", "ragged"])
+def test_json_list_with_a_non_finite_value_is_refused(tmp_path, bad, where):
+    doc = {"list": [1.5, 2.5], "rows": [[1.5, 2.5], [3.5, 4.5]],
+           "ragged": [[1.5], [2.5, 3.5]]}
+    (doc[where][-1] if where != "list" else doc[where]).append(bad)
+    if where == "rows":   # keep the rows rectangular
+        doc[where][0].append(0.5)
+    with pytest.raises(NumericalError, match="doc.json: Out of range float values"):
+        output.write_json(tmp_path / "doc.json", doc)
+    assert os.listdir(tmp_path) == []
 
 
 def test_obj_matches_per_line_formatting(tmp_path):
