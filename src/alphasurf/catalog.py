@@ -23,7 +23,6 @@ from . import output
 from . import ruled as _ruled
 from .errors import NumericalError, ValidationError, reads_spec
 from .interp import Curve3, ScalarFunc, _increasing, _rk4, read_table, write_table
-from .stationary import _defect_from_jet
 from .surface_kernel import Jet2, ParametricPatch, _cross, translated
 
 @dataclass(frozen=True)
@@ -184,46 +183,15 @@ def euler_planar_curve(alpha, r0, theta0, kappa0_sign, length,
 
 
 # ---------------------------------------------------------------------------
-# Riemann's minimal family, generated from its own defect
+# Riemann's minimal family
 
 
-# the sample angles on each horizontal circle, and Puu of the three probes
-# (a'', r'') = (0, 0), (1, 0), (0, 1) of the affine system for (a'', r'')
-_RIEMANN_V = 2.0 * math.pi * (np.arange(16) + 0.5) / 16
-_RIEMANN_CV, _RIEMANN_SV = np.cos(_RIEMANN_V), np.sin(_RIEMANN_V)
-_RIEMANN_PUU = _cyclic._parallel_jet(
-    (0.0, 0.0, np.array([[0.0], [1.0], [0.0]])), (0.0, 0.0, 0.0),
-    (0.0, 0.0, np.array([[0.0], [0.0], [1.0]])), np.zeros((3, 1)),
-    _RIEMANN_CV, _RIEMANN_SV).Puu[:, None]
-
-
-def _riemann_accels(u, a, ap, r, rp):
-    """Solve for (a'', r'') from the n=0 and n=1 cosine coefficients of the
-    zero-exponent defect on the horizontal circles at heights u (centres
-    (a, 0, u)); every argument is an array over a batch of circles.  The
-    circles' jet is ``cyclic._parallel_jet``'s.  The defect is affine in the
-    second derivatives, which only enter Puu: the three probes are a leading
-    axis of Puu, and the other terms are computed once for all of them.
-    Returns a'', r'' and the mask of degenerate systems, whose entries are
-    NaN."""
-    cv, sv = _RIEMANN_CV, _RIEMANN_SV
-    u, a, ap, r, rp = (np.asarray(x, dtype=float)[:, None] for x in (u, a, ap, r, rp))
-    j = _cyclic._parallel_jet((a, ap, 0.0), (0.0, 0.0, 0.0), (r, rp, 0.0), u, cv, sv)
-    jet = Jet2(j.P, j.Pu, j.Pv, _RIEMANN_PUU, j.Puv, j.Pvv)
-    d = _defect_from_jet(jet, 0.0)
-    # f[probe, circle] = (A0, A1); M[circle] has one column per unit probe
-    f = np.stack([d.sum(axis=-1) / 16, 2.0 * ((d * cv).sum(axis=-1) / 16)], axis=-1)
-    M = (f[1:] - f[0]).transpose(1, 2, 0)
-    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    # the threshold of one circle at a time: libm pow, as np.square may
-    # differ from it in the last bit
-    scale = [1e-12 * max(1.0, m) ** 2 for m in np.abs(M).max(axis=(1, 2)).tolist()]
-    degenerate = np.abs(det) < scale
-    ok = ~degenerate & np.isfinite(M).all(axis=(1, 2))
-    x = np.linalg.solve(np.where(ok[:, None, None], M, np.eye(2)),
-                        -f[0][..., None])[..., 0]
-    x[~ok] = np.nan
-    return x[:, 0], x[:, 1], degenerate
+def _riemann_accels(ap, r, rp):
+    """(a'', r'') of the circles of radius r about (a, 0, u) in the planes
+    z = u (``cyclic._parallel_jet``'s) that make the n=0 and n=1 harmonics
+    of the zero-exponent defect vanish: Riemann's equations (a'/r^2)' = 0
+    and r r'' = 1 + a'^2 + r'^2.  Elementwise over arrays of circles."""
+    return 2.0 * ap * rp / r, (1.0 + ap * ap + rp * rp) / r
 
 
 def riemann_minimal_spec(c_drift, r0, span) -> _cyclic.CyclicSpec:
@@ -240,36 +208,39 @@ def riemann_minimal_spec(c_drift, r0, span) -> _cyclic.CyclicSpec:
     # Failures surface in the order of two runs made one after the other:
     # the +span run's first failure at once, the -span run's first failure
     # once the +span run has ended.  The rows are independent, so a failed
-    # -span row only carries on until then.
+    # -span row only carries on until then, without warnings.
     y0 = np.array([[0.0, float(c_drift), r0, 0.0]] * 2)
     failed = [None, None]
 
     def rhs(u, y):
         a, ap, r, rp = y.T
-        app, rpp, degenerate = _riemann_accels(u, a, ap, r, rp)
+        with np.errstate(all="ignore"):
+            app, rpp = _riemann_accels(ap, r, rp)
+        step = np.stack([ap, app, rp, rpp], axis=-1)
+        ok = (r > 0.0) & np.isfinite(a) & np.isfinite(step).all(axis=-1)
         for i in (0, 1):
-            if failed[i] is None and not (r[i] > 0.0):
-                failed[i] = f"radius collapsed at u={u[i]:.6g}"
-            elif failed[i] is None and degenerate[i]:
-                failed[i] = f"degenerate minimality system at u={u[i]:.6g}"
+            if failed[i] is None and not ok[i]:
+                failed[i] = (f"radius collapsed at u={u[i]:.6g}" if r[i] <= 0.0
+                             else f"profile overflows at u={u[i]:.6g}")
         if failed[0] is not None:
             raise NumericalError(failed[0])
-        return np.stack([ap, app, rp, rpp], axis=-1)
+        return step
 
-    nodes, ys = _rk4(rhs, np.zeros(2), y0, np.array([span, -span]), 2e-3)
+    slopes = []
+    nodes, ys = _rk4(rhs, np.zeros(2), y0, np.array([span, -span]), 2e-3,
+                     slopes=slopes)
     if failed[1] is not None:
         raise NumericalError(failed[1])
-    # node abscissae rounded as Python floats, from -span to +span
+    # node abscissae rounded as Python floats, from -span to +span; the
+    # states and their slopes (a', a'', r', r'') in the same order
     nodes = np.array(nodes).tolist()
     us = np.array([round(u, 12) for _, u in nodes[::-1]]
                   + [round(u, 12) for u, _ in nodes[1:]])
     data = np.concatenate([ys[::-1, 1], ys[1:, 0]])
-    app, rpp, degenerate = _riemann_accels(us, *data.T)
-    if degenerate.any():
-        raise NumericalError(
-            f"degenerate minimality system at u={us[np.argmax(degenerate)]:.6g}")
-    a_func = ScalarFunc.from_table(us, data[:, 0], data[:, 1], app)
-    r_func = ScalarFunc.from_table(us, data[:, 2], data[:, 3], rpp)
+    slopes = np.array(slopes)
+    acc = np.concatenate([slopes[::-1, 1], slopes[1:, 0]])
+    a_func = ScalarFunc.from_table(us, data[:, 0], data[:, 1], acc[:, 1])
+    r_func = ScalarFunc.from_table(us, data[:, 2], data[:, 3], acc[:, 3])
     return _cyclic.parallel_spec(a_func, 0.0, r_func, (-span, span),
                                  label=f"riemann-minimal(c={float(c_drift)},r0={r0})")
 

@@ -19,7 +19,7 @@ from . import output
 from .errors import NumericalError, ValidationError
 from .interp import (QuinticHermite, ScalarFunc, _increasing, _rk4, read_table,
                      write_table)
-from .surface_kernel import Jet2, ParametricPatch
+from .surface_kernel import Jet2, ParametricPatch, _dot
 
 
 def as_scalar_func(x) -> ScalarFunc:
@@ -106,11 +106,13 @@ def _frenet_derivs(T, N, B, k, kp, t_, tp):
 
 
 def _gram_schmidt(t, n, b):
-    t = t / np.linalg.norm(t)
-    n = n - np.dot(n, t) * t
-    n = n / np.linalg.norm(n)
-    b = b - np.dot(b, t) * t - np.dot(b, n) * n
-    return t, n, b / np.linalg.norm(b)
+    """(t, n, b) orthonormalized in that order, with ``_dot``: BLAS's ddot
+    adds in an order of its kernel's choosing."""
+    t = t / math.sqrt(_dot(t, t))
+    n = n - _dot(n, t) * t
+    n = n / math.sqrt(_dot(n, n))
+    b = b - _dot(b, t) * t - _dot(b, n) * n
+    return t, n, b / math.sqrt(_dot(b, b))
 
 
 def frame_from_curvature(kappa, tau, u_range, init, max_step=1e-3) -> CurveFrame:
@@ -349,8 +351,9 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
 
     The curvature of the foliation's base curve is prescribed; the centre
     offset a(u) and radius r(u) solve the two defining equations, which are
-    linear in (r'', a'') and are solved pointwise as a 2x2 system.  Returns a
-    frenet-mode CyclicSpec with the planar frame integrated from kappa.
+    affine in (r'', a'') and triangular: ``_neg2_accels`` solves them in
+    closed form.  Returns a frenet-mode CyclicSpec with the planar frame
+    integrated from kappa.
     """
     kappa = as_scalar_func(kappa)
     u0, u1 = _increasing("u_range", u_range)
@@ -366,6 +369,24 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
                        label=f"neg2-family[{u0:.3g},{u1:.3g}]")
 
 
+def _neg2_accels(u, a, ap, r, rp, k, kp):
+    """(a'', r'') at u from the two defining equations, which are affine in
+    them.  Eq. 23 holds no r'' and has a'' coefficient q = k r (a^2 + r^2),
+    so a'' = -g0 / q; eq. 21, whose coefficients are r q for r'' and a q for
+    a'', then gives r''.  e0 and g0 are eqs. 21 and 23 at zero
+    accelerations."""
+    try:
+        e0 = neg2_eq21(a, ap, 0.0, r, rp, 0.0, k, kp)
+        g0 = neg2_eq23(a, ap, 0.0, r, rp, k, kp)
+    except OverflowError:   # a float ** past the float range
+        raise NumericalError(f"system for (r'', a'') overflows at u={u:.6g}") from None
+    q = k * r * (a * a + r * r)
+    if not (q != 0.0 and math.isfinite(q)):
+        raise NumericalError(f"singular system for (r'', a'') at u={u:.6g}")
+    app = -g0 / q
+    return app, -(e0 + a * q * app) / (r * q)
+
+
 def _neg2_profile(kappa, y0, u0, u1, max_step):
     """Nodes, states (a, a', r, r') and (a'', r'') of the neg2 family."""
     def rhs(u, y, k, kp):
@@ -374,21 +395,7 @@ def _neg2_profile(kappa, y0, u0, u1, max_step):
             raise NumericalError(f"radius collapsed at u={u:.6g}")
         if not (k > 0.0):
             raise NumericalError(f"kappa({u}) = {k} <= 0")
-        # both equations are affine in (rpp, app): probe to build the system
-        try:
-            (e0, g0), (e1, g1), (e2, g2) = (
-                (neg2_eq21(a, ap, app, r, rp, rpp, k, kp),
-                 neg2_eq23(a, ap, app, r, rp, k, kp))
-                for rpp, app in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
-        except OverflowError:   # a float ** past the float range
-            raise NumericalError(
-                f"system for (r'', a'') overflows at u={u:.6g}") from None
-        f0 = np.array([e0, g0])
-        M = np.array([[e1 - e0, e2 - e0], [g1 - g0, g2 - g0]])
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        if abs(det) < 1e-14 * max(1.0, abs(M).max()) ** 2:
-            raise NumericalError(f"singular system for (r'', a'') at u={u:.6g}")
-        rpp, app = np.linalg.solve(M, -f0)
+        app, rpp = _neg2_accels(u, a, ap, r, rp, k, kp)
         return np.array([ap, app, rp, rpp])
 
     slopes = []

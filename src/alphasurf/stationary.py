@@ -147,12 +147,10 @@ def _defect_from_jet(jet, alpha, with_scale=False):
     """Denominator-cleared residual residual * W^(3/2) * |p|^2 of a jet.
 
     Assembled polynomially from the raw jet (no normalization, no division),
-    so it stays finite even where the chart degenerates.  ``jet.Puu`` may
-    carry a leading axis of its own, which broadcasts through the same
-    arithmetic to one defect per entry.  With ``with_scale`` also returns
-    the magnitude of the terms before cancellation, which bounds the
-    roundoff floor of the defect (the curvature sum itself cancels to about
-    zero on a minimal surface).
+    so it stays finite even where the chart degenerates.  With
+    ``with_scale`` also returns the magnitude of the terms before
+    cancellation, which bounds the roundoff floor of the defect (the
+    curvature sum itself cancels to about zero on a minimal surface).
     """
     cross, E, F, G, W = _first_form(jet)
     huu = G * _dot(jet.Puu, cross)

@@ -673,10 +673,12 @@ def test_flow_refuses_a_non_positive_dt(step_rule, dt, tmp_path, monkeypatch,
     assert os.listdir() == []
 
 
+# r grows past the float range: r'' grows as r^3 once a' = c r^2 / r0^2 is
+# large, so each of these profiles blows up at a finite height
 @pytest.mark.parametrize("c_drift, r0, span, where", [
-    ("3", "0.2", "3", "u=0.105"),
-    ("0.3", "0.05", "3", "u=0"),
-    ("1.5", "0.5", "2", "u=0.479"),
+    ("3", "0.2", "3", "u=0.118"),
+    ("0.3", "0.05", "3", "u=0.144"),
+    ("1.5", "0.5", "2", "u=0.492"),
 ])
 def test_riemann_failure_exits_3_at_first_failure(c_drift, r0, span, where,
                                                   tmp_path, monkeypatch,
@@ -687,8 +689,18 @@ def test_riemann_failure_exits_3_at_first_failure(c_drift, r0, span, where,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"numerical failure: degenerate minimality system at {where}"]
+        f"numerical failure: profile overflows at {where}"]
     assert os.listdir() == []
+
+
+def test_riemann_with_a_small_waist_is_generated(tmp_path, monkeypatch, capsys):
+    # minimal surfaces are invariant under dilation, so a waist of 0.05 is
+    # as exact a family as a waist of 1
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--family", "riemann", "--c-drift", "0.3",
+                 "--r0", "0.05", "--span", "0.1", "--out", "r.json"]) == 0
+    assert capsys.readouterr().out.startswith("generated; sup|residual| = ")
+    assert os.listdir() == ["r.json"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -759,9 +771,10 @@ def _stall_radius():
       "--out", "r.json"],
      "numerical failure: refusing to write r.json: Out of range float values "
      "are not JSON compliant: inf"),
-    # a start radius small enough that the neg2 system is singular at once
+    # a start radius so small that the a'' coefficient of eq. 23,
+    # kappa r (a^2 + r^2), underflows to zero at once
     (["generate", "--family", "neg2-ode", "--kappa", "1", "--u", "1:1.1",
-      "--r0", "1e-5", "--a0", "1", "--out", "g.json"],
+      "--r0", "1e-110", "--out", "g.json"],
      "numerical failure: singular system for (r'', a'') at u=1"),
     # the sphere through the origin has its pole apex there
     (["invert", "--family", "sphere", "--center", "0,0,1", "--grid", "4x8",
@@ -944,6 +957,19 @@ def test_generate_riemann_checks_the_minimal_exponent_by_default(capsys):
     head, at = capsys.readouterr().out.strip().rsplit(" at ", 1)
     assert at == "alpha=0.0"
     assert float(head.rsplit("= ", 1)[1]) <= 1e-6
+
+
+def test_generate_neg2_with_a_small_radius_is_generated(tmp_path, monkeypatch,
+                                                       capsys):
+    # eq. 23's a'' coefficient kappa r (a^2 + r^2) is 1e-15 here, small but
+    # not zero, so the system is solved, not refused as singular
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--family", "neg2-ode", "--kappa", "1", "--u",
+                 "1:1.1", "--r0", "1e-5", "--out", "g.json"]) == 0
+    head, at = capsys.readouterr().out.strip().rsplit(" at ", 1)
+    assert at == "alpha=-2.0"
+    assert float(head.rsplit("= ", 1)[1]) <= 1e-9
+    assert os.listdir() == ["g.json"]
 
 
 @pytest.mark.parametrize("u_range", ["2:1", "1:1"])

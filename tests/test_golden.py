@@ -268,15 +268,15 @@ GOLDEN = {
     'fourier-neg2-spec/stdout':
         'cc6a17be52ea77f0455e587425a0101a105af369cbeed351d62c18acc351424c',
     'generate-neg2/gen.json':
-        'dad4014d570317fccf9aca1f7791c6d73a2a24718acf4cbf0b8c64b7eb7a8d22',
+        '94343c298f1846dbea2414ddfaad4be6611d8e2a171d77c44ee5bad2c6f0ec9d',
     'generate-neg2/gen.obj':
-        '0a11f7811b8b792cd405cfbfa9e1cfd541160619ddea67e9d3044a2dd59f08de',
+        '358679e01c3922ec36150a4436d4915e555bba2291ad5ab03c3b8f0b7b551bc5',
     'generate-neg2/sol.csv':
         'effa44a734f55a12bfc6b201993a16ce0680f80c0160aaa5fe8f0dc792d13d32',
     'generate-neg2/stdout':
-        'ba534f98049b339d7627c53e6675cf000c6a51c708af8b2b51651e3fffe7dc69',
+        '25e9a68aeed0f5882eaf96b8f87ebb5ea5bafb3d840211d5a4046cbbf552cb91',
     'generate-riemann/riem.json':
-        'ea47156f7f460c5299856a36cf50c5019e70dab3754fbb5412a22c38f9650b50',
+        'e134113e5e9064af8d3d600581dbb8772b201cf02a9cc718296627090f3d775b',
     'generate-riemann/stdout':
         '12d71fe241716aee15281b44792ccab8607540aa9fe08ef54033fad2f2a91c35',
     'invert/inv.json':
@@ -336,13 +336,13 @@ GOLDEN = {
     'verify-helicoid-axis/stdout':
         '6c71035c8ee0539ede447bfc1924902c1c08065ee0483d45ec91dc132e9a4ddc',
     'verify-neg2-spec/rep.csv':
-        '265d6b5f5e2be78138213be35a2ff2cd3df6fc6aed41eeda04e5e08e7a0e07be',
+        'a46123c735d594c583e46ae1e983679fc8eacfe4e473f83bacbc5e0c4577a78d',
     'verify-neg2-spec/rep.json':
-        '1112c3a61cf18ba73c95aa178924873315f68f2c08fc54ded500e7da2766ccaa',
+        'ac03e10a54b3a9e88c6f4fdf0affecb75a7ff77c7cbb97e7a32106de5baaa8ce',
     'verify-neg2-spec/stdout':
-        '794c5b2a07f0dccd7c01131bda12bd974f558912bf8d10c8a4c67c721590b0a4',
+        '47b66ea91496e9078fc5009c0141a18eb1469d1a992bce7adab644ec3cf35583',
     'verify-riemann-spec/riem.csv':
-        'a6ee073ef07567527723da2820c847d12fcd1b36c566f2d03e193bca2dffb24e',
+        '8286ad15c916a7363362b3f3c5b2ec934bf9ce6e58d07345f9ad7db88fcb0ed9',
     'verify-riemann-spec/stdout':
         '173c323e97a19a8e3ed69f8481f7a946769d4ec19202819218963d7cd923e592',
     'verify-shift-blocks/shift-blocks.json':

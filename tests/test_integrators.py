@@ -7,10 +7,16 @@ one batch.  Each table here is compared under ``np.array_equal``
 with a reference that evaluates every coefficient at every stage, one run
 at a time, as the classical loop does (Hairer, Norsett & Wanner, *Solving
 ODEs I*, II.1).
+
+The accelerations of both families are closed forms: Riemann's equations
+for circles in parallel planes, and eqs. 23 and 21 solved in turn for the
+neg2 family.  The references write the same closed forms, so two more
+tests hold them to the equations they come from: on random states they
+must zero the n=0 and n=1 harmonics of the zero-exponent defect (Riemann)
+and eqs. 21 and 23 (neg2), relative to the size of the terms.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +27,7 @@ from alphasurf.cli import parse_scalar_expr
 from alphasurf.cyclic import (
     PLANAR_INIT,
     _gram_schmidt,
+    _neg2_accels,
     frame_from_curvature,
     integrate_neg2_family,
     neg2_eq21,
@@ -72,14 +79,10 @@ def reference_frame(kappa, tau, u_range, max_step=1e-3):
 def reference_neg2(kappa, y0, u_range, max_step=1e-3):
     def accels(u, a, ap, r, rp):
         k, kp, _ = (float(x) for x in kappa.eval2(u))
-
-        def f(rpp, app):
-            return np.array([neg2_eq21(a, ap, app, r, rp, rpp, k, kp),
-                             neg2_eq23(a, ap, app, r, rp, k, kp)])
-
-        f0 = f(0.0, 0.0)
-        M = np.column_stack([f(1.0, 0.0) - f0, f(0.0, 1.0) - f0])
-        rpp, app = np.linalg.solve(M, -f0)
+        # eq. 23 holds a'' alone, with coefficient q; eq. 21 then gives r''
+        q = k * r * (a * a + r * r)
+        app = -neg2_eq23(a, ap, 0.0, r, rp, k, kp) / q
+        rpp = -(neg2_eq21(a, ap, 0.0, r, rp, 0.0, k, kp) + a * q * app) / (r * q)
         return float(app), float(rpp)
 
     def rhs(u, y):
@@ -94,25 +97,8 @@ def reference_neg2(kappa, y0, u_range, max_step=1e-3):
 
 
 def reference_riemann_accels(u, a, ap, r, rp):
-    v = 2.0 * math.pi * (np.arange(16) + 0.5) / 16
-    cv, sv = np.cos(v), np.sin(v)
-    zeros = np.zeros_like(v)
-    base = Jet2(P=np.stack([a + r * cv, r * sv, np.full_like(v, u)], axis=-1),
-                Pu=np.stack([ap + rp * cv, rp * sv, np.ones_like(v)], axis=-1),
-                Pv=np.stack([-r * sv, r * cv, zeros], axis=-1),
-                Puu=None,
-                Puv=np.stack([-rp * sv, rp * cv, zeros], axis=-1),
-                Pvv=np.stack([-r * cv, -r * sv, zeros], axis=-1))
-
-    def coeffs(app, rpp):
-        Puu = np.stack([app + rpp * cv, rpp * sv, zeros], axis=-1)
-        d = _defect_from_jet(replace(base, Puu=Puu), 0.0)
-        return np.array([np.mean(d), 2.0 * np.mean(d * cv)])
-
-    f0 = coeffs(0.0, 0.0)
-    M = np.column_stack([coeffs(1.0, 0.0) - f0, coeffs(0.0, 1.0) - f0])
-    app, rpp = np.linalg.solve(M, -f0)
-    return float(app), float(rpp)
+    """Riemann's equations (a'/r^2)' = 0 and r r'' = 1 + a'^2 + r'^2."""
+    return 2.0 * ap * rp / r, (1.0 + ap * ap + rp * rp) / r
 
 
 def reference_riemann(c_drift, r0, span, max_step=2e-3):
@@ -261,27 +247,105 @@ def test_table_kappa_evaluations_do_not_grow_with_steps(monkeypatch):
     assert counts[0][0] <= 2 and counts[0][1] <= 3
 
 
-def _degenerate_where(monkeypatch, bad):
-    """Make ``_riemann_accels`` report a degenerate system wherever
-    ``bad(u)`` holds."""
+def _overflow_where(monkeypatch, bad):
+    """Make ``_riemann_accels`` give a non-finite r'' wherever ``bad(r')``
+    holds.  Near the waist of the family of c 0.3 and r0 1, r' is odd and
+    increasing in u, and r'(u) is about 1.093 u."""
     inner = catalog._riemann_accels
 
-    def accels(u, *state):
-        app, rpp, degenerate = inner(u, *state)
-        return app, rpp, degenerate | bad(np.asarray(u))
+    def accels(ap, r, rp):
+        app, rpp = inner(ap, r, rp)
+        return app, np.where(bad(rp), np.inf, rpp)
 
     monkeypatch.setattr(catalog, "_riemann_accels", accels)
 
 
 @pytest.mark.parametrize("bad, where", [
-    # only the -span run fails: its first failure is reported
-    (lambda u: u < -0.1003, "u=-0.101"),
-    # both fail, the -span run nearer the waist: the +span run still wins,
-    # as when the +span run was integrated to the end first
-    (lambda u: (u < -0.0503) | (u > 0.1003), "u=0.101"),
+    # only the -span run fails, at the first stage past u = -0.1003: its
+    # first failure is reported
+    (lambda rp: rp < -0.1096, "u=-0.101"),
+    # both fail, the -span run nearer the waist (past u = -0.0503): the
+    # +span run (past u = 0.1003) still wins, as when the +span run was
+    # integrated to the end first
+    (lambda rp: (rp < -0.0549) | (rp > 0.1096), "u=0.101"),
 ])
 def test_riemann_reports_the_plus_run_first(monkeypatch, bad, where):
-    _degenerate_where(monkeypatch, bad)
-    with pytest.raises(NumericalError, match="degenerate minimality system") as info:
+    _overflow_where(monkeypatch, bad)
+    with pytest.raises(NumericalError, match="profile overflows") as info:
         riemann_minimal_spec(0.3, 1.0, 0.5)
-    assert str(info.value) == f"degenerate minimality system at {where}"
+    assert str(info.value) == f"profile overflows at {where}"
+
+
+def _jet_with_accels(u, a, ap, app, r, rp, rpp, cv, sv):
+    """Jet of the circles of radius r about (a, 0, u) in the planes z = u,
+    one row per circle and one column per angle, stacked here rather than
+    by ``cyclic._parallel_jet``."""
+    u, a, ap, app, r, rp, rpp = (x[:, None] for x in (u, a, ap, app, r, rp, rpp))
+    zeros, ones = np.zeros_like(u * cv), np.ones_like(u * cv)
+    return Jet2(P=np.stack([a + r * cv, r * sv, u + zeros], axis=-1),
+                Pu=np.stack([ap + rp * cv, rp * sv, ones], axis=-1),
+                Pv=np.stack([-r * sv, r * cv, zeros], axis=-1),
+                Puu=np.stack([app + rpp * cv, rpp * sv, zeros], axis=-1),
+                Puv=np.stack([-rp * sv, rp * cv, zeros], axis=-1),
+                Pvv=np.stack([-r * cv, -r * sv, zeros], axis=-1))
+
+
+def test_riemann_accels_zero_the_low_harmonics_of_the_defect():
+    rng = np.random.default_rng(7)
+    n = 1200
+    u, a, ap, rp = rng.uniform(-2.0, 2.0, (4, n))
+    r = rng.uniform(0.05, 3.0, n)
+    app, rpp = catalog._riemann_accels(ap, r, rp)
+    v = 2.0 * math.pi * (np.arange(16) + 0.5) / 16
+    cv, sv = np.cos(v), np.sin(v)
+    for i in range(n):
+        jet = _jet_with_accels(*(x[i:i + 1] for x in (u, a, ap, app, r, rp, rpp)),
+                               cv, sv)
+        d, scale = _defect_from_jet(jet, 0.0, with_scale=True)
+        harmonics = [np.mean(d), 2.0 * np.mean(d * cv), 2.0 * np.mean(d * sv)]
+        assert np.max(np.abs(harmonics)) <= 1e-12 * scale, i
+
+
+class _Bound:
+    """A number carried with the sum of the magnitudes of its terms, through
+    +, - and * by floats and by other bounds, and ** by an integer."""
+
+    def __init__(self, val, mag=None):
+        self.val, self.mag = val, abs(val) if mag is None else mag
+
+    def _op(self, other, fn):
+        other = other if isinstance(other, _Bound) else _Bound(other)
+        return _Bound(*fn(self, other))
+
+    def __add__(self, o):
+        return self._op(o, lambda x, y: (x.val + y.val, x.mag + y.mag))
+
+    def __sub__(self, o):
+        return self._op(o, lambda x, y: (x.val - y.val, x.mag + y.mag))
+
+    def __rsub__(self, o):
+        return self._op(o, lambda x, y: (y.val - x.val, x.mag + y.mag))
+
+    def __mul__(self, o):
+        return self._op(o, lambda x, y: (x.val * y.val, x.mag * y.mag))
+
+    def __neg__(self):
+        return _Bound(-self.val, self.mag)
+
+    def __pow__(self, n):
+        return _Bound(self.val ** n, self.mag ** n)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def test_neg2_accels_zero_eqs_21_and_23():
+    rng = np.random.default_rng(8)
+    for i in range(1200):
+        a, ap, rp, kp = rng.uniform(-2.0, 2.0, 4).tolist()
+        r, k = rng.uniform(0.05, 3.0, 2).tolist()
+        app, rpp = _neg2_accels(0.0, a, ap, r, rp, k, kp)
+        args = [_Bound(x) for x in (a, ap, app, r, rp, rpp, k, kp)]
+        eq21 = neg2_eq21(*args)
+        eq23 = neg2_eq23(*args[:5], *args[6:])
+        for eq in (eq21, eq23):
+            assert abs(eq.val) <= 1e-12 * eq.mag, i
