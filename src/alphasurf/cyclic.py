@@ -19,7 +19,7 @@ from . import output
 from .errors import NumericalError, ValidationError
 from .interp import (QuinticHermite, ScalarFunc, _increasing, _rk4, read_table,
                      write_table)
-from .surface_kernel import Jet2, ParametricPatch, _dot
+from .surface_kernel import Jet2, ParametricPatch
 
 
 def as_scalar_func(x) -> ScalarFunc:
@@ -106,13 +106,24 @@ def _frenet_derivs(T, N, B, k, kp, t_, tp):
 
 
 def _gram_schmidt(t, n, b):
-    """(t, n, b) orthonormalized in that order, with ``_dot``: BLAS's ddot
-    adds in an order of its kernel's choosing."""
-    t = t / math.sqrt(_dot(t, t))
-    n = n - _dot(n, t) * t
-    n = n / math.sqrt(_dot(n, n))
-    b = b - _dot(b, t) * t - _dot(b, n) * n
-    return t, n, b / math.sqrt(_dot(b, b))
+    """(t, n, b), lists of three floats, orthonormalized in that order.  Each
+    dot product is summed in ``_dot``'s order on Python floats: BLAS's ddot
+    adds in an order of its kernel's choosing, and a numpy call on a
+    3-vector costs more than its three products."""
+    def dot(x, y):
+        return ((x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]) + 0.0
+
+    def unit(x):
+        norm = math.sqrt(dot(x, x))
+        if norm == 0.0:
+            raise NumericalError("frame vectors are linearly dependent")
+        return [c / norm for c in x]
+
+    t = unit(t)
+    nt = dot(n, t)
+    n = unit([c - nt * e for c, e in zip(n, t)])
+    bt, bn = dot(b, t), dot(b, n)
+    return t, n, unit([c - bt * e - bn * f for c, e, f in zip(b, t, n)])
 
 
 def frame_from_curvature(kappa, tau, u_range, init, max_step=1e-3) -> CurveFrame:
@@ -127,13 +138,19 @@ def frame_from_curvature(kappa, tau, u_range, init, max_step=1e-3) -> CurveFrame
     u0, u1 = float(u_range[0]), float(u_range[1])
 
     def rhs(u, y, k, tv):
-        t, n, b = y[3:6], y[6:9], y[9:12]
         if not (k > 0.0):
             raise NumericalError(f"kappa({u}) = {k} <= 0")
-        return np.concatenate([t, k * n, -k * t + tv * b, -tv * n])
+        # on Python floats: a numpy call on a 3-vector costs more than its
+        # products, and these are the products numpy would form
+        _, _, _, t0, t1, t2, n0, n1, n2, b0, b1, b2 = y.tolist()
+        return np.array([t0, t1, t2, k * n0, k * n1, k * n2,
+                         -k * t0 + tv * b0, -k * t1 + tv * b1, -k * t2 + tv * b2,
+                         -tv * n0, -tv * n1, -tv * n2])
 
     def orthonormalize(y):
-        return np.concatenate([y[0:3], *_gram_schmidt(y[3:6], y[6:9], y[9:12])])
+        y = y.tolist()
+        t, n, b = _gram_schmidt(y[3:6], y[6:9], y[9:12])
+        return np.array(y[0:3] + t + n + b)
 
     y0 = orthonormalize(np.concatenate([np.asarray(x, dtype=float) for x in init]))
     us, ys = _rk4(rhs, u0, y0, u1 - u0, max_step, project=orthonormalize,
@@ -371,17 +388,18 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
 
 def _neg2_accels(u, a, ap, r, rp, k, kp):
     """(a'', r'') at u from the two defining equations, which are affine in
-    them.  Eq. 23 holds no r'' and has a'' coefficient q = k r (a^2 + r^2),
-    so a'' = -g0 / q; eq. 21, whose coefficients are r q for r'' and a q for
-    a'', then gives r''.  e0 and g0 are eqs. 21 and 23 at zero
-    accelerations."""
+    them; every argument a float, with r > 0 and k > 0.  Eq. 23 holds no r''
+    and has a'' coefficient q = k r (a^2 + r^2), so a'' = -g0 / q; eq. 21,
+    whose coefficients are r q for r'' and a q for a'', then gives r''.  e0
+    and g0 are eqs. 21 and 23 at zero accelerations."""
     try:
         e0 = neg2_eq21(a, ap, 0.0, r, rp, 0.0, k, kp)
         g0 = neg2_eq23(a, ap, 0.0, r, rp, k, kp)
     except OverflowError:   # a float ** past the float range
         raise NumericalError(f"system for (r'', a'') overflows at u={u:.6g}") from None
     q = k * r * (a * a + r * r)
-    if not (q != 0.0 and math.isfinite(q)):
+    # q >= 0, so this holds just where q and r q are both nonzero and finite
+    if not 0.0 < r * q < math.inf:
         raise NumericalError(f"singular system for (r'', a'') at u={u:.6g}")
     app = -g0 / q
     return app, -(e0 + a * q * app) / (r * q)
@@ -390,7 +408,7 @@ def _neg2_accels(u, a, ap, r, rp, k, kp):
 def _neg2_profile(kappa, y0, u0, u1, max_step):
     """Nodes, states (a, a', r, r') and (a'', r'') of the neg2 family."""
     def rhs(u, y, k, kp):
-        a, ap, r, rp = y
+        a, ap, r, rp = y.tolist()
         if not (r > 0.0):
             raise NumericalError(f"radius collapsed at u={u:.6g}")
         if not (k > 0.0):

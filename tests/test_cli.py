@@ -807,6 +807,11 @@ def _stall_radius():
       "--alpha", "0", "--grid", "4x8", "--steps", "3", "--dt", "1",
       "--trace", "t.csv"],
      "numerical failure: step 0: 51 consecutive rejections"),
+    # eq. 23's a'' coefficient is 1e-200, but eq. 21's r'' coefficient r
+    # times it underflows to zero
+    (["generate", "--family", "neg2-ode", "--kappa", "1", "--u", "1:1.1",
+      "--r0", "1e-200", "--a0", "1", "--out", "g.json"],
+     "numerical failure: singular system for (r'', a'') at u=1"),
 ])
 def test_numerical_failure_prints_one_line_only(argv, message, tmp_path,
                                                 monkeypatch, capsys):

@@ -71,6 +71,19 @@ def test_frame_rejects_nonpositive_kappa():
                              (0.0, 2.0), PLANAR_INIT)
 
 
+@pytest.mark.parametrize("init", [
+    # a zero tangent, as a mutated spec file's init_frame may hold
+    (np.zeros(3), np.zeros(3), PLANAR_INIT[2], PLANAR_INIT[3]),
+    # a normal parallel to the tangent
+    (np.zeros(3), PLANAR_INIT[1], -2.0 * PLANAR_INIT[1], PLANAR_INIT[3]),
+    # a binormal in the plane of the other two
+    (np.zeros(3), PLANAR_INIT[1], PLANAR_INIT[2], PLANAR_INIT[1] - PLANAR_INIT[2]),
+])
+def test_frame_refuses_linearly_dependent_initial_vectors(init):
+    with pytest.raises(NumericalError, match="frame vectors are linearly dependent"):
+        frame_from_curvature(1.0, 0.0, (0.0, 1.0), init)
+
+
 # ---------------------------------------------------------------------------
 # patches
 

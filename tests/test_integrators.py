@@ -69,7 +69,8 @@ def reference_frame(kappa, tau, u_range, max_step=1e-3):
         return np.concatenate([t, k * n, -k * t + tv * b, -tv * n])
 
     def orthonormalize(y):
-        return np.concatenate([y[0:3], *_gram_schmidt(y[3:6], y[6:9], y[9:12])])
+        t, n, b = _gram_schmidt(list(y[3:6]), list(y[6:9]), list(y[9:12]))
+        return np.concatenate([y[0:3], t, n, b])
 
     y0 = orthonormalize(np.concatenate(PLANAR_INIT))
     us, ys = reference_rk4(rhs, u0, y0, u1 - u0, max_step, orthonormalize)
