@@ -188,9 +188,9 @@ def euler_planar_curve(alpha, r0, theta0, kappa0_sign, length,
 
 def _riemann_accels(ap, r, rp):
     """(a'', r'') of the circles of radius r about (a, 0, u) in the planes
-    z = u (``cyclic._parallel_jet``'s) that make the n=0 and n=1 harmonics
-    of the zero-exponent defect vanish: Riemann's equations (a'/r^2)' = 0
-    and r r'' = 1 + a'^2 + r'^2.  Elementwise over arrays of circles."""
+    z = u that make the n=0 and n=1 harmonics of the zero-exponent defect
+    vanish: Riemann's equations (a'/r^2)' = 0 and r r'' = 1 + a'^2 + r'^2.
+    Elementwise over arrays of circles."""
     return 2.0 * ap * rp / r, (1.0 + ap * ap + rp * rp) / r
 
 

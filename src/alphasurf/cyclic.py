@@ -105,13 +105,13 @@ def _frenet_derivs(T, N, B, k, kp, t_, tp):
     return (dT, dN, dB), (ddT, ddN, ddB)
 
 
-def _gram_schmidt(t, n, b):
-    """(t, n, b), lists of three floats, orthonormalized in that order.  Each
-    dot product is summed in ``_dot``'s order on Python floats: BLAS's ddot
-    adds in an order of its kernel's choosing, and a numpy call on a
-    3-vector costs more than its three products."""
-    def dot(x, y):
-        return ((x[0] * y[0] + x[2] * y[2]) + x[1] * y[1]) + 0.0
+def _gram_schmidt(y):
+    """The frame state y = (gamma, t, n, b) with (t, n, b) orthonormalized
+    in that order.  Each dot product is summed in ``_dot``'s order on Python
+    floats: BLAS's ddot adds in an order of its kernel's choosing, and a
+    numpy call on a 3-vector costs more than its three products."""
+    def dot(x, z):
+        return ((x[0] * z[0] + x[2] * z[2]) + x[1] * z[1]) + 0.0
 
     def unit(x):
         norm = math.sqrt(dot(x, x))
@@ -119,11 +119,13 @@ def _gram_schmidt(t, n, b):
             raise NumericalError("frame vectors are linearly dependent")
         return [c / norm for c in x]
 
-    t = unit(t)
+    y = y.tolist()
+    t, n, b = unit(y[3:6]), y[6:9], y[9:12]
     nt = dot(n, t)
     n = unit([c - nt * e for c, e in zip(n, t)])
     bt, bn = dot(b, t), dot(b, n)
-    return t, n, unit([c - bt * e - bn * f for c, e, f in zip(b, t, n)])
+    b = unit([c - bt * e - bn * f for c, e, f in zip(b, t, n)])
+    return np.array(y[0:3] + t + n + b)
 
 
 def frame_from_curvature(kappa, tau, u_range, init, max_step=1e-3) -> CurveFrame:
@@ -147,13 +149,8 @@ def frame_from_curvature(kappa, tau, u_range, init, max_step=1e-3) -> CurveFrame
                          -k * t0 + tv * b0, -k * t1 + tv * b1, -k * t2 + tv * b2,
                          -tv * n0, -tv * n1, -tv * n2])
 
-    def orthonormalize(y):
-        y = y.tolist()
-        t, n, b = _gram_schmidt(y[3:6], y[6:9], y[9:12])
-        return np.array(y[0:3] + t + n + b)
-
-    y0 = orthonormalize(np.concatenate([np.asarray(x, dtype=float) for x in init]))
-    us, ys = _rk4(rhs, u0, y0, u1 - u0, max_step, project=orthonormalize,
+    y0 = _gram_schmidt(np.concatenate([np.asarray(x, dtype=float) for x in init]))
+    us, ys = _rk4(rhs, u0, y0, u1 - u0, max_step, project=_gram_schmidt,
                   coeffs=lambda grid: (kappa(grid), tau(grid)))
     return CurveFrame(u_nodes=np.array(us), gamma=ys[:, 0:3],
                       t=ys[:, 3:6], n=ys[:, 6:9], b=ys[:, 9:12],
@@ -226,28 +223,24 @@ def _validate_cyclic(spec: CyclicSpec):
             raise ValidationError("frenet mode requires kappa > 0 on the domain")
 
 
-def _parallel_jet(a, b, r, u, cv, sv) -> Jet2:
-    """Jet of the circles of radius r about (a, b, u) in the planes z = u at
-    the angles of cosine ``cv`` and sine ``sv``, a, b and r given as (value,
-    first, second) triples in u; one (6, ..., 3) buffer holds all six fields."""
-    (av, ap, app), (bv, bp, bpp), (rv, rp, rpp) = a, b, r
-    J = np.zeros((6, *np.broadcast(u, cv).shape, 3))
-    J[0, ..., 0], J[0, ..., 1], J[0, ..., 2] = av + rv * cv, bv + rv * sv, u
-    J[1, ..., 0], J[1, ..., 1], J[1, ..., 2] = ap + rp * cv, bp + rp * sv, 1.0
-    J[2, ..., 0], J[2, ..., 1] = -rv * sv, rv * cv
-    J[3, ..., 0], J[3, ..., 1] = app + rpp * cv, bpp + rpp * sv
-    J[4, ..., 0], J[4, ..., 1] = -rp * sv, rp * cv
-    J[5, ..., 0], J[5, ..., 1] = -rv * cv, -rv * sv
-    return Jet2(*J)
-
-
 def build_cyclic(spec: CyclicSpec) -> ParametricPatch:
-    """Analytic-jet patch for a cyclic spec (parallel mode: ``_parallel_jet``)."""
+    """Analytic-jet patch for a cyclic spec."""
     _validate_cyclic(spec)
     if spec.mode == "parallel":
         def ev(u, v):
-            return _parallel_jet(*(f.eval2(u) for f in (spec.a, spec.b, spec.r)), u,
-                                 np.cos(v), np.sin(v))
+            # the circles of radius r about (a, b, u) in the planes z = u; one
+            # (6, ..., 3) buffer holds all six fields
+            (av, ap, app), (bv, bp, bpp), (rv, rp, rpp) = (
+                f.eval2(u) for f in (spec.a, spec.b, spec.r))
+            cv, sv = np.cos(v), np.sin(v)
+            J = np.zeros((6, *np.broadcast(u, cv).shape, 3))
+            J[0, ..., 0], J[0, ..., 1], J[0, ..., 2] = av + rv * cv, bv + rv * sv, u
+            J[1, ..., 0], J[1, ..., 1], J[1, ..., 2] = ap + rp * cv, bp + rp * sv, 1.0
+            J[2, ..., 0], J[2, ..., 1] = -rv * sv, rv * cv
+            J[3, ..., 0], J[3, ..., 1] = app + rpp * cv, bpp + rpp * sv
+            J[4, ..., 0], J[4, ..., 1] = -rp * sv, rp * cv
+            J[5, ..., 0], J[5, ..., 1] = -rv * cv, -rv * sv
+            return Jet2(*J)
 
         return ParametricPatch(evaluator=ev, u_range=spec.u_range,
                                v_range=(0.0, 2.0 * math.pi), v_periodic=True,
@@ -376,8 +369,17 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
     u0, u1 = _increasing("u_range", u_range)
     if not (r0 > 0.0):
         raise ValidationError("r0 must be positive")
-    y0 = np.array([float(a0), float(a0p), float(r0), float(r0p)])
-    us, ys, acc = _neg2_profile(kappa, y0, u0, u1, max_step)
+
+    def rhs(u, y, k, kp):
+        a, ap, r, rp = y.tolist()
+        app, rpp = _neg2_accels(u, a, ap, r, rp, k, kp)
+        return np.array([ap, app, rp, rpp])
+
+    slopes = []
+    us, ys = _rk4(rhs, u0, [float(a0), float(a0p), float(r0), float(r0p)], u1 - u0,
+                  max_step, slopes=slopes, coeffs=lambda grid: kappa.eval2(grid)[:2])
+    # (a'', r'') at the nodes: the slope's second and fourth entries
+    us, acc = np.array(us), np.array(slopes)[:, 1::2]
     a_func = ScalarFunc.from_table(us, ys[:, 0], ys[:, 1], acc[:, 0])
     r_func = ScalarFunc.from_table(us, ys[:, 2], ys[:, 3], acc[:, 1])
     frame = frame_from_curvature(kappa, 0.0, (u0, u1), PLANAR_INIT,
@@ -388,10 +390,14 @@ def integrate_neg2_family(kappa, a0, a0p, r0, r0p, u_range,
 
 def _neg2_accels(u, a, ap, r, rp, k, kp):
     """(a'', r'') at u from the two defining equations, which are affine in
-    them; every argument a float, with r > 0 and k > 0.  Eq. 23 holds no r''
-    and has a'' coefficient q = k r (a^2 + r^2), so a'' = -g0 / q; eq. 21,
-    whose coefficients are r q for r'' and a q for a'', then gives r''.  e0
-    and g0 are eqs. 21 and 23 at zero accelerations."""
+    them; every argument a float.  Eq. 23 holds no r'' and has a''
+    coefficient q = k r (a^2 + r^2), so a'' = -g0 / q; eq. 21, whose
+    coefficients are r q for r'' and a q for a'', then gives r''.  e0 and
+    g0 are eqs. 21 and 23 at zero accelerations."""
+    if not (r > 0.0):
+        raise NumericalError(f"radius collapsed at u={u:.6g}")
+    if not (k > 0.0):
+        raise NumericalError(f"kappa({u}) = {k} <= 0")
     try:
         e0 = neg2_eq21(a, ap, 0.0, r, rp, 0.0, k, kp)
         g0 = neg2_eq23(a, ap, 0.0, r, rp, k, kp)
@@ -403,24 +409,6 @@ def _neg2_accels(u, a, ap, r, rp, k, kp):
         raise NumericalError(f"singular system for (r'', a'') at u={u:.6g}")
     app = -g0 / q
     return app, -(e0 + a * q * app) / (r * q)
-
-
-def _neg2_profile(kappa, y0, u0, u1, max_step):
-    """Nodes, states (a, a', r, r') and (a'', r'') of the neg2 family."""
-    def rhs(u, y, k, kp):
-        a, ap, r, rp = y.tolist()
-        if not (r > 0.0):
-            raise NumericalError(f"radius collapsed at u={u:.6g}")
-        if not (k > 0.0):
-            raise NumericalError(f"kappa({u}) = {k} <= 0")
-        app, rpp = _neg2_accels(u, a, ap, r, rp, k, kp)
-        return np.array([ap, app, rp, rpp])
-
-    slopes = []
-    us, ys = _rk4(rhs, u0, y0, u1 - u0, max_step, slopes=slopes,
-                  coeffs=lambda grid: kappa.eval2(grid)[:2])
-    # (a'', r'') at the nodes: the slope's second and fourth entries
-    return np.array(us), ys, np.array(slopes)[:, 1::2]
 
 
 def log_spiral_example(u_range) -> ParametricPatch:

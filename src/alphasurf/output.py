@@ -109,18 +109,30 @@ def _cells(block, fmt):
 def write_json(path, doc):
     """``json.dump(doc, fh, indent=1)`` and a newline, with arrays in blocks.
 
-    Non-empty 1-D and 2-D float arrays anywhere in ``doc``, and the lists
-    that ``_as_arrays`` reads as such arrays, are formatted ``BLOCK_ROWS``
-    rows at a time; other arrays go through ``tolist`` and the json
-    encoder.  The encoder writes a float as ``float.__repr__``, which ``%r``
-    does as well, so the bytes agree.
+    Non-empty 1-D and 2-D float arrays in the dicts and lists of ``doc``,
+    and each non-empty list of floats or rectangular list of such lists,
+    are formatted ``BLOCK_ROWS`` rows at a time; other arrays go through
+    ``tolist`` and the json encoder, as does a list holding a non-finite
+    value, for the encoder to refuse.  The encoder writes a float as
+    ``float.__repr__``, which ``%r`` does as well, so the bytes agree.
     """
     arrays = []
 
-    def hold(obj):
+    def held(obj):
+        """``obj`` with each array it holds for blocks replaced by the mark."""
+        if isinstance(obj, dict):
+            return {key: held(val) for key, val in obj.items()}
+        if type(obj) is list and obj:
+            rows = obj if type(obj[0]) is list else [obj]
+            if not (rows[0] and all(type(row) is list and len(row) == len(rows[0])
+                                    for row in rows)
+                    and set(map(type, itertools.chain.from_iterable(rows))) == {float}):
+                return [held(val) for val in obj]
+            if not np.isfinite(arr := np.array(obj)).all():
+                return obj
+            obj = arr
         if not isinstance(obj, np.ndarray):
-            raise TypeError(f"Object of type {type(obj).__name__} "
-                            "is not JSON serializable")
+            return obj
         if obj.dtype.kind != "f" or obj.ndim not in (1, 2) or obj.size == 0:
             return obj.tolist()
         _require_finite(obj, path)
@@ -128,8 +140,7 @@ def write_json(path, doc):
         return _ARRAY_MARK
 
     try:
-        text = json.dumps(_as_arrays(doc), indent=1, allow_nan=False,
-                          default=hold)
+        text = json.dumps(held(doc), indent=1, allow_nan=False)
     except ValueError as exc:
         raise NumericalError(f"refusing to write {path}: {exc}") from None
     pieces = text.split(json.dumps(_ARRAY_MARK))
@@ -142,22 +153,6 @@ def write_json(path, doc):
             _write_json_array(fh, arr, len(line) - len(line.lstrip(" ")))
             fh.write(after)
         fh.write("\n")
-
-
-def _as_arrays(doc):
-    """``doc`` with each non-empty list of floats, and each rectangular list
-    of such lists, as a float array; a list holding a non-finite value stays
-    a list, for the encoder to refuse."""
-    if isinstance(doc, dict):
-        return {key: _as_arrays(val) for key, val in doc.items()}
-    if type(doc) is not list or not doc:
-        return doc
-    rows = doc if type(doc[0]) is list else [doc]
-    if (rows[0] and all(type(row) is list and len(row) == len(rows[0]) for row in rows)
-            and set(map(type, itertools.chain.from_iterable(rows))) == {float}):
-        arr = np.array(doc)
-        return arr if np.isfinite(arr).all() else doc
-    return [_as_arrays(val) for val in doc]
 
 
 def _write_json_array(fh, arr, depth):

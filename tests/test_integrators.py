@@ -68,12 +68,8 @@ def reference_frame(kappa, tau, u_range, max_step=1e-3):
         t, n, b = y[3:6], y[6:9], y[9:12]
         return np.concatenate([t, k * n, -k * t + tv * b, -tv * n])
 
-    def orthonormalize(y):
-        t, n, b = _gram_schmidt(list(y[3:6]), list(y[6:9]), list(y[9:12]))
-        return np.concatenate([y[0:3], t, n, b])
-
-    y0 = orthonormalize(np.concatenate(PLANAR_INIT))
-    us, ys = reference_rk4(rhs, u0, y0, u1 - u0, max_step, orthonormalize)
+    y0 = _gram_schmidt(np.concatenate(PLANAR_INIT))
+    us, ys = reference_rk4(rhs, u0, y0, u1 - u0, max_step, _gram_schmidt)
     return np.array(us), ys
 
 
@@ -280,7 +276,7 @@ def test_riemann_reports_the_plus_run_first(monkeypatch, bad, where):
 def _jet_with_accels(u, a, ap, app, r, rp, rpp, cv, sv):
     """Jet of the circles of radius r about (a, 0, u) in the planes z = u,
     one row per circle and one column per angle, stacked here rather than
-    by ``cyclic._parallel_jet``."""
+    by ``cyclic.build_cyclic``."""
     u, a, ap, app, r, rp, rpp = (x[:, None] for x in (u, a, ap, app, r, rp, rpp))
     zeros, ones = np.zeros_like(u * cv), np.ones_like(u * cv)
     return Jet2(P=np.stack([a + r * cv, r * sv, u + zeros], axis=-1),
