@@ -190,7 +190,7 @@ def _riemann_accels(ap, r, rp):
     """(a'', r'') of the circles of radius r about (a, 0, u) in the planes
     z = u that make the n=0 and n=1 harmonics of the zero-exponent defect
     vanish: Riemann's equations (a'/r^2)' = 0 and r r'' = 1 + a'^2 + r'^2.
-    Elementwise over arrays of circles."""
+    Floats, or elementwise over arrays of circles."""
     return 2.0 * ap * rp / r, (1.0 + ap * ap + rp * rp) / r
 
 
@@ -207,24 +207,26 @@ def riemann_minimal_spec(c_drift, r0, span) -> _cyclic.CyclicSpec:
 
     # Failures surface in the order of two runs made one after the other:
     # the +span run's first failure at once, the -span run's first failure
-    # once the +span run has ended.  The rows are independent, so a failed
-    # -span row only carries on until then, without warnings.
+    # once the +span run has ended; a failed -span row carries on until then
+    # with zero accelerations.  Python floats cost less than numpy calls on
+    # two rows.
     y0 = np.array([[0.0, float(c_drift), r0, 0.0]] * 2)
     failed = [None, None]
 
     def rhs(u, y):
-        a, ap, r, rp = y.T
-        with np.errstate(all="ignore"):
-            app, rpp = _riemann_accels(ap, r, rp)
-        step = np.stack([ap, app, rp, rpp], axis=-1)
-        ok = (r > 0.0) & np.isfinite(a) & np.isfinite(step).all(axis=-1)
-        for i in (0, 1):
-            if failed[i] is None and not ok[i]:
-                failed[i] = (f"radius collapsed at u={u[i]:.6g}" if r[i] <= 0.0
-                             else f"profile overflows at u={u[i]:.6g}")
+        step = []
+        for i, (a, ap, r, rp) in enumerate(y.tolist()):
+            app = rpp = 0.0
+            if failed[i] is None and not r > 0.0:
+                failed[i] = f"radius collapsed at u={u[i]:.6g}"
+            elif failed[i] is None:
+                app, rpp = _riemann_accels(ap, r, rp)
+                if not all(map(math.isfinite, (a, ap, r, rp, app, rpp))):
+                    failed[i] = f"profile overflows at u={u[i]:.6g}"
+            step.append([ap, app, rp, rpp])
         if failed[0] is not None:
             raise NumericalError(failed[0])
-        return step
+        return np.array(step)
 
     slopes = []
     nodes, ys = _rk4(rhs, np.zeros(2), y0, np.array([span, -span]), 2e-3,
@@ -236,9 +238,7 @@ def riemann_minimal_spec(c_drift, r0, span) -> _cyclic.CyclicSpec:
     nodes = np.array(nodes).tolist()
     us = np.array([round(u, 12) for _, u in nodes[::-1]]
                   + [round(u, 12) for u, _ in nodes[1:]])
-    data = np.concatenate([ys[::-1, 1], ys[1:, 0]])
-    slopes = np.array(slopes)
-    acc = np.concatenate([slopes[::-1, 1], slopes[1:, 0]])
+    data, acc = (np.concatenate([x[::-1, 1], x[1:, 0]]) for x in (ys, np.array(slopes)))
     a_func = ScalarFunc.from_table(us, data[:, 0], data[:, 1], acc[:, 1])
     r_func = ScalarFunc.from_table(us, data[:, 2], data[:, 3], acc[:, 3])
     return _cyclic.parallel_spec(a_func, 0.0, r_func, (-span, span),

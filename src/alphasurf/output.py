@@ -7,8 +7,9 @@ nor a stray temporary one.  The command line calls ``check_writable`` on
 every output target before the command runs, so a bad target fails before
 anything is printed, computed or written.
 
-Float arrays are written ``BLOCK_ROWS`` rows at a time, one ``%`` call per
-block, and give the same bytes as ``json.dump(doc, fh, indent=1)`` and as
+Float arrays, and the float lists of spec tables, are written
+``BLOCK_ROWS`` rows at a time, one ``%`` call per block, and give the same
+bytes as ``json.dump(doc, fh, indent=1)`` and as
 ``csv.writer`` with ``f"{x:.17g}"`` cells.  JSON and CSV text is made once
 per distinct value of a block, told apart by its bits so that -0.0 stays
 -0.0: report blocks are about a fifth distinct, but OBJ vertices are about
