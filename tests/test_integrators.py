@@ -305,7 +305,8 @@ def test_riemann_accels_zero_the_low_harmonics_of_the_defect():
 
 class _Bound:
     """A number carried with the sum of the magnitudes of its terms, through
-    +, - and * by floats and by other bounds, and ** by an integer."""
+    +, - and * with another bound or a float (a float on the left of + and
+    * only), and ** by an integer."""
 
     def __init__(self, val, mag=None):
         self.val, self.mag = val, abs(val) if mag is None else mag
@@ -320,14 +321,8 @@ class _Bound:
     def __sub__(self, o):
         return self._op(o, lambda x, y: (x.val - y.val, x.mag + y.mag))
 
-    def __rsub__(self, o):
-        return self._op(o, lambda x, y: (y.val - x.val, x.mag + y.mag))
-
     def __mul__(self, o):
         return self._op(o, lambda x, y: (x.val * y.val, x.mag * y.mag))
-
-    def __neg__(self):
-        return _Bound(-self.val, self.mag)
 
     def __pow__(self, n):
         return _Bound(self.val ** n, self.mag ** n)
