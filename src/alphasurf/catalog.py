@@ -196,8 +196,8 @@ def _riemann_accels(ap, r, rp):
 
 def riemann_minimal_spec(c_drift, r0, span) -> _cyclic.CyclicSpec:
     """Profile functions (a, r) of a minimal surface foliated by horizontal
-    circles, integrated by ``interp._rk4`` from the waist to u = +span and
-    u = -span as one batch of two runs."""
+    circles, integrated by ``interp._rk4`` from the waist to u = +span, then
+    from the waist to u = -span; each run stops at its first failure."""
     r0 = float(r0)
     if not (r0 > 0):
         raise ValidationError("r0 must be positive")
@@ -205,40 +205,27 @@ def riemann_minimal_spec(c_drift, r0, span) -> _cyclic.CyclicSpec:
     if not 0 < span < math.inf:
         raise ValidationError("span must be finite and positive")
 
-    # Failures surface in the order of two runs made one after the other:
-    # the +span run's first failure at once, the -span run's first failure
-    # once the +span run has ended; a failed -span row carries on until then
-    # with zero accelerations.  Python floats cost less than numpy calls on
-    # two rows.
-    y0 = np.array([[0.0, float(c_drift), r0, 0.0]] * 2)
-    failed = [None, None]
-
     def rhs(u, y):
-        step = []
-        for i, (a, ap, r, rp) in enumerate(y.tolist()):
-            app = rpp = 0.0
-            if failed[i] is None and not r > 0.0:
-                failed[i] = f"radius collapsed at u={u[i]:.6g}"
-            elif failed[i] is None:
-                app, rpp = _riemann_accels(ap, r, rp)
-                if not all(map(math.isfinite, (a, ap, r, rp, app, rpp))):
-                    failed[i] = f"profile overflows at u={u[i]:.6g}"
-            step.append([ap, app, rp, rpp])
-        if failed[0] is not None:
-            raise NumericalError(failed[0])
-        return np.array(step)
+        a, ap, r, rp = y.tolist()
+        if not r > 0.0:
+            raise NumericalError(f"radius collapsed at u={u:.6g}")
+        app, rpp = _riemann_accels(ap, r, rp)
+        if not all(map(math.isfinite, (a, ap, r, rp, app, rpp))):
+            raise NumericalError(f"profile overflows at u={u:.6g}")
+        return np.array([ap, app, rp, rpp])
 
-    slopes = []
-    nodes, ys = _rk4(rhs, np.zeros(2), y0, np.array([span, -span]), 2e-3,
-                     slopes=slopes)
-    if failed[1] is not None:
-        raise NumericalError(failed[1])
-    # node abscissae rounded as Python floats, from -span to +span; the
-    # states and their slopes (a', a'', r', r'') in the same order
-    nodes = np.array(nodes).tolist()
-    us = np.array([round(u, 12) for _, u in nodes[::-1]]
-                  + [round(u, 12) for u, _ in nodes[1:]])
-    data, acc = (np.concatenate([x[::-1, 1], x[1:, 0]]) for x in (ys, np.array(slopes)))
+    def run(length):
+        slopes = []
+        nodes, ys = _rk4(rhs, 0.0, [0.0, float(c_drift), r0, 0.0], length,
+                         2e-3, slopes=slopes)
+        return nodes, ys, np.array(slopes)
+
+    (u_p, y_p, k_p), (u_m, y_m, k_m) = run(span), run(-span)
+    # node abscissae rounded, from -span to +span; the states and their
+    # slopes (a', a'', r', r'') in the same order
+    us = np.array([round(u, 12) for u in u_m[::-1] + u_p[1:]])
+    data = np.concatenate([y_m[::-1], y_p[1:]])
+    acc = np.concatenate([k_m[::-1], k_p[1:]])
     a_func = ScalarFunc.from_table(us, data[:, 0], data[:, 1], acc[:, 1])
     r_func = ScalarFunc.from_table(us, data[:, 2], data[:, 3], acc[:, 3])
     return _cyclic.parallel_spec(a_func, 0.0, r_func, (-span, span),

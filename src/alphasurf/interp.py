@@ -34,10 +34,8 @@ def _rk4(rhs, u0, y0, length, max_step, project=None, slopes=None,
     appended to the list ``slopes`` if one is given.  ``coeffs(grid)``, if
     given, is evaluated once on the whole grid (a run may stop before a bad
     point, so without warnings) and returns columns; each rhs call then gets
-    its abscissa's entries as Python floats, ``rhs(u, y, *c)``.  Arrays
-    ``u0`` and ``length`` run a batch with one step count: each u is then an
-    array, and y0 and every state carry a leading batch axis.  Returns (node
-    list, (n+1, ...) states)."""
+    its abscissa's entries as Python floats, ``rhs(u, y, *c)``.  One
+    trajectory per call.  Returns (node list, (n+1, ...) states)."""
     h, grid = stage_grid(u0, length, max_step)
     cs = [()] * len(grid)
     if coeffs is not None:
@@ -45,8 +43,6 @@ def _rk4(rhs, u0, y0, length, max_step, project=None, slopes=None,
             cs = list(zip(*(np.asarray(c, dtype=float).tolist()
                             for c in coeffs(grid))))
     y = np.asarray(y0, dtype=float)
-    if np.ndim(h):
-        h = np.reshape(h, np.shape(h) + (1,) * (y.ndim - 1))
     ys = [y]
     for i in range(0, len(grid) - 1, 2):
         (u, um, u1), (c, cm, c1) = grid[i:i + 3], cs[i:i + 3]
@@ -66,10 +62,10 @@ def _rk4(rhs, u0, y0, length, max_step, project=None, slopes=None,
 
 
 def stage_grid(u0, length, max_step):
-    """Step and abscissae of an ``_rk4`` run: [u_0, u_0 + h/2, u_1, ...,
-    u_n], with u_(i+1) = u_i + h accumulated step by step.  More than
-    ``MAX_STEPS`` steps is bad input."""
-    steps = float(np.max(np.abs(length))) / max_step   # inf, not a warning
+    """Step and abscissae of an ``_rk4`` run over the scalar ``length``:
+    [u_0, u_0 + h/2, u_1, ..., u_n], with u_(i+1) = u_i + h accumulated step
+    by step.  More than ``MAX_STEPS`` steps is bad input."""
+    steps = abs(float(length)) / max_step   # Python floats: inf, not a warning
     if not steps <= MAX_STEPS:
         raise ValidationError(f"integration needs {steps:.3g} steps, "
                               f"more than {MAX_STEPS}")
