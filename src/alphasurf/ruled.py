@@ -351,16 +351,20 @@ def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
 
     Requires a unit-norm ruling direction and a striction directrix, in
     any parameter (both checked at the evaluation points unless ``check``
-    is False).  S0 = |gamma'|^2 - <gamma', beta>^2 = |gamma' x beta|^2 is
-    the t^0 term of EG - F^2.  Vectorized: returns shape s.shape + (5,).
+    is False; max|<gamma', beta'>| is measured against max|gamma'| *
+    max|beta'| over those points, so the check holds under dilation).
+    S0 = |gamma'|^2 - <gamma', beta>^2 = |gamma' x beta|^2 is the t^0 term
+    of EG - F^2.  Vectorized: returns shape s.shape + (5,).
     """
     s = np.asarray(s, dtype=float)
     g, gp, gpp = spec.gamma.eval2(s)
     b, bp, bpp = spec.beta.eval2(s)
+    gp2, S2 = _dot(gp, gp), _dot(bp, bp)
     if check and s.size:
         if np.max(np.abs(_dot(b, b) - 1.0)) > 1e-6:
             raise ValidationError("ruling direction is not unit-norm")
-        if np.max(np.abs(_dot(gp, bp))) > 1e-6:
+        scale = np.sqrt(np.max(gp2)) * np.sqrt(np.max(S2))
+        if np.max(np.abs(_dot(gp, bp))) > 1e-6 * scale:
             raise ValidationError("directrix violates the striction condition")
 
     R0 = _triple(gp, b, gpp) - 2.0 * _dot(gp, b) * _triple(gp, b, bp)
@@ -370,8 +374,7 @@ def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
     q0 = _dot(g, g)
     T0 = _triple(gp, b, g)
     T1 = _triple(bp, b, g)
-    S0 = _dot(gp, gp) - _dot(gp, b) ** 2
-    S2 = _dot(bp, bp)
+    S0 = gp2 - _dot(gp, b) ** 2
     A0 = q0 * R0 - alpha * T0 * S0
     A1 = q1 * R0 + q0 * R1 - alpha * T1 * S0
     A2 = R0 + q1 * R1 + q0 * R2 - alpha * T0 * S2

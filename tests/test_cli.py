@@ -1088,6 +1088,23 @@ def test_ruled_spec_range_past_its_tables_exits_2(tmp_path, monkeypatch, capsys)
     assert os.listdir() == ["s.json"]
 
 
+@pytest.mark.parametrize("lam", [1e-6, 1e6])
+def test_dilated_ruled_spec_passes_the_striction_check(tmp_path, monkeypatch,
+                                                       capsys, lam):
+    # lam*gamma with the same ruling is the dilated surface, and the check
+    # measures <gamma', beta'> against max|gamma'| * max|beta'|; the saved
+    # spec's relative violation is 8.5e-13 on these samples
+    doc = catalog.ruled_spec_to_dict(ruled.random_ruled_spec(np.random.default_rng(0)))
+    doc["gamma"] = {k: v if k == "s" else [[lam * x for x in row] for row in v]
+                    for k, v in doc["gamma"].items()}
+    (tmp_path / "r.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["coeffs", "--spec", "r.json", "--samples", "4096",
+                 "--out", "c.csv"]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir()) == ["c.csv", "r.json"]
+
+
 def test_saved_random_ruled_specs_reload_with_their_checks(tmp_path, monkeypatch,
                                                            capsys):
     # the tables hold the striction line in the spec's own parameter, so a

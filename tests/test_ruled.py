@@ -380,6 +380,13 @@ def test_coeffs_striction_precondition():
     bad = RuledSpec(gamma=shifted, beta=eq, s_range=(0.0, 2 * np.pi))
     with pytest.raises(ValidationError, match="directrix violates the striction condition"):
         ruled_coeffs(bad, 1.0, np.linspace(0, 6, 5))
+    # its relative violation, max|<gamma', beta'>| / (max|gamma'| max|beta'|),
+    # is 0.71, so no dilation of the directrix gets it past the check
+    for lam in (1e-6, 1e6):
+        scaled = RuledSpec(gamma=Curve3(lambda s, lam=lam: tuple(
+            lam * x for x in shifted.eval2(s))), beta=eq, s_range=bad.s_range)
+        with pytest.raises(ValidationError, match="directrix violates the striction condition"):
+            ruled_coeffs(scaled, 1.0, np.linspace(0, 6, 5))
 
 
 def test_coeffs_unit_ruling_precondition():
