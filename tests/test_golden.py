@@ -7,9 +7,21 @@ claims "same behaviour" must leave every one of them unchanged.
 
 The digests were recorded under Python 3.11.7 and numpy 2.4.6.  Another
 numpy or libm may move the last bit of a float and so change a digest
-without any change to this code.  When an output change is intended,
-re-record with ``PYTHONPATH=src python tests/test_golden.py`` and paste
-the printed dictionary over ``GOLDEN``.
+without any change to this code.  They hold with numpy's AVX-512 (X86_V4)
+dispatch, under the OpenBLAS kernel picked for the host or under
+``OPENBLAS_CORETYPE=Haswell``.  They do not hold on two other paths:
+
+- with ``NPY_DISABLE_CPU_FEATURES=X86_V4``, 11 fail:
+  export-blocks/catenoid.obj, flow/flow.obj, flow-fixed/flow-fixed.obj,
+  flow-fixed/trace-fixed.csv, invert/inv.obj, normalize-beta/table,
+  verify-blocks/blocks.csv, verify-blocks/blocks.json,
+  verify-shift-blocks/shift-blocks.json, verify-shift-blocks/stdout and
+  verify-shift/shift.json;
+- with ``OPENBLAS_CORETYPE=Prescott``, 2 fail: fourier-neg2-spec/four.json
+  and normalize-beta/table.
+
+When an output change is intended, re-record with ``PYTHONPATH=src python
+tests/test_golden.py`` and paste the printed dictionary over ``GOLDEN``.
 """
 
 import hashlib
