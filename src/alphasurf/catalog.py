@@ -70,7 +70,7 @@ def plane_patch(normal, offset=0.0, extent=2.0) -> ParametricPatch:
     ruled over the line offset*n + s*e1 by the constant e2."""
     n, e1, e2 = _plane_basis(normal)
     spec = _ruled.RuledSpec(gamma=_ruled._line(float(offset) * n, e1),
-                            beta=_ruled._constant(e2), s_range=(-extent, extent),
+                            beta=Curve3.constant(e2), s_range=(-extent, extent),
                             cylindrical=True)
     label = "vector-plane" if offset == 0.0 else f"affine-plane(d={offset})"
     return replace(_ruled.build_ruled_patch(spec, (-extent, extent)), label=label)
@@ -164,7 +164,7 @@ def euler_planar_curve(alpha, r0, theta0, kappa0_sign, length,
     def rhs(_, y):
         x, yy, ph = y
         rr = x * x + yy * yy
-        if rr < 1e-12:
+        if math.sqrt(rr) < 1e-6 * r0:   # relative: kappa is dilation-invariant
             raise NumericalError("curve reached the origin")
         nx, ny = -math.sin(ph), math.cos(ph)
         return np.array([math.cos(ph), math.sin(ph), alpha * (nx * x + ny * yy) / rr])

@@ -7,7 +7,9 @@ interpolation error is O(h^6).
 
 A function with two derivatives is one callable, its ``jet``, returning
 (value, first, second) from one evaluation, so a table lookup or an inner
-parameter map is done once for all three.
+parameter map is done once for all three.  ``_Jet`` wraps it for the
+profiles (``ScalarFunc``) and the space curves (``Curve3``) alike; the two
+differ only in the shape of a value and in their spec-table keys.
 """
 
 from __future__ import annotations
@@ -141,26 +143,38 @@ class QuinticHermite:
 
 
 @dataclass(frozen=True)
-class ScalarFunc:
-    """Scalar function of one variable; ``jet(u)`` returns (f, f', f'')."""
+class _Jet:
+    """Function of one variable with values of shape ``SHAPE``; ``jet(u)``
+    returns (f, f', f'') from one evaluation."""
 
-    TABLE_KEYS = ("u", "f")   # abscissa and value keys of its spec table
     jet: Callable
 
     def eval2(self, u):
-        """(f, f', f'') shaped like ``u``, as read-only arrays: a constant's
-        are broadcast views of one number."""
+        """(f, f', f'') of shape u.shape + SHAPE, as read-only arrays: a
+        constant's are broadcast views of one value."""
         u = np.asarray(u, dtype=float)
-        return tuple(np.broadcast_to(np.asarray(x, dtype=float), u.shape)
-                     for x in self.jet(u))
+        return tuple(np.broadcast_to(np.asarray(x, dtype=float),
+                                     u.shape + self.SHAPE) for x in self.jet(u))
 
     def __call__(self, u):
         return self.eval2(u)[0]
 
-    @staticmethod
-    def constant(c):
-        c = float(c)
-        return ScalarFunc(lambda u: (c, 0.0, 0.0))
+    @classmethod
+    def constant(cls, c):
+        """The constant ``c``, copied with the sign of each zero."""
+        c = np.array(c, dtype=float)
+        return cls(lambda u: (c, 0.0, 0.0))
+
+    @classmethod
+    def from_table(cls, x, f, d1, d2):
+        return cls(QuinticHermite(x, f, d1, d2).eval2)
+
+
+class ScalarFunc(_Jet):
+    """Scalar function of one variable."""
+
+    TABLE_KEYS = ("u", "f")   # abscissa and value keys of its spec table
+    SHAPE = ()
 
     @staticmethod
     def from_poly(coeffs):
@@ -169,28 +183,12 @@ class ScalarFunc:
         p1, p2 = p.deriv(1), p.deriv(2)
         return ScalarFunc(lambda u: (p(u), p1(u), p2(u)))
 
-    @staticmethod
-    def from_table(x, f, d1, d2):
-        return ScalarFunc(QuinticHermite(x, f, d1, d2).eval2)
 
-
-@dataclass(frozen=True)
-class Curve3:
-    """Space curve; vectorized ``jet(s)`` returns (position, first, second)."""
+class Curve3(_Jet):
+    """Space curve; its values are 3-vectors along the last axis."""
 
     TABLE_KEYS = ("s", "p")
-    jet: Callable
-
-    def eval2(self, s):
-        s = np.asarray(s, dtype=float)
-        return tuple(np.asarray(x, dtype=float) for x in self.jet(s))
-
-    def __call__(self, s):
-        return self.eval2(s)[0]
-
-    @staticmethod
-    def from_table(x, p, d1, d2):
-        return Curve3(QuinticHermite(x, p, d1, d2).eval2)
+    SHAPE = (3,)
 
 
 def write_table(func, x_range):

@@ -19,10 +19,6 @@ from .interp import Curve3, ScalarFunc, compose_reparam
 from .surface_kernel import Jet2, ParametricPatch, _cross, _dot
 
 
-def _triple(a, b, c):
-    return _dot(_cross(a, b), c)
-
-
 # ---------------------------------------------------------------------------
 # specs
 
@@ -42,15 +38,7 @@ class RuledSpec:
 
 def _line(p0, d) -> Curve3:
     """The straight line p0 + s*d."""
-    return Curve3(lambda s: (p0 + np.multiply.outer(s, d),
-                             np.broadcast_to(d, s.shape + (3,)).copy(),
-                             np.zeros(s.shape + (3,))))
-
-
-def _constant(w) -> Curve3:
-    """The constant curve w, copied so that a -0.0 in w keeps its sign."""
-    return Curve3(lambda s: (np.broadcast_to(w, s.shape + (3,)).copy(),
-                             np.zeros(s.shape + (3,)), np.zeros(s.shape + (3,))))
+    return Curve3(lambda s: (p0 + np.multiply.outer(s, d), d, 0.0))
 
 
 def build_ruled_patch(spec: RuledSpec, t_range) -> ParametricPatch:
@@ -225,7 +213,7 @@ def build_cylinder_patch(curve: PlanarCurve, t_range) -> ParametricPatch:
     The sign choice makes the patch normal equal the curve normal, so
     H = kappa pointwise.
     """
-    spec = RuledSpec(gamma=curve.curve3(), beta=_constant(-curve.plane_normal),
+    spec = RuledSpec(gamma=curve.curve3(), beta=Curve3.constant(-curve.plane_normal),
                      s_range=(float(curve.s[0]), float(curve.s[-1])), cylindrical=True)
     return replace(build_ruled_patch(spec, t_range), label="cylinder")
 
@@ -268,12 +256,7 @@ def adapted_coords(spec: RuledSpec) -> AdaptedCoords:
         b, bp, _ = equator.eval2(s)
         return bp, -b, -bp
 
-    def e3_basis(s):
-        z = np.zeros(np.shape(s) + (3,))
-        w = z.copy()
-        w[..., 2] = 1.0
-        return w, z, z
-
+    e3_basis = Curve3.constant((0.0, 0.0, 1.0)).eval2
     return AdaptedCoords(a=make(equator.eval2), b=make(betap_basis), c=make(e3_basis))
 
 
@@ -287,7 +270,7 @@ def normalize_beta(spec: RuledSpec) -> RuledSpec:
     """
     s = spec.samples(129)
     bv, bp, bpp = spec.beta.eval2(s)
-    if np.max(np.abs(_triple(bp, bv, bpp))) > 1e-8:
+    if np.max(np.abs(_dot(_cross(bp, bv), bpp))) > 1e-8:
         raise ValidationError("ruling direction is not a great circle")
     axes = _cross(bv, bp)
     axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
@@ -367,14 +350,15 @@ def ruled_coeffs(spec: RuledSpec, alpha: float, s, check=True):
         if np.max(np.abs(_dot(gp, bp))) > 1e-6 * scale:
             raise ValidationError("directrix violates the striction condition")
 
-    R0 = _triple(gp, b, gpp) - 2.0 * _dot(gp, b) * _triple(gp, b, bp)
-    R1 = _triple(gp, b, bpp) + _triple(bp, b, gpp)
-    R2 = _triple(bp, b, bpp)
+    gb, bb, gpb = _cross(gp, b), _cross(bp, b), _dot(gp, b)
+    R0 = _dot(gb, gpp) - 2.0 * gpb * _dot(gb, bp)
+    R1 = _dot(gb, bpp) + _dot(bb, gpp)
+    R2 = _dot(bb, bpp)
     q1 = 2.0 * _dot(g, b)
     q0 = _dot(g, g)
-    T0 = _triple(gp, b, g)
-    T1 = _triple(bp, b, g)
-    S0 = gp2 - _dot(gp, b) ** 2
+    T0 = _dot(gb, g)
+    T1 = _dot(bb, g)
+    S0 = gp2 - gpb ** 2
     A0 = q0 * R0 - alpha * T0 * S0
     A1 = q1 * R0 + q0 * R1 - alpha * T1 * S0
     A2 = R0 + q1 * R1 + q0 * R2 - alpha * T0 * S2

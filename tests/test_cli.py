@@ -827,6 +827,34 @@ def test_numerical_failure_prints_one_line_only(argv, message, tmp_path,
     assert os.listdir() == ["aimed.json"]
 
 
+def _euler_cylinder(path, lam, **directrix):
+    path.write_text(json.dumps({"kind": "cylinder_over_curve", "params": {
+        "directrix": {"type": "euler", "r0": lam, **directrix},
+        "t_range": [-0.5 * lam, 0.5 * lam]}}))
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1e-7])
+def test_dilated_euler_cylinder_is_not_refused(lam, tmp_path, monkeypatch,
+                                                capsys):
+    # kappa = alpha <n, gamma>/|gamma|^2 is dilation-invariant, so the curve
+    # that runs at scale 1 runs at every scale: the origin guard is relative
+    _euler_cylinder(tmp_path / "e.json", lam, alpha=-1, theta0=0.3, length=lam)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--spec", "e.json", "--alpha", "-1"]) == 0
+    assert capsys.readouterr().out.startswith("sup|residual| = ")
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1e-3, 1.0])
+def test_radial_euler_directrix_is_refused_at_every_scale(lam, tmp_path,
+                                                          monkeypatch, capsys):
+    _euler_cylinder(tmp_path / "r.json", lam, alpha=3, theta0=0,
+                    tangent_angle=math.pi, length=2 * lam)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--spec", "r.json", "--alpha", "3"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: curve reached the origin"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--family", "sphere", "--radius=-1", "--grid", "4x4", "--out", "r.json"],
      "error: sphere radius must be positive"),

@@ -6,6 +6,7 @@ from alphasurf.interp import (
     Curve3,
     QuinticHermite,
     ScalarFunc,
+    _Jet,
     _rk4,
     compose_reparam,
 )
@@ -83,15 +84,41 @@ def test_scalar_func_constant_and_poly():
 
 
 def test_scalar_func_eval2_is_read_only_and_shaped_like_u():
-    u = np.linspace(0.0, 1.0, 12).reshape(3, 4)
     x = np.linspace(0.0, 1.0, 5)
     for f in (ScalarFunc.constant(-0.0), ScalarFunc.from_poly([1.0, 2.0]),
               ScalarFunc.from_table(x, x**2, 2 * x, np.full_like(x, 2.0))):
-        for part in f.eval2(u):
-            assert part.shape == u.shape and not part.flags.writeable
+        for u in (0.5, x, np.linspace(0.0, 1.0, 12).reshape(3, 4)):
+            for part in f.eval2(u):
+                assert part.shape == np.shape(u) and not part.flags.writeable
+    u = np.linspace(0.0, 1.0, 12).reshape(3, 4)
     # a constant's parts are views of one number, not arrays the size of u
     v, d1, d2 = ScalarFunc.constant(-0.0).eval2(u)
     assert v.strides == (0, 0) and np.signbit(v).all() and not d1.any()
+
+
+def test_curve_constant_is_a_read_only_view_of_its_bits():
+    w = np.array([-0.0, 0.0, -1.5])
+    c = Curve3.constant(w)
+    w[2] = 7.0   # the constant holds its own copy
+    s = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    v, d1, d2 = c.eval2(s)
+    for part in (v, d1, d2):
+        assert part.shape == s.shape + (3,) and not part.flags.writeable
+    assert v.strides == (0, 0, 8)
+    assert np.array_equal(v.view(np.int64),
+                          np.broadcast_to([-0.0, 0.0, -1.5], v.shape).view(np.int64))
+    assert not d1.any() and not d2.any()
+    assert c(0.5).shape == (3,)
+
+
+def test_one_jet_wrapper_under_two_unrelated_names():
+    # a tracer wraps ScalarFunc.eval2 and Curve3.eval2 by name on each class;
+    # an eval2 of their own, or one deriving from the other, would make a
+    # curve's call count as a profile's or hide one of them
+    for cls in (ScalarFunc, Curve3):
+        assert "eval2" not in vars(cls)
+        assert cls.eval2 is _Jet.eval2
+    assert not issubclass(Curve3, ScalarFunc) and not issubclass(ScalarFunc, Curve3)
 
 
 def test_table_jet_evaluates_the_quintic_once(monkeypatch):

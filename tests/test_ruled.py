@@ -7,7 +7,6 @@ from alphasurf.interp import Curve3
 from alphasurf.ruled import (
     PlanarCurve,
     RuledSpec,
-    _constant,
     adapted_coords,
     build_cylinder_patch,
     build_ruled_patch,
@@ -21,7 +20,7 @@ from alphasurf.ruled import (
     trig_poly_curve,
 )
 from alphasurf.stationary import _defect_from_jet, weighted_defect
-from alphasurf.surface_kernel import Jet2, ParametricPatch, _dot, fundamental_data
+from alphasurf.surface_kernel import Jet2, ParametricPatch, _cross, _dot, fundamental_data
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -40,7 +39,7 @@ def helicoid_spec():
 def test_striction_refuses_a_constant_ruling():
     # a non-cylindrical spec whose ruling never turns: beta' = 0 everywhere
     spec = RuledSpec(gamma=vertical_line_curve(),
-                     beta=_constant(np.array([1.0, 0.0, 0.0])), s_range=(0.0, 1.0))
+                     beta=Curve3.constant([1.0, 0.0, 0.0]), s_range=(0.0, 1.0))
     with pytest.raises(ValidationError, match="ruling direction has a stationary point"):
         striction_line(spec)
 
@@ -69,6 +68,39 @@ def test_A4_great_circle_and_latitude():
                     s_range=(0.0, 2 * np.pi))
     A = ruled_coeffs(lat, 0.0, s, check=False)
     assert np.allclose(A[:, 4], -h * rho**2)
+
+
+def _triple_product_coeffs(spec, alpha, s):
+    """ruled_coeffs written with one cross product per triple product."""
+    def triple(a, b, c):
+        return _dot(_cross(a, b), c)
+
+    g, gp, gpp = spec.gamma.eval2(s)
+    b, bp, bpp = spec.beta.eval2(s)
+    gp2, S2 = _dot(gp, gp), _dot(bp, bp)
+    R0 = triple(gp, b, gpp) - 2.0 * _dot(gp, b) * triple(gp, b, bp)
+    R1 = triple(gp, b, bpp) + triple(bp, b, gpp)
+    R2 = triple(bp, b, bpp)
+    q1, q0 = 2.0 * _dot(g, b), _dot(g, g)
+    T0, T1 = triple(gp, b, g), triple(bp, b, g)
+    S0 = gp2 - _dot(gp, b) ** 2
+    return np.stack((q0 * R0 - alpha * T0 * S0,
+                     q1 * R0 + q0 * R1 - alpha * T1 * S0,
+                     R0 + q1 * R1 + q0 * R2 - alpha * T0 * S2,
+                     R1 + q1 * R2 - alpha * T1 * S2, R2), axis=-1)
+
+
+def test_coeffs_bit_equal_to_the_triple_product_form():
+    lat = RuledSpec(gamma=vertical_line_curve(), beta=latitude_beta(0.6),
+                    s_range=(0.0, 2 * np.pi))
+    specs = [(helicoid_spec(), True), (lat, False)]
+    specs += [(random_ruled_spec(np.random.default_rng(i)), True) for i in range(4)]
+    s = np.linspace(0.0, 2 * np.pi, 257)
+    for spec, check in specs:
+        for alpha in (0.0, 1.0, -2.5):
+            got = ruled_coeffs(spec, alpha, s, check=check)
+            want = _triple_product_coeffs(spec, alpha, s)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_helicoid_minimal_zeroes_all_coeffs():
