@@ -84,14 +84,15 @@ def sphere_patch(center, radius) -> ParametricPatch:
         raise ValidationError("sphere radius must be positive")
 
     def ev(u, v):
-        su, cu = np.sin(u), np.cos(u)
-        sv, cv = np.sin(v), np.cos(v)
-        rad = np.stack([su * cv, su * sv, cu], axis=-1)
-        Pu = R * np.stack([cu * cv, cu * sv, -su], axis=-1)
-        Pv = R * np.stack([-su * sv, su * cv, np.zeros_like(u)], axis=-1)
-        Puv = R * np.stack([-cu * sv, cu * cv, np.zeros_like(u)], axis=-1)
-        Pvv = R * np.stack([-su * cv, -su * sv, np.zeros_like(u)], axis=-1)
-        return Jet2(P=c + R * rad, Pu=Pu, Pv=Pv, Puu=-R * rad, Puv=Puv, Pvv=Pvv)
+        su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+        J = np.zeros((6, *np.broadcast(u, v).shape, 3))
+        for i, rad in enumerate((su * cv, su * sv, cu)):
+            J[0, ..., i], J[3, ..., i] = c[i] + R * rad, -R * rad
+        J[1, ..., 0], J[1, ..., 1], J[1, ..., 2] = R * (cu * cv), R * (cu * sv), R * -su
+        J[2, ..., 0], J[2, ..., 1] = R * (-su * sv), R * (su * cv)
+        J[4, ..., 0], J[4, ..., 1] = R * (-cu * sv), R * (cu * cv)
+        J[5, ..., 0], J[5, ..., 1] = R * (-su * cv), R * (-su * sv)
+        return Jet2(*J)
 
     return ParametricPatch(evaluator=ev, u_range=(0.0, math.pi),
                            v_range=(0.0, 2.0 * math.pi), v_periodic=True,
@@ -108,14 +109,13 @@ def helicoid_patch(pitch=1.0, t_range=(-2.0, 2.0), turns=1.0,
 
     def ev(u, v):
         cs, sn = np.cos(u), np.sin(u)
-        zeros = np.zeros_like(u)
-        P = np.stack([v * cs, v * sn, p * u], axis=-1)
-        Pu = np.stack([-v * sn, v * cs, np.full_like(u, p)], axis=-1)
-        Pv = np.stack([cs, sn, zeros], axis=-1)
-        Puu = np.stack([-v * cs, -v * sn, zeros], axis=-1)
-        Puv = np.stack([-sn, cs, zeros], axis=-1)
-        Pvv = np.zeros_like(P)
-        return Jet2(P, Pu, Pv, Puu, Puv, Pvv)
+        J = np.zeros((6, *np.broadcast(u, v).shape, 3))
+        J[0, ..., 0], J[0, ..., 1], J[0, ..., 2] = v * cs, v * sn, p * u
+        J[1, ..., 0], J[1, ..., 1], J[1, ..., 2] = -v * sn, v * cs, p
+        J[2, ..., 0], J[2, ..., 1] = cs, sn
+        J[3, ..., 0], J[3, ..., 1] = -v * cs, -v * sn
+        J[4, ..., 0], J[4, ..., 1] = -sn, cs
+        return Jet2(*J)
 
     patch = ParametricPatch(evaluator=ev,
                             u_range=(0.0, 2.0 * math.pi * float(turns)),

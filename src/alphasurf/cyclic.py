@@ -422,17 +422,17 @@ def log_spiral_example(u_range) -> ParametricPatch:
 
     def ev(u, v):
         th = np.log(u)
-        s, cth = np.sin(th), np.cos(th)
-        cv, sv = np.cos(v), np.sin(v)
+        s, cth, cv, sv = np.sin(th), np.cos(th), np.cos(v), np.sin(v)
         sp = s + cth          # d/du [u sin th]
         cm = cth - s          # d/du [u cos th]
-        P = np.stack([-u * s * cv, u * cth * cv, u * sv], axis=-1)
-        Pu = np.stack([-sp * cv, cm * cv, sv], axis=-1)
-        Puu = np.stack([-cm / u * cv, -sp / u * cv, np.zeros_like(u)], axis=-1)
-        Pv = np.stack([u * s * sv, -u * cth * sv, u * cv], axis=-1)
-        Puv = np.stack([sp * sv, -cm * sv, cv], axis=-1)
-        Pvv = np.stack([u * s * cv, -u * cth * cv, -u * sv], axis=-1)
-        return Jet2(P, Pu, Pv, Puu, Puv, Pvv)
+        J = np.zeros((6, *np.broadcast(u, v).shape, 3))
+        J[0, ..., 0], J[0, ..., 1], J[0, ..., 2] = -u * s * cv, u * cth * cv, u * sv
+        J[1, ..., 0], J[1, ..., 1], J[1, ..., 2] = -sp * cv, cm * cv, sv
+        J[2, ..., 0], J[2, ..., 1], J[2, ..., 2] = u * s * sv, -u * cth * sv, u * cv
+        J[3, ..., 0], J[3, ..., 1] = -cm / u * cv, -sp / u * cv
+        J[4, ..., 0], J[4, ..., 1], J[4, ..., 2] = sp * sv, -cm * sv, cv
+        J[5, ..., 0], J[5, ..., 1], J[5, ..., 2] = u * s * cv, -u * cth * cv, -u * sv
+        return Jet2(*J)
 
     return ParametricPatch(evaluator=ev, u_range=(u0, u1),
                            v_range=(0.0, 2.0 * math.pi), v_periodic=True,

@@ -48,9 +48,9 @@ def build_ruled_patch(spec: RuledSpec, t_range) -> ParametricPatch:
         g, gp, gpp = spec.gamma.eval2(s)
         b, bp, bpp = spec.beta.eval2(s)
         t3 = t[..., None]
-        zeros = np.zeros_like(g)
-        return Jet2(P=g + t3 * b, Pu=gp + t3 * bp, Pv=b,
-                    Puu=gpp + t3 * bpp, Puv=bp, Pvv=zeros)
+        J = np.zeros((6, *np.broadcast(s, t).shape, 3))
+        J[0], J[1], J[2], J[3], J[4] = g + t3 * b, gp + t3 * bp, b, gpp + t3 * bpp, bp
+        return Jet2(*J)
 
     return ParametricPatch(evaluator=ev, u_range=spec.s_range,
                            v_range=(float(t_range[0]), float(t_range[1])),

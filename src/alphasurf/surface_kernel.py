@@ -33,7 +33,7 @@ TILE_POINTS = 8192
 class Jet2:
     """Position and first/second partials of a patch at parameter points.
 
-    All fields have shape (..., 3); ``Puv`` is the single mixed partial.
+    Fields have shape (u and v broadcast) + (3,); ``Puv`` is the mixed partial.
     """
 
     P: np.ndarray
@@ -54,9 +54,9 @@ class Jet2:
 class ParametricPatch:
     """A map (u, v) -> R^3 with C^2 analytic jets on a rectangle.
 
-    ``evaluator`` must accept broadcast arrays of parameters and return a
-    ``Jet2`` of matching shape.  Patches are immutable and safe to evaluate
-    concurrently.
+    ``evaluator`` takes arrays u and v that broadcast, as u (t, 1) and v (nv,)
+    for a grid, and returns a ``Jet2`` of their broadcast shape + (3,).
+    Patches are immutable and safe to evaluate concurrently.
     """
 
     evaluator: Callable
@@ -92,7 +92,7 @@ def _check_axis(patch, name, x, rng, periodic):
     x = np.asarray(x, dtype=float)
     lo, hi = rng
     if periodic:
-        return lo + np.mod(x - lo, hi - lo)
+        return np.asarray(lo + np.mod(x - lo, hi - lo))
     out = (x < lo - _DOMAIN_SLACK) | (x > hi + _DOMAIN_SLACK)
     if np.any(out):
         raise ValidationError(f"{name}={float(x.ravel()[np.argmax(out)])!r} outside "
@@ -107,12 +107,11 @@ def _tiles(n, width=1):
 
 
 def eval_jet2(patch: ParametricPatch, u, v) -> Jet2:
-    """Analytic second-order jet of ``patch`` at (u, v) (broadcastable)."""
+    """Analytic second-order jet of ``patch`` at (u, v), as they broadcast: a
+    tile's u (t, 1) and v (nv,) are passed as they are, not as t * nv copies."""
     u = _check_axis(patch, "u", u, patch.u_range, patch.u_periodic)
     v = _check_axis(patch, "v", v, patch.v_range, patch.v_periodic)
-    # axes passed broadcastable are checked as such, then evaluated in full
-    return patch.evaluator(*(np.asarray(x, order="C")
-                             for x in np.broadcast_arrays(u, v)))
+    return patch.evaluator(u, v)
 
 
 @dataclass(frozen=True)

@@ -624,7 +624,7 @@ def test_energy_refuses_an_oversized_gauss_legendre_axis(tmp_path, monkeypatch,
 
 
 def test_fourier_refuses_an_nv_past_its_bound(tmp_path, monkeypatch, capsys):
-    # refused before the dense harmonic products, which grow as nv^2
+    # refused before the dense harmonic products, which grow as nv * n_max
     def outer(*args, **kwargs):
         raise AssertionError("np.outer called")
 

@@ -3,10 +3,26 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from alphasurf.catalog import catenoid_patch, helicoid_patch, plane_patch, sphere_patch
-from alphasurf.cyclic import PLANAR_INIT, build_cyclic, frame_from_curvature, frenet_spec
+from alphasurf.catalog import (
+    FAMILIES,
+    FamilySpec,
+    catenoid_patch,
+    helicoid_patch,
+    make_patch,
+    plane_patch,
+    riemann_minimal_spec,
+    sphere_patch,
+)
+from alphasurf.cyclic import (
+    PLANAR_INIT,
+    build_cyclic,
+    frame_from_curvature,
+    frenet_spec,
+    integrate_neg2_family,
+)
 from alphasurf.errors import NumericalError, ValidationError
 from alphasurf.inversion import invert_jet, invert_patch
+from alphasurf.ruled import random_ruled_spec
 from alphasurf.surface_kernel import (
     Jet2,
     ParametricPatch,
@@ -185,6 +201,42 @@ def test_transforms_equal_their_closures_and_keep_the_patch_fields():
                 if f.name not in ("evaluator", "label"):
                     assert getattr(new, f.name) == getattr(patch, f.name), \
                         (label, f.name)
+
+
+def _patch_of_every_kind():
+    """One patch of each catalog family kind, then each transform of a sphere."""
+    params = {
+        "sphere": {"center": (0.1, -0.2, 0.05), "radius": 1.2},
+        "cylinder_over_curve": {"directrix": {"type": "euler", "alpha": -1.0, "r0": 1.0}},
+        "ruled_generic": {"spec": random_ruled_spec(np.random.default_rng(0))},
+        "parallel_cyclic": {"spec": riemann_minimal_spec(0.3, 1.0, 0.8)},
+        "frenet_cyclic": {"spec": integrate_neg2_family(
+            lambda u: 1.0 / u, 0.0, 0.0, 1.0, 0.7, (0.5, 1.5))},
+        "inverted": {"inner": FamilySpec("catenoid")},
+        "riemann_minimal": {"span": 0.5},
+    }
+    patches = {kind: make_patch(FamilySpec(kind, params.get(kind, {})))
+               for kind in FAMILIES}
+    sphere = patches["sphere"]
+    return {**patches,
+            "translated": translated(sphere, (1.0, 2.0, 3.0)),
+            "rotated": rotated(sphere, [[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0, 0, 1.0]]),
+            "scaled": scaled(sphere, 2.5),
+            "swapped_uv": swapped_uv(sphere),
+            "invert_patch": invert_patch(sphere)}
+
+
+def test_evaluators_take_axes_that_broadcast():
+    # a grid's u (nu, 1) and v (nv,) give whole (nu, nv, 3) fields, with the
+    # bits of the same grid passed as two full copies
+    for name, patch in _patch_of_every_kind().items():
+        u, v = patch.domain_grid(5, 7)
+        got = patch.evaluator(u[:, None], v)
+        want = patch.evaluator(*(np.array(x) for x in np.broadcast_arrays(u[:, None], v)))
+        for f in fields(Jet2):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.shape == (5, 7, 3), (name, f.name, a.shape)
+            assert a.tobytes() == b.tobytes(), (name, f.name)
 
 
 def test_domain_grid_periodic_uses_midpoints():

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from alphasurf import output, surface_kernel
+from alphasurf import output, stationary, surface_kernel
 from alphasurf.cli import _helicoid_ruled_spec, main
 from alphasurf.catalog import (
     FamilySpec,
@@ -361,6 +361,82 @@ def test_fourier_matches_two_matrix_formula(family, nv, grid_patches,
     assert _same_bits(fc.B, B)
 
 
+def _dense_harmonics(d):
+    """Harmonics 0..nv/2 of ``d`` from the dense cosine and sine products,
+    256 rows at a time, the zeroth and the Nyquist cosine terms halved."""
+    nv = d.size
+    ang = 2.0 * np.pi * np.arange(nv) / nv
+    ns = np.arange(nv // 2 + 1)
+    A, B = np.empty(ns.size), np.empty(ns.size)
+    for block in np.split(ns, range(256, ns.size, 256)):
+        m = np.outer(block, ang)
+        A[block] = 2.0 / nv * np.cos(m) @ d
+        B[block] = 2.0 / nv * np.sin(m) @ d
+    A[0] *= 0.5
+    if nv > 1:
+        A[-1] *= 0.5
+    return A, B
+
+
+# n_max early in the first 256-row block, at its end, and in the second block
+FOURIER_BLOCK_CASES = [(nv, n_max) for nv in (8, 64, 1024, 4096)
+                       for n_max in (0, 4, 255, 256, 300) if nv >= 4 * n_max]
+
+
+@pytest.mark.parametrize("family", ["sphere", "riemann-reloaded"])
+@pytest.mark.parametrize("nv, n_max", FOURIER_BLOCK_CASES)
+def test_fourier_rows_have_the_dense_block_bits(family, nv, n_max, grid_patches):
+    patch, alpha = grid_patches[family]
+    u, d = _fourier_case(patch, alpha, nv)
+    fc = fourier_defect(patch, alpha + 0.3, u, n_max=n_max, nv=nv, guard=np.inf)
+    A, B = _dense_harmonics(d)
+    B[0] = 0.0
+    assert np.array_equal(fc.A.view(np.int64), A[:n_max + 1].view(np.int64))
+    assert np.array_equal(fc.B.view(np.int64), B[:n_max + 1].view(np.int64))
+
+
+# which term decides the threshold: guard * scale, or the floor of summands
+# 1e8 times the defect's size; either sits far above the 1e-13 relative error
+# of the dense products at high harmonics
+@pytest.mark.parametrize("guard, cancel", [(1e-3, 1.0), (0.0, 1e8)],
+                         ids=["guard", "floor"])
+@pytest.mark.parametrize("nv, n, trig", [(64, 4, np.cos), (64, 17, np.sin),
+                                         (64, 32, np.cos), (1024, 300, np.sin),
+                                         (1024, 512, np.cos)],
+                         ids=["64-cos4", "64-sin17", "64-nyquist", "1024-sin300",
+                              "1024-nyquist"])
+@pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6], ids=["below", "above"])
+def test_fourier_guard_decides_as_the_dense_products(guard, cancel, nv, n, trig,
+                                                     side, monkeypatch):
+    # a degree-3 defect with one harmonic n > n_max = 3 planted at side times
+    # the guard's threshold
+    patch = build_cyclic(parallel_spec(ScalarFunc.from_poly([0.0, 0.3]),
+                                       ScalarFunc.from_poly([0.1]),
+                                       ScalarFunc.from_poly([1.0, 0.05]), (0.5, 1.5)))
+    wave = trig(n * 2.0 * np.pi * np.arange(nv) / nv)
+    seen = {}
+
+    def planted(*args, **kwargs):
+        d, mag = weighted_defect(*args, **kwargs)
+        floor = 1e4 * np.finfo(float).eps * mag * cancel
+        amp = 0.0
+        for _ in range(4):   # the scale holds the planted term too
+            amp = side * max(guard * np.max(np.abs(d + amp * wave)), floor)
+        seen["d"], seen["floor"] = d + amp * wave, floor
+        return seen["d"], mag * cancel
+
+    monkeypatch.setattr(stationary, "weighted_defect", planted)
+    try:
+        fourier_defect(patch, 1.3, 1.0, n_max=3, nv=nv, guard=guard)
+        fired = False
+    except NumericalError:
+        fired = True
+    d = seen["d"]
+    A, B = _dense_harmonics(d)
+    top = max(np.max(np.abs(A[4:])), np.max(np.abs(B[4:])))
+    assert fired == (top > max(guard * np.max(np.abs(d)), seen["floor"])) == (side > 1.0)
+
+
 def _cli_child(argv, cwd, threads):
     """Run ``alphasurf ARGV`` in a child with ``threads`` BLAS threads."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -385,13 +461,12 @@ def _flat_patch(bad):
     u > 0.9 (the last rows of a grid only)."""
 
     def ev(u, v):
-        z = np.zeros_like(u)
-        P = np.stack([u, v, z + 1.0], axis=-1)
-        Pu = np.stack([z + 1.0, z, z], axis=-1)
-        Pv = np.stack([z, z + 1.0, z], axis=-1)
-        bad(u > 0.9, P, Pu)
-        zero = np.zeros_like(P)
-        return Jet2(P=P, Pu=Pu, Pv=Pv, Puu=zero, Puv=zero, Pvv=zero)
+        # u and v as they broadcast, e.g. a tile's rows (t, 1) and v (nv,)
+        J = np.zeros((6, *np.broadcast(u, v).shape, 3))
+        J[0, ..., 0], J[0, ..., 1], J[0, ..., 2] = u, v, 1.0
+        J[1, ..., 0], J[2, ..., 1] = 1.0, 1.0
+        bad(np.broadcast_to(u > 0.9, J.shape[1:-1]), J[0], J[1])
+        return Jet2(*J)
 
     return ParametricPatch(evaluator=ev, u_range=(-1.0, 1.0),
                            v_range=(-1.0, 1.0), label="flat")
