@@ -9,7 +9,6 @@ coefficient formulas are cross-checked numerically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,8 @@ REPORT_CSV_HEADER = ["u", "v", "x", "y", "z", "H", "rhs", "residual"]
 # Most Gauss-Legendre nodes on one axis: leggauss solves a dense n x n
 # eigenproblem, 0.17 s at 1024 nodes and 0.96 s at 2048 on one BLAS thread.
 MAX_GAUSS_NODES = 2048
-# Most samples on the v-circle of fourier_defect: its returned rows cost nv * n_max,
-# 0.16 s at nv 16384 with n_max 4 and 1.8 s with n_max nv/4 on one BLAS thread.
+# Most samples on the v-circle of fourier_defect.  Its one rfft takes 2.5 ms at nv
+# 16384 with n_max 4 or nv/4, so this bounds no cost: it fixes which nv are refused.
 MAX_FOURIER_NV = 16384
 
 
@@ -206,27 +205,18 @@ def fourier_defect(patch: ParametricPatch, alpha: float, u: float,
     # the defect is a difference of terms of size ``mag``; coefficients at
     # roundoff level relative to that cannot be distinguished from zero
     floor = 1e4 * np.finfo(float).eps * max(mag, 1e-300)
-    # harmonics in cycles per period, cosine then sine rows 256 at a time in one
-    # buffer up to the block holding n_max: edges at multiples of 4 rows keep BLAS's
-    # gemv row groups, so the whole single-thread product's bits at any thread count
-    ang = 2.0 * math.pi * np.arange(nv) / nv
-    ns = np.arange(min(nv // 2 + 1, (n_max // 256 + 1) * 256))
-    A, B = np.empty(ns.size), np.empty(ns.size)
-    x = np.empty((min(ns.size, 256), nv))
-    for block in np.split(ns, range(256, ns.size, 256)):
-        m = x[:block.size]
-        for trig, coeffs in ((np.cos, A), (np.sin, B)):
-            np.outer(block, ang, out=m)
-            coeffs[block] = np.multiply(trig(m, out=m), 2.0 / nv, out=m) @ d
+    # every harmonic from one rfft (Cooley & Tukey 1965): cosines the real and
+    # sines minus the imaginary parts; those above n_max feed only the guard,
+    # the Nyquist one halved
+    c = np.fft.rfft(d) * (2.0 / nv)
+    A, B = c.real[:n_max + 1].copy(), -c.imag[:n_max + 1]
     A[0] *= 0.5
     B[0] = 0.0
-    # harmonics above n_max feed only the guard: one rfft (Cooley & Tukey 1965),
-    # cosines the real and sines minus the imaginary parts, the Nyquist one last
-    c = np.fft.rfft(d)[n_max + 1:] * (2.0 / nv)
+    c = c[n_max + 1:]
     c[-1:] *= 0.5
     top = np.max(np.abs([c.real, c.imag]), initial=0.0)
     if top > max(guard * scale, floor):
         raise NumericalError(
             f"defect has harmonics above n={n_max}: "
             f"max |coeff| = {top:.3e} vs defect scale {scale:.3e}")
-    return FourierCoeffs(u=float(u), A=A[:n_max + 1].copy(), B=B[:n_max + 1].copy())
+    return FourierCoeffs(u=float(u), A=A, B=B)

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -298,28 +299,19 @@ def test_coeffs_absmax_equals_the_whole_array_max(n, ruled_table_spec, tmp_path,
             assert written[:, 1:].tobytes() == A.tobytes(), (n, rows)
 
 
-FOURIER_FAMILIES = ["catenoid", "sphere", "log-spiral", "inverted-catenoid",
-                    "riemann-reloaded"]
-FOURIER_NV = [64, 256, 1024]
+FOURIER_FAMILIES = ["catenoid", "off-axis-catenoid", "sphere", "log-spiral",
+                    "inverted-catenoid", "riemann-reloaded", "band-limited"]
 
-# The whole cosine and sine products of each case, in a child with one BLAS
-# thread: the bytes the unsplit products gave, at any thread count of the
-# test process.  A threaded product splits its rows off the kernel's row
-# groups and moves last bits, so it cannot serve as the oracle.
-_WHOLE_PRODUCTS = """
-import sys
-import numpy as np
-cases = np.load(sys.argv[1])
-out = {}
-for key in cases.files:
-    d = cases[key]
-    nv = d.size
-    ang = 2.0 * np.pi * np.arange(nv) / nv
-    ns = np.arange(nv // 2 + 1)
-    out[key + "_A"] = 2.0 / nv * np.cos(np.outer(ns, ang)) @ d
-    out[key + "_B"] = 2.0 / nv * np.sin(np.outer(ns, ang)) @ d
-np.savez(sys.argv[2], **out)
-"""
+
+@pytest.fixture(scope="module")
+def fourier_patches(grid_patches):
+    """The grid patches, an off-axis catenoid and the degree-3 band-limited
+    parallel spec of test_fourier_band_limit_guard."""
+    band = parallel_spec(ScalarFunc.from_poly([0.0, 0.3]), ScalarFunc.from_poly([0.1]),
+                         ScalarFunc.from_poly([1.0, 0.05]), (0.5, 1.5))
+    return dict(grid_patches,
+                **{"off-axis-catenoid": (catenoid_patch(1.0, center=(0.3, -0.2, 0.1)), 0.7),
+                   "band-limited": (build_cyclic(band), 1.0)})
 
 
 def _fourier_case(patch, alpha, nv):
@@ -330,35 +322,35 @@ def _fourier_case(patch, alpha, nv):
     return u, weighted_defect(patch, alpha + 0.3, np.full(nv, u), v)
 
 
-@pytest.fixture(scope="module")
-def whole_products(grid_patches, tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("fourier")
-    np.savez(tmp / "d.npz", **{
-        f"{family}_{nv}": _fourier_case(*grid_patches[family], nv)[1]
-        for family in FOURIER_FAMILIES for nv in FOURIER_NV})
-    subprocess.run([sys.executable, "-c", _WHOLE_PRODUCTS, str(tmp / "d.npz"),
-                    str(tmp / "ab.npz")],
-                   env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), check=True)
-    with np.load(tmp / "ab.npz") as products:
-        return dict(products)
+def _exact_dft(d, n_max):
+    """Harmonics 0..n_max of ``d`` with every twiddle taken at the angle
+    2 pi ((n k) mod nv) / nv and every sum exact (math.fsum), so the only
+    error left is one rounding per product."""
+    nv = d.size
+    k = np.arange(nv)
+    A, B = np.empty(n_max + 1), np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        ang = 2.0 * math.pi * (n * k % nv) / nv
+        A[n] = 2.0 / nv * math.fsum((d * np.cos(ang)).tolist())
+        B[n] = 2.0 / nv * math.fsum((d * np.sin(ang)).tolist())
+    A[0] *= 0.5
+    B[0] = 0.0
+    return A, B
 
 
 @pytest.mark.parametrize("family", FOURIER_FAMILIES)
-@pytest.mark.parametrize("nv", FOURIER_NV)
-def test_fourier_matches_two_matrix_formula(family, nv, grid_patches,
-                                            whole_products):
-    patch, alpha = grid_patches[family]
-    u, _ = _fourier_case(patch, alpha, nv)
+@pytest.mark.parametrize("nv", [8, 64, 256, 1024, 4096])
+def test_fourier_rows_are_within_two_eps_of_the_exact_dft(family, nv,
+                                                          fourier_patches):
+    patch, alpha = fourier_patches[family]
+    u, d = _fourier_case(patch, alpha, nv)
     n_max = nv // 4
     # a guard that never fires, so every returned harmonic is compared
-    fc = fourier_defect(patch, alpha + 0.3, u, n_max=n_max, nv=nv,
-                        guard=np.inf)
-    A = whole_products[f"{family}_{nv}_A"][:n_max + 1].copy()
-    B = whole_products[f"{family}_{nv}_B"][:n_max + 1].copy()
-    A[0] *= 0.5
-    B[0] = 0.0
-    assert _same_bits(fc.A, A)
-    assert _same_bits(fc.B, B)
+    fc = fourier_defect(patch, alpha + 0.3, u, n_max=n_max, nv=nv, guard=np.inf)
+    A, B = _exact_dft(d, n_max)
+    bound = 2.0 * np.finfo(float).eps * np.max(np.abs(d))
+    assert np.max(np.abs(fc.A - A)) <= bound
+    assert np.max(np.abs(fc.B - B)) <= bound
 
 
 def _dense_harmonics(d):
@@ -378,21 +370,28 @@ def _dense_harmonics(d):
     return A, B
 
 
-# n_max early in the first 256-row block, at its end, and in the second block
-FOURIER_BLOCK_CASES = [(nv, n_max) for nv in (8, 64, 1024, 4096)
-                       for n_max in (0, 4, 255, 256, 300) if nv >= 4 * n_max]
+# n_max at the mean alone, early in the band, at 255, 256 and 300, and at nv/4;
+# at nv 1 the mean is also the Nyquist term, and at nv 2 the Nyquist term is
+# never returned
+FOURIER_ROW_CASES = sorted({(nv, n_max) for nv in (1, 2, 4, 8, 64, 1024, 4096)
+                            for n_max in (0, 4, 255, 256, 300, nv // 4)
+                            if nv >= 4 * n_max})
 
 
 @pytest.mark.parametrize("family", ["sphere", "riemann-reloaded"])
-@pytest.mark.parametrize("nv, n_max", FOURIER_BLOCK_CASES)
-def test_fourier_rows_have_the_dense_block_bits(family, nv, n_max, grid_patches):
+@pytest.mark.parametrize("nv, n_max", FOURIER_ROW_CASES)
+def test_fourier_rows_have_the_rfft_bits(family, nv, n_max, grid_patches):
     patch, alpha = grid_patches[family]
     u, d = _fourier_case(patch, alpha, nv)
     fc = fourier_defect(patch, alpha + 0.3, u, n_max=n_max, nv=nv, guard=np.inf)
-    A, B = _dense_harmonics(d)
+    c = np.fft.rfft(d)[:n_max + 1] * (2.0 / nv)
+    A, B = c.real.copy(), -c.imag
+    A[0] = c[0].real / 2.0
     B[0] = 0.0
-    assert np.array_equal(fc.A.view(np.int64), A[:n_max + 1].view(np.int64))
-    assert np.array_equal(fc.B.view(np.int64), B[:n_max + 1].view(np.int64))
+    assert np.array_equal(fc.A.view(np.int64), A.view(np.int64))
+    assert np.array_equal(fc.B.view(np.int64), B.view(np.int64))
+    if nv <= 2:
+        assert fc.A[0] == d.sum() / nv
 
 
 # which term decides the threshold: guard * scale, or the floor of summands
@@ -522,7 +521,7 @@ def test_coeffs_million_samples_file_peak_memory(tmp_path, peak_rss_mb):
 
 
 def test_fourier_4096_peak_memory(tmp_path, peak_rss_mb):
-    # 256 harmonic rows at a time, not the whole (2049, 4096) matrix
+    # one rfft of the 4096 samples: no harmonic matrix at all
     argv = ["fourier", "--family", "sphere", "--alpha", "-2", "--u", "1",
             "--nv", "4096"]
     assert peak_rss_mb(argv, tmp_path) <= 60.0
